@@ -75,3 +75,7 @@ class AlphasNotABasis(ReflextError):
 
 class UnknownEntry(ReflextError):
     """No catalog entry with the requested name."""
+
+
+class InternalError(ReflextError):
+    """An internal consistency check failed; this is a bug, never a property of the input."""

@@ -9,12 +9,13 @@ conventions flow from minor expansion in that order.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .errors import BadDegree, DependentAlphas, NotABasis
+from .errors import BadDegree, DependentAlphas, InternalError, NotABasis
 from .linalg import (
     Matrix,
     Subspace,
@@ -53,6 +54,18 @@ def compound(matrix: Matrix, d: int) -> Matrix:
     return Matrix(size, size, entries)
 
 
+def reflection_compound_trace(refl: ReflectionData, d: int) -> Scalar:
+    """Trace of the d-th compound of a reflection, without forming it.
+
+    The eigenvalues are 1 (n - 1 times) and lambda, so the trace is their d-th
+    elementary symmetric function C(n-1, d) + lambda * C(n-1, d-1).
+    """
+    n = refl.dim
+    _check_degree(n, d)
+    moving = refl.eigenvalue * comb(n - 1, d - 1) if d else Fraction(0)
+    return Fraction(comb(n - 1, d)) + moving
+
+
 def wedge(vectors: Sequence[Sequence]) -> Vector:
     """Coordinates of v_1 ^ ... ^ v_d on the lexicographic wedge basis.
 
@@ -67,10 +80,24 @@ def wedge(vectors: Sequence[Sequence]) -> Vector:
     if any(len(v) != n for v in vecs):
         raise NotABasis("wedge factors must share one ambient dimension")
     _check_degree(n, d)
-    stacked = Matrix.from_rows(vecs).transpose()  # n x d, columns are the vectors
-    return tuple(
-        stacked.submatrix(row_set, range(d)).det() for row_set in wedge_index_sets(n, d)
-    )
+    # minors[rows]: the nonzero minors of the first c factors on those sorted
+    # rows.  Laplace expansion along factor c, whose entry in row r sits at
+    # position pos of the grown row set, extends each one by one row.
+    minors: dict[tuple[int, ...], Scalar] = {(): Fraction(1)}
+    for c, v in enumerate(vecs):
+        support = [r for r in range(n) if v[r]]
+        grown: dict[tuple[int, ...], Scalar] = {}
+        for rows, minor in minors.items():
+            for r in support:
+                if r in rows:
+                    continue
+                pos = bisect_left(rows, r)
+                key = rows[:pos] + (r,) + rows[pos:]
+                term = v[r] * minor if (pos + c) % 2 == 0 else -(v[r] * minor)
+                grown[key] = grown[key] + term if key in grown else term
+        minors = {rows: m for rows, m in grown.items() if m}
+    zero = Fraction(0)
+    return tuple(minors.get(rows, zero) for rows in wedge_index_sets(n, d))
 
 
 @dataclass(frozen=True)
@@ -106,9 +133,9 @@ def eigen_split(refl: ReflectionData, d: int) -> EigenSplit:
     cmp_mat = compound(refl.matrix, d)
     ident = Matrix.identity(ambient)
     if plus != kernel(cmp_mat - ident):
-        raise AssertionError("plus-eigenspace formula disagrees with compound kernel")
+        raise InternalError("plus-eigenspace formula disagrees with compound kernel")
     if minus != kernel(cmp_mat - ident.scale(refl.eigenvalue)):
-        raise AssertionError("minus-eigenspace formula disagrees with compound kernel")
+        raise InternalError("minus-eigenspace formula disagrees with compound kernel")
     return EigenSplit(plus=plus, minus=minus, degree=d, reflection=refl)
 
 
@@ -167,11 +194,10 @@ def minus_intersection(refls: Sequence[ReflectionData], d: int) -> Subspace:
     ambient = comb(n, d)
     if d < k:
         return Subspace.zero(ambient)
-    full_basis = extend_to_basis(alphas, n)
-    extension = full_basis[k:]
+    extension = extend_to_basis(alphas, n)[k:] if d > k else []
     vecs = [
         wedge(list(alphas) + [extension[i] for i in c])
-        for c in itertools.combinations(range(n - k), d - k)
+        for c in itertools.combinations(range(len(extension)), d - k)
     ]
     return Subspace.span(vecs, ambient)
 

@@ -10,9 +10,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import HypothesisViolated, NotConnected, SizeMismatch, SubsetTooSmall
+from .errors import (
+    HypothesisViolated,
+    InternalError,
+    NotConnected,
+    SizeMismatch,
+    SubsetTooSmall,
+)
 
 
 @dataclass(frozen=True)
@@ -48,20 +55,19 @@ class Graph:
         return (min(a, b), max(a, b)) in self.edges
 
     def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
+        return set(self._adjacency[v])
 
-    def adjacency(self) -> dict[int, set[int]]:
+    def adjacency(self) -> dict[int, frozenset[int]]:
+        """Neighbor sets of every vertex, built once per graph and shared."""
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> dict[int, frozenset[int]]:
         adj: dict[int, set[int]] = {v: set() for v in self.vertices}
         for a, b in self.edges:
             adj[a].add(b)
             adj[b].add(a)
-        return adj
+        return {v: frozenset(ns) for v, ns in adj.items()}
 
 
 @dataclass(frozen=True)
@@ -172,7 +178,8 @@ def move_sequence(graph: Graph, start: Iterable[int], goal: Iterable[int]) -> li
         r = min(current - target)
         t = min(target - current)
         path = shortest_path(graph, r, t)
-        assert path is not None
+        if path is None:
+            raise InternalError(f"no path from {r} to {t} in a connected graph")
         # indices of current-subset vertices on the path (t itself is outside)
         inside = [i for i in range(len(path) - 1) if path[i] in current]
         # shift the deepest one to t, then each earlier one to its successor
@@ -184,7 +191,8 @@ def move_sequence(graph: Graph, start: Iterable[int], goal: Iterable[int]) -> li
                 current.remove(walker)
                 current.add(path[j])
                 walker = path[j]
-    assert apply_moves(set(start), steps, graph) == target
+    if apply_moves(set(start), steps, graph) != target:
+        raise InternalError("move sequence does not reach the goal subset")
     return steps
 
 
@@ -220,9 +228,10 @@ def deletable_vertex(graph: Graph, subset: Iterable[int]) -> int:
             key = (-dist[s2], s, s2)
             if best is None or key < best:
                 best = key
-    assert best is not None
+    if best is None:
+        raise InternalError("no subset pair to choose from")
     chosen = best[1]
     remaining = [v for v in graph.vertices if v != chosen]
     if not is_connected(induced(graph, remaining)):
-        raise AssertionError("eccentricity choice failed to preserve connectivity")
+        raise InternalError("eccentricity choice failed to preserve connectivity")
     return chosen

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotDiagonalizable, NotRankOne, SingularMatrix
+from .errors import InternalError, NotDiagonalizable, NotRankOne, SingularMatrix
 from .linalg import Matrix, Subspace, Vector, dot, image, kernel, rref, vector
 from .scalars import Scalar, inv
 
@@ -67,7 +67,8 @@ def recognize_reflection(matrix: Matrix) -> ReflectionData:
     rebuilt = Matrix.identity(n) + Matrix(n, 1, alpha) @ Matrix(1, n, functional)
     if rebuilt != matrix:
         raise NotRankOne("M - I is not a rank-one outer product")  # unreachable if rk == 1
-    assert matrix.apply(alpha) == tuple(eigenvalue * a for a in alpha)
+    if matrix.apply(alpha) != tuple(eigenvalue * a for a in alpha):
+        raise InternalError("alpha is not an eigenvector for the reflection eigenvalue")
     return ReflectionData(matrix, alpha, eigenvalue, hyperplane, functional)
 
 

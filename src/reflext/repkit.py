@@ -14,7 +14,13 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .errors import BadDegree, EmptyGeneratorList, LengthMismatch, SingularMatrix
+from .errors import (
+    BadDegree,
+    EmptyGeneratorList,
+    InternalError,
+    LengthMismatch,
+    SingularMatrix,
+)
 from .exterior import compound
 from .linalg import (
     Matrix,
@@ -187,7 +193,8 @@ def spin(rep: Representation, seeds: Sequence[Vector], transpose: bool = False) 
     return space
 
 
-def _invariant(rep: Representation, space: Subspace) -> bool:
+def is_invariant(rep: Representation, space: Subspace) -> bool:
+    """True iff every generator maps the subspace into itself."""
     return all(
         space.contains(g.apply(v)) for g in rep.generators for v in space.basis_vectors()
     )
@@ -208,7 +215,8 @@ def _witness_from_commutant(rep: Representation, commutant: Subspace) -> Optiona
         for mu in roots_in_field(charpoly(x), field_m):
             ker = kernel(x - Matrix.identity(n).scale(mu))
             if 0 < ker.dim < n:
-                assert _invariant(rep, ker)
+                if not is_invariant(rep, ker):
+                    raise InternalError("kernel of a commutant element is not invariant")
                 return ker
     return None
 
@@ -247,8 +255,9 @@ def simplicity(
     of (word - mu*I) for words up to word_length with mu extracted from the
     characteristic polynomial, and their transposed (dual) counterparts.  A
     nullity-one kernel whose primal and dual spin-ups both fill the space is a
-    rigorous irreducibility certificate; otherwise Simple is only reported
-    after the search is exhausted with commutant dimension 1.
+    rigorous irreducibility certificate.  A search that ends without a
+    certificate or a witness is Inconclusive, whatever the commutant
+    dimension: commutant dimension 1 alone does not rule out a submodule.
     """
     n = rep.dim
     commutant = hom_space(rep, rep)
@@ -272,7 +281,8 @@ def simplicity(
         )
 
     def reducible(witness: Subspace, method: str) -> SimplicityVerdict:
-        assert 0 < witness.dim < n and _invariant(rep, witness)
+        if not (0 < witness.dim < n and is_invariant(rep, witness)):
+            raise InternalError(f"{method} produced no proper invariant subspace")
         return SimplicityVerdict("Reducible", cdim, witness=witness, method=method)
 
     if n == 1:
@@ -315,6 +325,4 @@ def simplicity(
         dual_grown = spin(rep, [seed], transpose=True)
         if dual_grown.dim < n:
             return reducible(dual_grown.perp(), "dual-spin-basis")
-    if cdim == 1:
-        return SimplicityVerdict("Simple", cdim, method="search-exhausted")
     return SimplicityVerdict("Inconclusive", cdim, method="search-exhausted")

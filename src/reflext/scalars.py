@@ -167,6 +167,8 @@ def as_scalar(value, m: int | None = None) -> Scalar:
 
     With ``m`` given, plain rationals are lifted into Q(sqrt(m)).
     """
+    if m is None and type(value) is Fraction:
+        return value
     if isinstance(value, str):
         value = parse_scalar(value)
     if isinstance(value, QuadExt):

@@ -1,10 +1,22 @@
-"""End-to-end certification pipeline.
+"""End-to-end certification pipeline, following the paper's proof.
 
-Given generators acting by generalized reflections, checks the hypotheses
-(reflection recognition, irreducibility of the base space, the symmetry
-condition on fixed reflection vectors), builds the non-fixing graph, extracts a
-connected basis subset, and certifies for every degree d that the d-th
-exterior power has scalar endomorphism ring, plus pairwise non-isomorphy.
+Given generators acting by generalized reflections s_i = I + alpha_i f_i^T,
+checks the hypotheses (reflection recognition, irreducibility of the base
+space, the symmetry condition on fixed reflection vectors), builds the
+non-fixing graph, extracts a connected basis subset, and certifies for every
+degree d that the d-th exterior power is simple, plus pairwise non-isomorphy.
+No generic commutant or Hom system is solved on the theorem path:
+
+- Condition 3 (base simplicity) is decided exactly from s_i(w) - w =
+  f_i(w) alpha_i: an invariant subspace lies in the common kernel of the f_i
+  or contains some alpha_j together with every alpha_i that s_i moves it to.
+- End(wedge^d V) is scalar because an endomorphism preserves every claim-4
+  line alpha_I and has equal coefficients on subsets one claim-5 move apart,
+  so its dimension is at most the number of components of the move graph on
+  d-subsets of the basis subset.
+- Distinct degrees of equal dimension have different characters, since
+  tr(wedge^d s) = C(n-1, d) + lambda C(n-1, d-1) for every generator s.
+
 All failures are structured report values carrying re-checkable witnesses.
 """
 
@@ -12,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from math import comb
 from typing import Optional, Sequence
@@ -19,23 +32,18 @@ from typing import Optional, Sequence
 from .errors import (
     AlphasNotABasis,
     BadDegree,
+    InternalError,
     NotConnected,
     NotDiagonalizable,
     NotRankOne,
     NotSpanning,
     SingularMatrix,
 )
-from .exterior import minus_intersection, wedge
+from .exterior import minus_intersection, reflection_compound_trace, wedge
 from .graphs import Graph, deletable_vertex, induced, is_connected, move_sequence
 from .linalg import Matrix, Subspace, Vector, kernel, rank
 from .reflections import ReflectionData, fixes_vector, recognize_reflection
-from .repkit import (
-    Representation,
-    SimplicityVerdict,
-    exterior_rep,
-    hom_dim,
-    simplicity,
-)
+from .repkit import Representation, SimplicityVerdict, hom_space, is_invariant
 
 CLAIM4_EXHAUSTIVE_LIMIT = 100
 
@@ -166,15 +174,18 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
         )
 
     k = len(rep.generators)
+    # moves[i][j]: s_i moves alpha_j; the one relation behind conditions 3 and 4
+    moves = [
+        [i != j and not fixes_vector(refls[i], refls[j].alpha) for j in range(k)]
+        for i in range(k)
+    ]
     violations: list[tuple[int, int]] = []
     edges: list[tuple[int, int]] = []
-    for i, j in itertools.combinations(range(1, k + 1), 2):
-        moves_ij = not fixes_vector(refls[i - 1], refls[j - 1].alpha)
-        moves_ji = not fixes_vector(refls[j - 1], refls[i - 1].alpha)
-        if moves_ij != moves_ji:
-            violations.append((i, j) if moves_ij else (j, i))
-        elif moves_ij:
-            edges.append((i, j))
+    for i, j in itertools.combinations(range(k), 2):
+        if moves[i][j] != moves[j][i]:
+            violations.append((i + 1, j + 1) if moves[i][j] else (j + 1, i + 1))
+        elif moves[i][j]:
+            edges.append((i + 1, j + 1))
 
     remarks: list[str] = []
     for i, j in violations:
@@ -185,7 +196,7 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
             )
 
     graph = Graph.on_range(k, edges) if not violations else None
-    v_simple = simplicity(rep)
+    v_simple = _base_simplicity(rep, refls, moves)
     return HypothesisReport(
         reflections=tuple(refls),
         condition1_failures=(),
@@ -196,6 +207,59 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
         graph=graph,
         remarks=tuple(remarks),
     )
+
+
+def _base_simplicity(
+    rep: Representation,
+    refls: Sequence[ReflectionData],
+    moves: Sequence[Sequence[bool]],
+) -> SimplicityVerdict:
+    """Condition 3 decided exactly for reflections s_i = I + alpha_i f_i^T.
+
+    moves[i][j] says that s_i moves alpha_j.  Since s_i(w) - w = f_i(w) alpha_i,
+    a nonzero invariant W either lies in every hyperplane f_i = 0, or contains
+    some alpha_j and with it every alpha_i reachable from j along "s_i moves
+    alpha_j".  The common kernel of the f_i and each such reachable span are
+    invariant themselves, so V is simple iff the kernel is 0 and every
+    reachable span is V; the first one that is proper is the witness.  In the
+    simple case an endomorphism preserves each eigenline alpha_i with one
+    coefficient along the same reachability, so the commutant is the scalars.
+    A reducible verdict reports its exact commutant dimension from one
+    n^2-unknown solve.  Symmetric or not, the criterion never fails to decide.
+    """
+    n = rep.dim
+    witness = kernel(Matrix.from_rows([list(r.functional) for r in refls]))
+    method = "reflection-kernel"
+    if witness.dim == 0:
+        method = "reflection-span"
+        spans: dict[frozenset[int], Subspace] = {}
+        for start in range(len(refls)):
+            reached = frozenset(_reachable(moves, start))
+            if reached not in spans:
+                spans[reached] = Subspace.span([refls[i].alpha for i in reached], n)
+            if spans[reached].dim < n:
+                witness = spans[reached]
+                break
+        else:
+            return SimplicityVerdict("Simple", 1, method="reflection-criterion")
+    if not is_invariant(rep, witness):
+        raise InternalError(f"{method} witness is not invariant")
+    return SimplicityVerdict(
+        "Reducible", hom_space(rep, rep).dim, witness=witness, method=method
+    )
+
+
+def _reachable(moves: Sequence[Sequence[bool]], start: int) -> set[int]:
+    """Indices i reachable from start along j -> i whenever s_i moves alpha_j."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        j = stack.pop()
+        for i, row in enumerate(moves):
+            if row[j] and i not in seen:
+                seen.add(i)
+                stack.append(i)
+    return seen
 
 
 def connected_basis_subset(alphas: Sequence[Vector], graph: Graph) -> tuple[int, ...]:
@@ -229,21 +293,42 @@ def connected_basis_subset(alphas: Sequence[Vector], graph: Graph) -> tuple[int,
 def _full_support_dependency(stacked: Matrix) -> Vector:
     """A nonzero kernel vector of the transposed stack: coefficients of a dependency."""
     dep_space = kernel(stacked.transpose())
-    assert dep_space.dim > 0
+    if dep_space.dim == 0:
+        raise InternalError("dependent vectors without a dependency")
     return dep_space.basis.row(0)
 
 
-def _component_of(graph: Graph, start: int) -> set[int]:
+def _move_components(graph: Graph, members: Sequence[int], d: int) -> int:
+    """Connected components of the claim-5 move graph on d-subsets of members.
+
+    Two d-subsets are adjacent when they differ by swapping i out for j along
+    an edge {i, j} of the graph; an endomorphism of the d-th exterior power
+    has one coefficient per component in the basis of claim-4 lines.
+    """
     adj = graph.adjacency()
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+    unseen = {frozenset(c) for c in itertools.combinations(members, d)}
+    components = 0
+    while unseen:
+        components += 1
+        queue = deque([unseen.pop()])
+        while queue:
+            subset = queue.popleft()
+            for i in subset:
+                for j in adj[i] - subset:
+                    moved = subset - {i} | {j}
+                    if moved in unseen:
+                        unseen.remove(moved)
+                        queue.append(moved)
+    return components
+
+
+def _characters_separate(refls: Sequence[ReflectionData], n: int) -> bool:
+    """Every two degrees of equal dimension differ in the trace of some generator."""
+    return all(
+        any(reflection_compound_trace(r, a) != reflection_compound_trace(r, b) for r in refls)
+        for a, b in itertools.combinations(range(n + 1), 2)
+        if comb(n, a) == comb(n, b)
+    )
 
 
 def _claim4_check(
@@ -308,7 +393,7 @@ def _hypothesis_failure(hyp: HypothesisReport, classical: bool) -> TheoremReport
             ),
             classical_mode=classical,
         )
-    raise AssertionError("not a hypothesis failure")
+    raise InternalError("not a hypothesis failure")
 
 
 def verify_theorem(
@@ -321,7 +406,17 @@ def verify_theorem(
     _hyp: HypothesisReport | None = None,
 ) -> TheoremReport:
     """Full pipeline; every failure mode is a structured conclusion, never an
-    exception (malformed requests like out-of-range degrees still raise)."""
+    exception (malformed requests like out-of-range degrees still raise).
+
+    Each exterior power is certified by counting move-graph components (one
+    means End is the scalars) and non-isomorphy by comparing characters.  The
+    step from scalar End to simple is the FromSimpleBase premise, which is
+    sound in characteristic 0: the Zariski closure of a group acting
+    irreducibly on V is reductive, so every wedge^d V is semisimple, and a
+    semisimple module with scalar End is simple.  Schur's lemma then makes
+    Hom between different degrees 0.  A degree whose move graph is
+    disconnected is a certification failure, never handed to a generic solver.
+    """
     n = rep.dim
     k = len(rep.generators)
     if degrees is not None:
@@ -331,9 +426,9 @@ def verify_theorem(
     hyp = _hyp if _hyp is not None else check_hypotheses(rep)
     if not hyp.condition1_ok or not hyp.condition4_holds:
         return _hypothesis_failure(hyp, _classical)
-
-    assert hyp.v_simple is not None and hyp.graph is not None
-    if hyp.v_simple.status == "Reducible":
+    if hyp.v_simple is None or hyp.graph is None:
+        raise InternalError("hypotheses passed without a condition-3 verdict or a graph")
+    if not hyp.v_simple.is_simple:
         return TheoremReport(
             hypothesis=hyp,
             conclusion=Conclusion(
@@ -344,115 +439,62 @@ def verify_theorem(
             classical_mode=_classical,
         )
 
+    # a simple base has a connected graph and spanning alphas: a component's
+    # alphas span an invariant subspace
     refls = [r for r in hyp.reflections if r is not None]
-    alphas = [r.alpha for r in refls]
-
-    claim1 = is_connected(hyp.graph)
-    if not claim1:
-        component = sorted(_component_of(hyp.graph, hyp.graph.vertices[0]))
-        witness = Subspace.span([alphas[i - 1] for i in component], n)
-        return TheoremReport(
-            hypothesis=hyp,
-            claim1_connected=False,
-            conclusion=Conclusion(
-                "HypothesisFailed",
-                "condition3: non-fixing graph is disconnected, the reflection vectors "
-                f"of component {component} span a proper invariant subspace",
-                witness_subspace=witness,
-            ),
-            classical_mode=_classical,
-        )
-
-    if hyp.v_simple.status != "Simple":
-        return TheoremReport(
-            hypothesis=hyp,
-            claim1_connected=claim1,
-            conclusion=Conclusion(
-                "HypothesisFailed",
-                "condition3: irreducibility of the base representation could not be certified",
-            ),
-            classical_mode=_classical,
-        )
-
-    claim2 = rank(Matrix.from_rows([list(a) for a in alphas])) == n
-    if not claim2:
-        witness = Subspace.span(alphas, n)
-        return TheoremReport(
-            hypothesis=hyp,
-            claim1_connected=claim1,
-            claim2_spanning=False,
-            conclusion=Conclusion(
-                "HypothesisFailed",
-                "condition3: reflection vectors span a proper invariant subspace",
-                witness_subspace=witness,
-            ),
-            classical_mode=_classical,
-        )
-
     if _preset_subset is not None:
         subset = _preset_subset
     else:
-        subset = connected_basis_subset(alphas, hyp.graph)
+        subset = connected_basis_subset([r.alpha for r in refls], hyp.graph)
+    members = sorted(subset)
+    move_graph = induced(hyp.graph, members)
+    components = [_move_components(move_graph, members, d) for d in range(n + 1)]
 
     rng = random.Random(20240814)
     degree_list = sorted(set(degrees)) if degrees is not None else list(range(n + 1))
-    ext_cache = {d: exterior_rep(rep, d) for d in range(n + 1)}
     per_degree: list[DegreeReport] = []
-    failures: list[str] = []
-    failure_witness: Optional[Subspace] = None
+    failures = [
+        f"exterior power d={d}: move graph on {d}-subsets has {c} components"
+        for d, c in enumerate(components)
+        if c != 1
+    ]
     for d in degree_list:
-        ext = ext_cache[d]
-        verdict = simplicity(ext, semisimple_premise="FromSimpleBase")
         checked, exhaustive, ok = _claim4_check(refls, subset, d, n, rng)
         claim5 = _claim5_trace(hyp.graph, subset, d) if trace else None
         per_degree.append(
             DegreeReport(
                 degree=d,
                 space_dim=comb(n, d),
-                commutant_dim=verdict.commutant_dim,
-                verdict=verdict.status,
+                commutant_dim=components[d],
+                verdict="Simple" if components[d] == 1 else "Inconclusive",
                 claim4_checked=checked,
                 claim4_exhaustive=exhaustive,
                 claim4_ok=ok,
                 claim5_trace=claim5,
-                witness=verdict.witness,
             )
         )
-        if verdict.status != "Simple":
-            failures.append(
-                f"exterior power d={d}: commutant dimension {verdict.commutant_dim}"
-            )
-            failure_witness = failure_witness or verdict.witness
         if not ok:
             failures.append(f"claim4 failed at d={d}")
 
-    size = n + 1
-    hom_matrix = [[0] * size for _ in range(size)]
-    for d in range(size):
-        hom_matrix[d][d] = hom_dim(ext_cache[d], ext_cache[d])
-    dim_filter_ok = True
-    for a, b in itertools.combinations(range(size), 2):
-        if comb(n, a) == comb(n, b) and comb(n - 1, a) == comb(n - 1, b):
-            dim_filter_ok = False  # would only happen for a == b; defensive
-        value = hom_dim(ext_cache[a], ext_cache[b])
-        hom_matrix[a][b] = hom_matrix[b][a] = value
-        if value != 0:
-            failures.append(f"hom space between degrees {a} and {b} has dimension {value}")
+    dim_filter_ok = _characters_separate(refls, n)
+    if not dim_filter_ok:
+        failures.append("characters do not separate two degrees of equal dimension")
+    hom_matrix = None
+    if dim_filter_ok and all(c == 1 for c in components):
+        hom_matrix = tuple(tuple(int(a == b) for b in range(n + 1)) for a in range(n + 1))
 
     if failures:
-        conclusion = Conclusion(
-            "CertificationFailed", "; ".join(failures), witness_subspace=failure_witness
-        )
+        conclusion = Conclusion("CertificationFailed", "; ".join(failures))
     else:
         conclusion = Conclusion("TheoremVerified")
     return TheoremReport(
         hypothesis=hyp,
-        claim1_connected=claim1,
+        claim1_connected=True,
         claim2_spanning=True,
         n_le_k=n <= k,
         claim3_subset=subset,
         per_degree=tuple(per_degree),
-        pairwise_hom=tuple(tuple(row) for row in hom_matrix),
+        pairwise_hom=hom_matrix,
         dim_filter_ok=dim_filter_ok,
         conclusion=conclusion,
         classical_mode=_classical,

@@ -1,0 +1,216 @@
+"""The proof-based certificates of the pipeline against the generic solvers.
+
+verify_theorem derives condition 3, every commutant dimension and every Hom
+dimension from the structure of generalized reflections; the generic
+simplicity / hom_dim / compound machinery serves as the oracle here.
+"""
+
+import ast
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from reflext.catalog import _cartan_rep, entry, list_entries
+from reflext.exterior import compound, reflection_compound_trace
+from reflext.linalg import Matrix, Subspace, kernel
+from reflext.reflections import is_reflection, recognize_reflection
+from reflext.repkit import Representation, exterior_rep, hom_dim, simplicity
+from reflext.theoremlab import check_hypotheses, verify_theorem
+
+from conftest import random_invertible
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "reflext"
+
+
+def _reflection_rep(rows, p=None):
+    """s_i = I + e_i f_i^T with f_i the i-th row of F, optionally conjugated by p."""
+    n = len(rows)
+    gens = []
+    for i, f in enumerate(rows):
+        e = Matrix(n, 1, [Fraction(int(r == i)) for r in range(n)])
+        gens.append(Matrix.identity(n) + e @ Matrix(1, n, [Fraction(x) for x in f]))
+    rep = Representation(gens)
+    return rep.conjugate(p) if p is not None else rep
+
+
+def _random_functionals(rng, n, kind):
+    """Rows of F: 'simple' (symmetric connected pattern, det F != 0), 'singular'
+    (det F = 0) or 'asymmetric' (one one-sided zero); diagonals avoid 0 and -1."""
+    while True:
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = rng.choice([-3, -2, 1, 2])
+        for i in range(n):
+            for j in range(i + 1, n):
+                if j == i + 1 or rng.random() < 0.4:
+                    rows[i][j] = rng.choice([-2, -1, 1, 3])
+                    rows[j][i] = rng.choice([-2, -1, 1, 3])
+        if kind == "asymmetric":
+            i, j = rng.sample(range(n), 2)
+            rows[i][j] = 0
+            rows[j][i] = rows[j][i] or 1
+        if kind == "singular":
+            # choose the last column so that every functional vanishes on a
+            # vector v with v[last] = 1; redraw if the last diagonal is 0 or -1
+            v = [rng.randint(-1, 1) for _ in range(n - 1)]
+            for row in rows:
+                row[n - 1] = -sum(row[j] * v[j] for j in range(n - 1))
+            if rows[n - 1][n - 1] not in (0, -1):
+                return rows
+        elif Matrix.from_rows(rows).det():
+            return rows
+
+
+def _random_cases(seed, ranks, kinds, count, bound=2):
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = rng.choice(ranks)
+        kind = rng.choice(kinds)
+        rows = _random_functionals(rng, n, kind)
+        cases.append((kind, rows, _reflection_rep(rows, random_invertible(rng, n, bound))))
+    return cases
+
+
+def _verified_catalog():
+    out = []
+    for name in list_entries():
+        rep = entry(name).representation
+        report = verify_theorem(rep)
+        if report.verified:
+            out.append((name, rep, report))
+    return out
+
+
+def _assert_matches_generic(rep, report, label):
+    n = rep.dim
+    exts = [exterior_rep(rep, d) for d in range(n + 1)]
+    for dr in report.per_degree:
+        generic = simplicity(exts[dr.degree], semisimple_premise="FromSimpleBase")
+        assert dr.commutant_dim == generic.commutant_dim, (label, dr.degree)
+        assert dr.verdict == generic.status, (label, dr.degree)
+    for a in range(n + 1):
+        for b in range(n + 1):
+            assert report.pairwise_hom[a][b] == hom_dim(exts[a], exts[b]), (label, a, b)
+
+
+def test_no_assert_statements_in_package():
+    # python -O strips assert statements, so mathematical checks must raise
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
+        ]
+    assert offenders == []
+
+
+def test_search_exhausted_is_never_simple():
+    # reducible module on which the word and spin search finds no witness
+    g1 = Matrix.from_rows([
+        [Fraction(17, 2), Fraction(-15, 4), Fraction(3, 4), Fraction(43, 4)],
+        [-1, 11, 4, Fraction(-44, 3)],
+        [Fraction(-35, 2), Fraction(-25, 4), Fraction(-31, 4), Fraction(-49, 12)],
+        [Fraction(-21, 2), Fraction(15, 4), Fraction(-3, 4), Fraction(-55, 4)],
+    ])
+    g2 = Matrix.from_rows([
+        [Fraction(-33, 2), Fraction(-23, 4), Fraction(-25, 4), Fraction(-13, 4)],
+        [23, 12, 10, Fraction(4, 3)],
+        [Fraction(15, 2), Fraction(5, 4), Fraction(7, 4), Fraction(29, 12)],
+        [Fraction(33, 2), Fraction(33, 4), Fraction(27, 4), Fraction(3, 4)],
+    ])
+    rep = Representation([g1, g2])
+    # oracle: ker(g1^2 + 2 g1 - 9 I) is a proper invariant subspace
+    w = kernel(g1 @ g1 + g1.scale(2) - Matrix.identity(4).scale(9))
+    assert w.dim == 2
+    assert all(w.contains(g.apply(v)) for g in rep.generators for v in w.basis_vectors())
+    verdict = simplicity(rep)
+    assert verdict.status != "Simple"
+    if verdict.status == "Reducible":
+        ws = verdict.witness
+        assert 0 < ws.dim < 4
+        assert all(ws.contains(g.apply(v)) for g in rep.generators for v in ws.basis_vectors())
+    else:
+        assert verdict.status == "Inconclusive" and verdict.method == "search-exhausted"
+
+
+def test_trace_formula_matches_compound_on_catalog():
+    for name in list_entries():
+        for g in entry(name).representation.generators:
+            if not is_reflection(g):
+                continue
+            refl = recognize_reflection(g)
+            for d in range(g.rows + 1):
+                assert reflection_compound_trace(refl, d) == compound(g, d).trace(), (name, d)
+
+
+def test_derived_certificates_match_generic_on_catalog():
+    verified = _verified_catalog()
+    assert len(verified) >= 10
+    for name, rep, report in verified:
+        _assert_matches_generic(rep, report, name)
+        assert report.dim_filter_ok
+
+
+def test_derived_certificates_match_generic_on_random_reflection_reps():
+    cases = _random_cases(4242, ranks=[3, 4], kinds=["simple"], count=4, bound=1)
+    assert {rep.dim for _, _, rep in cases} == {3, 4}
+    for index, (_, rows, rep) in enumerate(cases):
+        report = verify_theorem(rep)
+        assert report.verified, (index, rows, report.conclusion.reason)
+        _assert_matches_generic(rep, report, index)
+
+
+def test_condition3_agrees_with_generic_simplicity():
+    cases = _random_cases(777, ranks=[2, 3], kinds=["simple", "singular", "asymmetric"], count=30)
+    assert {kind for kind, _, _ in cases} == {"simple", "singular", "asymmetric"}
+    statuses = set()
+    for index, (kind, rows, rep) in enumerate(cases):
+        exact = check_hypotheses(rep).v_simple
+        generic = simplicity(rep)
+        assert exact.status == generic.status, (index, kind, rows)
+        assert exact.commutant_dim == hom_dim(rep, rep), (index, kind, rows)
+        statuses.add(exact.status)
+        if kind == "singular":
+            assert exact.status == "Reducible"
+        if exact.status == "Reducible":
+            w = exact.witness
+            assert 0 < w.dim < rep.dim
+            assert all(
+                w.contains(g.apply(v)) for g in rep.generators for v in w.basis_vectors()
+            )
+    assert statuses == {"Simple", "Reducible"}
+
+
+def test_condition3_witnesses_of_catalog_failures():
+    for name in list_entries():
+        e = entry(name)
+        if e.expected.failure_reason != "condition3":
+            continue
+        report = verify_theorem(e.representation)
+        assert report.conclusion.reason.startswith("condition3"), name
+        w = report.conclusion.witness_subspace
+        gens = e.representation.generators
+        assert 0 < w.dim < e.representation.dim, name
+        assert all(w.contains(g.apply(v)) for g in gens for v in w.basis_vectors()), name
+    assert verify_theorem(entry("dihedral-2-2").representation).conclusion.witness_subspace == (
+        Subspace.span([(1, 1)], 2)
+    )
+
+
+@pytest.mark.parametrize("order", [None, [6, 2, 0, 4, 1, 5, 3]])
+def test_rank_seven_chain_verifies(order):
+    n = 7
+    cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    rep = _cartan_rep(cartan)
+    if order is not None:
+        rep = rep.permute(order)
+    report = verify_theorem(rep)
+    assert report.verified
+    assert [d.commutant_dim for d in report.per_degree] == [1] * (n + 1)
+    assert report.pairwise_hom == tuple(
+        tuple(int(a == b) for b in range(n + 1)) for a in range(n + 1)
+    )
+    assert all(d.claim4_ok for d in report.per_degree)

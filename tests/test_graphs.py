@@ -52,6 +52,17 @@ def test_is_connected_examples():
     assert is_connected(Graph((), ()))
 
 
+def test_neighbors_read_the_edge_set():
+    g = Graph.on_range(5, [(1, 2), (2, 3), (2, 5)])
+    for v in g.vertices:
+        # oracle: scan every edge
+        expected = {b if a == v else a for a, b in g.edges if v in (a, b)}
+        assert g.neighbors(v) == expected == g.adjacency()[v]
+    g.neighbors(2).add(4)  # callers get a copy, the graph stays as built
+    assert g.neighbors(2) == {1, 3, 5}
+    assert g == Graph.on_range(5, [(2, 5), (2, 3), (1, 2)])
+
+
 def test_graph_rejects_loops_and_unknown_vertices():
     with pytest.raises(ValueError):
         Graph.on_range(2, [(1, 1)])
