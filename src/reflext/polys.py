@@ -4,6 +4,10 @@ Characteristic polynomials are computed in-house (linalg.charpoly); sympy is
 used only to factor the univariate polynomial over Q, or over Q(sqrt(m)) when
 the coefficients live in a quadratic extension.  Roots outside the field are
 discarded on purpose: they cannot seed exact eigenvector computations.
+
+sympy is imported inside the functions below, not at module level: only the
+generic simplicity search reaches them, and the certification pipeline and
+the command line start without loading it.
 """
 
 from __future__ import annotations
@@ -11,14 +15,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-import sympy
-
 from .scalars import QuadExt, Scalar
-
-_X = sympy.symbols("x")
 
 
 def to_sympy(x: Scalar):
+    import sympy
+
     if isinstance(x, QuadExt):
         return sympy.Rational(x.a) + sympy.Rational(x.b) * sympy.sqrt(x.m)
     return sympy.Rational(x)
@@ -26,6 +28,8 @@ def to_sympy(x: Scalar):
 
 def from_sympy(expr, m: int | None) -> Scalar | None:
     """Convert a sympy number to a Scalar in Q (m is None) or Q(sqrt(m)); None if outside."""
+    import sympy
+
     e = sympy.expand(sympy.radsimp(sympy.nsimplify(expr)))
     if e.is_Rational:
         return Fraction(int(e.p), int(e.q))
@@ -40,14 +44,17 @@ def from_sympy(expr, m: int | None) -> Scalar | None:
 
 def roots_in_field(coeffs: Sequence[Scalar], m: int | None) -> list[Scalar]:
     """Distinct roots, inside Q (m None) or Q(sqrt(m)), of sum coeffs[i] * x^(n-i)."""
+    import sympy
+
+    x = sympy.symbols("x")
     n = len(coeffs) - 1
     expr = sympy.Integer(0)
     for i, c in enumerate(coeffs):
-        expr += to_sympy(c) * _X ** (n - i)
+        expr += to_sympy(c) * x ** (n - i)
     if m is None:
-        poly = sympy.Poly(expr, _X, domain="QQ")
+        poly = sympy.Poly(expr, x, domain="QQ")
     else:
-        poly = sympy.Poly(expr, _X, extension=sympy.sqrt(m))
+        poly = sympy.Poly(expr, x, extension=sympy.sqrt(m))
     roots: list[Scalar] = []
     for factor, _mult in poly.factor_list()[1]:
         if factor.degree() != 1:

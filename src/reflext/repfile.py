@@ -47,7 +47,7 @@ def representation_from_document(doc: Any) -> Representation:
         raise ParseError(f"missing keys: {sorted(missing)}")
     m = parse_field(doc["field"])
     n = doc["dim"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f"dim must be a positive integer, got {n!r}")
     gens = doc["generators"]
     if not isinstance(gens, list) or not gens:
@@ -92,7 +92,7 @@ def load_repfile(path: str) -> Representation:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer with too many digits
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
     return representation_from_document(doc)
 

@@ -2,14 +2,13 @@
 
 The JSON documents and the human-readable text are generated from the same
 report values; every emitted document is validated against the schemas below.
-Scalars travel as exact strings, never as floats.
+Scalars travel as exact strings, never as floats.  jsonschema is imported at
+the first validation, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import jsonschema
+from typing import Any, Optional
 
 from .linalg import Matrix, Subspace
 from .reflections import ReflectionData
@@ -310,12 +309,34 @@ ANALYZE_SCHEMA = {
 }
 
 
+_VALIDATORS: dict[int, Any] = {}
+
+
+def _validate(doc: dict, schema: dict) -> None:
+    """jsonschema.validate, with the schema checked once and its validator kept.
+
+    Raises the jsonschema.ValidationError that jsonschema.validate would raise.
+    """
+    validator = _VALIDATORS.get(id(schema))
+    if validator is None:
+        from jsonschema.validators import validator_for
+
+        cls = validator_for(schema)
+        cls.check_schema(schema)
+        validator = _VALIDATORS[id(schema)] = cls(schema)
+    from jsonschema.exceptions import best_match
+
+    error = best_match(validator.iter_errors(doc))
+    if error is not None:
+        raise error
+
+
 def validate_theorem_document(doc: dict) -> None:
-    jsonschema.validate(doc, THEOREM_SCHEMA)
+    _validate(doc, THEOREM_SCHEMA)
 
 
 def validate_analyze_document(doc: dict) -> None:
-    jsonschema.validate(doc, ANALYZE_SCHEMA)
+    _validate(doc, ANALYZE_SCHEMA)
 
 
 def field_doc(m: Optional[int]):

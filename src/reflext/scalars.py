@@ -227,6 +227,8 @@ def parse_scalar(text: str) -> Scalar:
         return QuadExt(a, b, validate_radicand(int(radicand)))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {text!r}") from None
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"scalar has too many digits ({len(s)} characters)") from None
 
 
 def render_scalar(x: Scalar) -> str:

@@ -6,14 +6,21 @@ simplicity / hom_dim / compound machinery serves as the oracle here.
 """
 
 import ast
+import itertools
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from reflext.catalog import _cartan_rep, entry, list_entries
-from reflext.exterior import compound, reflection_compound_trace
+from reflext.exterior import (
+    compound,
+    minus_intersection_bruteforce,
+    reflection_compound_trace,
+    wedge,
+)
 from reflext.linalg import Matrix, Subspace, kernel
 from reflext.reflections import is_reflection, recognize_reflection
 from reflext.repkit import Representation, exterior_rep, hom_dim, simplicity
@@ -214,3 +221,31 @@ def test_rank_seven_chain_verifies(order):
         tuple(int(a == b) for b in range(n + 1)) for a in range(n + 1)
     )
     assert all(d.claim4_ok for d in report.per_degree)
+
+
+def test_claim4_lines_match_bruteforce_eigenspaces():
+    # claim 4 as a real check: intersect the eigenspaces of the compounds
+    a4 = _cartan_rep([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
+    checked = 0
+    for name, rep, report in _verified_catalog() + [("A4", a4, verify_theorem(a4))]:
+        n = rep.dim
+        if n > 4:
+            continue
+        refls = check_hypotheses(rep).reflections
+        subset = report.claim3_subset
+        for dr in report.per_degree:
+            d = dr.degree
+            assert (dr.claim4_checked, dr.claim4_exhaustive, dr.claim4_ok) == (
+                comb(len(subset), d),
+                True,
+                True,
+            ), (name, d)
+            if d == 0:  # the empty intersection: wedge^0 V is a line already
+                continue
+            for t_set in itertools.combinations(subset, d):
+                picked = [refls[i - 1] for i in t_set]
+                line = Subspace.span([wedge([r.alpha for r in picked])], comb(n, d))
+                assert line.dim == 1
+                assert minus_intersection_bruteforce(picked, d) == line, (name, t_set)
+                checked += 1
+    assert checked >= 60  # 46 lines over the catalog entries, 15 for A4

@@ -1,0 +1,81 @@
+"""Cold start: sympy and jsonschema load only where they are used.
+
+Each check runs in a fresh interpreter, so it sees exactly the modules that
+an import or a command loads; nothing here depends on timing.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import jsonschema
+
+from reflext.reports import THEOREM_SCHEMA
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run(args, code=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    cmd = [sys.executable, *args] if code is None else [sys.executable, *args, "-c", code]
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=120, env=env)
+
+
+def _loaded_after(statement):
+    code = (
+        f"{statement}\n"
+        "import sys, json\n"
+        "print(json.dumps([m in sys.modules for m in ('sympy', 'jsonschema')]))"
+    )
+    result = _run([], code)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def test_import_loads_neither_sympy_nor_jsonschema():
+    assert _loaded_after("import reflext") == [False, False]
+    assert _loaded_after("import reflext.cli") == [False, False]
+
+
+def test_hom_command_does_not_load_sympy():
+    statement = (
+        "from reflext.cli import main\n"
+        "try:\n"
+        "    main(['hom', 'A3:1', 'A3:2', '--json'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code"
+    )
+    assert _loaded_after(statement)[0] is False
+
+
+def test_verify_under_optimize_emits_a_valid_document():
+    result = _run(["-O", "-m", "reflext.cli", "verify", "A3", "--json"])
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    jsonschema.Draft7Validator(THEOREM_SCHEMA).validate(doc)
+    assert doc["conclusion"]["status"] == "TheoremVerified"
+
+
+def test_simplicity_loads_sympy_on_demand():
+    # the reducible module of tests/test_certificates.py::test_search_exhausted_is_never_simple
+    code = """
+import sys
+from fractions import Fraction as F
+from reflext.linalg import Matrix
+from reflext.repkit import Representation, simplicity
+assert "sympy" not in sys.modules
+g1 = Matrix.from_rows([[F(17, 2), F(-15, 4), F(3, 4), F(43, 4)], [-1, 11, 4, F(-44, 3)],
+                       [F(-35, 2), F(-25, 4), F(-31, 4), F(-49, 12)],
+                       [F(-21, 2), F(15, 4), F(-3, 4), F(-55, 4)]])
+g2 = Matrix.from_rows([[F(-33, 2), F(-23, 4), F(-25, 4), F(-13, 4)], [23, 12, 10, F(4, 3)],
+                       [F(15, 2), F(5, 4), F(7, 4), F(29, 12)],
+                       [F(33, 2), F(33, 4), F(27, 4), F(3, 4)]])
+verdict = simplicity(Representation([g1, g2]))
+print(verdict.status, verdict.method, "sympy" in sys.modules)
+"""
+    result = _run([], code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["Inconclusive", "search-exhausted", "True"]

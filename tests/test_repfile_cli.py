@@ -236,3 +236,46 @@ def test_cli_failure_documents_validate_against_schema(runner, tmp_path):
     doc = json.loads(result.output)
     jsonschema.validate(doc, THEOREM_SCHEMA)
     assert doc["hypothesis"]["condition1"]["ok"] is False
+
+
+def test_cli_verify_oversized_scalar_exit_two(runner, tmp_path):
+    # more digits than int() converts: a parse error, not a traceback
+    doc = {"field": "Q", "dim": 1, "generators": [{"matrix": [["1" * 5001]]}]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:")
+
+
+def test_cli_verify_boolean_dim_exit_two(runner, tmp_path):
+    # bool is an int subclass; "dim": true must not reach the report schema
+    doc = {"field": "Q", "dim": True, "generators": [{"matrix": [["2"]]}]}
+    path = tmp_path / "booldim.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:")
+
+
+def test_schemas_are_valid_draft7():
+    jsonschema.Draft7Validator.check_schema(THEOREM_SCHEMA)
+    jsonschema.Draft7Validator.check_schema(ANALYZE_SCHEMA)
+
+
+def test_tampered_documents_are_rejected_on_every_call(runner):
+    from reflext.reports import validate_analyze_document, validate_theorem_document
+
+    theorem = json.loads(runner.invoke(main, ["verify", "A3", "--json"]).output)
+    analyze = json.loads(runner.invoke(main, ["analyze", "A3", "--json"]).output)
+    for validate, doc, key, bad in [
+        (validate_theorem_document, theorem, "dim", "3"),
+        (validate_analyze_document, analyze, "ok", "yes"),
+    ]:
+        validate(doc)
+        tampered = dict(doc, **{key: bad})
+        for _ in range(2):  # the second call uses the kept validator
+            with pytest.raises(jsonschema.ValidationError) as info:
+                validate(tampered)
+            assert list(info.value.path) == [key]
+        validate(doc)
