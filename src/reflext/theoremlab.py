@@ -434,7 +434,8 @@ def verify_theorem(
     components = [_move_components(move_graph, members, d) for d in range(n + 1)]
 
     alphas_s = Matrix.from_rows([list(refls[i - 1].alpha) for i in subset])
-    claim4_ok = rank(alphas_s) == len(subset)
+    if rank(alphas_s) != len(subset):
+        raise InternalError("connected basis subset is not independent")
     degree_list = sorted(set(degrees)) if degrees is not None else list(range(n + 1))
     per_degree: list[DegreeReport] = []
     failures = [
@@ -452,12 +453,10 @@ def verify_theorem(
                 verdict="Simple" if components[d] == 1 else "Inconclusive",
                 claim4_checked=comb(len(subset), d),
                 claim4_exhaustive=True,
-                claim4_ok=claim4_ok,
+                claim4_ok=True,
                 claim5_trace=claim5,
             )
         )
-        if not claim4_ok:
-            failures.append(f"claim4 failed at d={d}")
 
     dim_filter_ok = _characters_separate(refls, n)
     if not dim_filter_ok:
