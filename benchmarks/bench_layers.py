@@ -1,0 +1,58 @@
+"""Micro-benchmarks of the hypothesis layer: reflection recognition, the
+hypothesis checks, and one Q(sqrt(m)) multiply for m = 5 and for a 10-digit prime.
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_layers.py --benchmark-json=BENCH_<label>.json
+
+The tier-1 suite does not collect this file (testpaths is tests/), and the
+file name does not match pytest's test_*.py pattern; it runs when named.
+The committed BENCH_*.json files keep pytest-benchmark's statistics and drop
+its per-round samples (``stats.data``).
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from reflext.catalog import _cartan_rep
+from reflext.linalg import Matrix
+from reflext.reflections import recognize_reflection
+from reflext.scalars import QuadExt
+from reflext.theoremlab import check_hypotheses
+
+PHI = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)  # 2 cos(pi/5)
+
+
+def chain(k: int, last=-1) -> list[list]:
+    """Cartan matrix of a path on k nodes; the last edge carries `last`."""
+    c = [[2 if i == j else 0 for j in range(k)] for i in range(k)]
+    for i in range(k - 1):
+        c[i][i + 1] = c[i + 1][i] = last if i == k - 2 else -1
+    return c
+
+
+A5 = _cartan_rep(chain(5))
+H4 = _cartan_rep(chain(4, -PHI))
+H3_CONJUGATE = _cartan_rep(chain(3, -PHI)).conjugate(
+    Matrix.from_rows([[1, 2, 0], [0, 1, -1], [1, 1, 0]])
+)
+
+
+@pytest.mark.parametrize(
+    "generator", [A5.generators[2], H3_CONJUGATE.generators[1]], ids=["A5", "H3-conjugate"]
+)
+def test_recognize_reflection(benchmark, generator):
+    data = benchmark(recognize_reflection, generator)
+    assert data.matrix == generator
+
+
+@pytest.mark.parametrize("rep", [A5, H4], ids=["A5", "H4"])
+def test_check_hypotheses(benchmark, rep):
+    hyp = benchmark(check_hypotheses, rep)
+    assert hyp.condition4_holds and hyp.v_simple.is_simple
+
+
+@pytest.mark.parametrize("m", [5, 1000000007], ids=["sqrt5", "sqrt-10-digit-prime"])
+def test_quadext_multiply(benchmark, m):
+    x = QuadExt(Fraction(3, 7), Fraction(-5, 11), m)
+    y = QuadExt(Fraction(1, 2), Fraction(1, 2), m)
+    assert benchmark(x.__mul__, y) == x * y

@@ -9,10 +9,14 @@ linear functional f, and conversely s = I + alpha f^T.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import InternalError, NotDiagonalizable, NotRankOne, SingularMatrix
-from .linalg import Matrix, Subspace, Vector, dot, image, kernel, rref, vector
+from .linalg import Matrix, Subspace, Vector, dot, is_zero_vector, rank, vector
 from .scalars import Scalar, inv
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -41,35 +45,61 @@ def recognize_reflection(matrix: Matrix) -> ReflectionData:
 
     Raises NotRankOne if rank(M - I) != 1, NotDiagonalizable for unipotent
     transvections (eigenvalue 1), SingularMatrix for eigenvalue 0.
+
+    No elimination runs on a reflection: alpha is the first nonzero column of
+    D = M - I scaled to first nonzero coordinate p = 1 (the canonical basis of
+    im D), f is row p of D, and D == alpha f^T entry by entry is the rank-one
+    test.  Only a failed test reduces D, for its rank.
     """
     if matrix.rows != matrix.cols:
         raise NotRankOne("reflection candidate must be square")
     n = matrix.rows
-    diff = matrix - Matrix.identity(n)
-    reduced, rk = rref(diff)
-    if rk != 1:
-        raise NotRankOne(f"rank(M - I) = {rk}, expected 1")
+    diff = Matrix(
+        n, n, [x - _ONE if k % (n + 1) == 0 else x for k, x in enumerate(matrix.entries)]
+    )
+    column = next((c for c in map(diff.col, range(n)) if not is_zero_vector(c)), None)
+    if column is None:
+        raise NotRankOne("rank(M - I) = 0, expected 1")
+    p = next(i for i in range(n) if column[i])
+    scale = inv(column[p])
+    alpha = tuple(scale * x for x in column)
+    # alpha[p] is 1; multiplying by it puts f in Q(sqrt(m)) whenever alpha is
+    unit = inv(alpha[p])
+    functional = tuple(x * unit for x in diff.row(p))
+    # D == alpha f^T row by row; row p is f itself
+    if not all(
+        diff.row(i) == tuple(a * x for x in functional) if a else is_zero_vector(diff.row(i))
+        for i, a in enumerate(alpha)
+        if i != p
+    ):
+        raise NotRankOne(f"rank(M - I) = {rank(diff)}, expected 1")
     eigenvalue = matrix.trace() - (n - 1)
     if eigenvalue == 1:
         raise NotDiagonalizable("unipotent transvection: eigenvalue 1 on the moving line")
     if eigenvalue == 0:
         raise SingularMatrix("matrix is singular: reflection eigenvalue 0")
-
-    # alpha spans im(M - I); the canonical generator has first nonzero coord 1.
-    alpha = image(diff).basis.row(0)
-    # M - I = alpha f^T, so f^T is the row of M - I at alpha's leading position,
-    # scaled by 1/alpha[p] (= 1 by normalization).
-    p = next(j for j in range(n) if alpha[j])
-    functional = tuple(diff[p, j] * inv(alpha[p]) for j in range(n))
-
-    hyperplane = kernel(diff)
-    # exact self-checks: decomposition and eigenvector property
-    rebuilt = Matrix.identity(n) + Matrix(n, 1, alpha) @ Matrix(1, n, functional)
-    if rebuilt != matrix:
-        raise NotRankOne("M - I is not a rank-one outer product")  # unreachable if rk == 1
-    if matrix.apply(alpha) != tuple(eigenvalue * a for a in alpha):
+    # M alpha == lambda alpha: M alpha = (1 + f(alpha)) alpha, as M - I == alpha f^T
+    if 1 + dot(functional, alpha) != eigenvalue:
         raise InternalError("alpha is not an eigenvector for the reflection eigenvalue")
+    hyperplane = _kernel_of_functional(functional)
     return ReflectionData(matrix, alpha, eigenvalue, hyperplane, functional)
+
+
+def _kernel_of_functional(functional: Vector) -> Subspace:
+    """ker f in canonical RREF: with l the last index where f is nonzero, the
+    rows e_j - (f_j / f_l) e_l for j != l, in increasing j."""
+    n = len(functional)
+    last = max(j for j in range(n) if functional[j])
+    ratio = inv(functional[last])
+    rows = []
+    for j in range(n):
+        if j != last:
+            row = [_ZERO] * n
+            row[j] = _ONE
+            if functional[j]:
+                row[last] = -(functional[j] * ratio)
+            rows.extend(row)
+    return Subspace(n, Matrix(n - 1, n, rows))
 
 
 def is_reflection(matrix: Matrix) -> bool:
@@ -81,9 +111,8 @@ def is_reflection(matrix: Matrix) -> bool:
 
 
 def fixes_vector(refl: ReflectionData, v) -> bool:
-    """True iff the reflection fixes v, i.e. f(v) = 0."""
-    vv = vector(v)
-    return refl.apply(vv) == vv
+    """True iff the reflection fixes v, i.e. f(v) = 0: s(v) - v = f(v) alpha, alpha != 0."""
+    return not refl.f(v)
 
 
 def reflection_from_parts(alpha, functional) -> Matrix:

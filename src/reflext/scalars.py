@@ -1,10 +1,10 @@
 """Exact scalars: arbitrary-precision rationals and real quadratic extensions Q(sqrt(m)).
 
 Rationals are plain ``fractions.Fraction``; elements of Q(sqrt(m)) are ``QuadExt``
-pairs (a, b) meaning a + b*sqrt(m), with m a square-free integer >= 2.  The two
-kinds interoperate: Fraction + QuadExt promotes to QuadExt, and a QuadExt with
-b == 0 compares (and hashes) equal to the corresponding Fraction.  Combining
-QuadExt values with distinct m raises FieldMismatch.
+pairs (a, b) meaning a + b*sqrt(m), with m a square-free integer, 2 <= m < 10**18.
+The two kinds interoperate: Fraction + QuadExt promotes to QuadExt, and a
+QuadExt with b == 0 compares (and hashes) equal to the corresponding Fraction.
+Combining QuadExt values with distinct m raises FieldMismatch.
 
 Division by zero raises the built-in ZeroDivisionError.
 
@@ -18,30 +18,52 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import isqrt
 from typing import Union
 
 from .errors import FieldMismatch, ParseError
 
 Scalar = Union[Fraction, "QuadExt"]
 
+MAX_RADICAND = 10**18  # radicands are below this; trial division then stops by 10**6
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 def _is_square_free(m: int) -> bool:
+    """Exact for m >= 1: trial division below the cube root, then one isqrt.
+
+    Each prime d <= cbrt(c) is divided out of the cofactor c; once d^3 > c, c
+    has no prime factor below d, so it has at most two prime factors and is
+    square-free unless it is a perfect square.
+    """
     d = 2
-    while d * d <= m:
-        if m % (d * d) == 0:
-            return False
-        d += 1
-    return True
+    while d * d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return False
+        d += 1 if d == 2 else 2
+    r = isqrt(m)
+    return m == 1 or r * r != m
 
 
 def validate_radicand(m: int) -> int:
+    """Check a radicand from input: a square-free integer with 2 <= m < MAX_RADICAND."""
+    if isinstance(m, int) and m >= MAX_RADICAND:
+        raise ParseError(f"radicand must be below 10**18, got {m.bit_length()} bits")
     if not isinstance(m, int) or m < 2 or not _is_square_free(m):
         raise ParseError(f"radicand must be a square-free integer >= 2, got {m!r}")
     return m
 
 
 class QuadExt:
-    """a + b*sqrt(m) with exact rational a, b."""
+    """a + b*sqrt(m) with exact rational a, b.
+
+    The constructor converts a and b to Fraction and validates m; arithmetic
+    results are built by ``_quad`` from parts that are already both.
+    """
 
     __slots__ = ("a", "b", "m")
 
@@ -56,14 +78,14 @@ class QuadExt:
                 raise FieldMismatch(f"cannot mix sqrt({self.m}) and sqrt({other.m})")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.m)
+            return _quad(other if type(other) is Fraction else Fraction(other), _ZERO, self.m)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.m)
+        return _quad(self.a + o.a, self.b + o.b, self.m)
 
     __radd__ = __add__
 
@@ -71,19 +93,19 @@ class QuadExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.m)
+        return _quad(self.a - o.a, self.b - o.b, self.m)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(o.a - self.a, o.b - self.b, self.m)
+        return _quad(o.a - self.a, o.b - self.b, self.m)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(
+        return _quad(
             self.a * o.a + self.b * o.b * self.m,
             self.a * o.b + self.b * o.a,
             self.m,
@@ -104,7 +126,7 @@ class QuadExt:
         return o * self.inverse()
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.m)
+        return _quad(-self.a, -self.b, self.m)
 
     def __pos__(self):
         return self
@@ -114,7 +136,7 @@ class QuadExt:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = QuadExt(1, 0, self.m)
+        result = _quad(_ONE, _ZERO, self.m)
         base = self
         n = exponent
         while n:
@@ -125,7 +147,7 @@ class QuadExt:
         return result
 
     def conjugate(self) -> QuadExt:
-        return QuadExt(self.a, -self.b, self.m)
+        return _quad(self.a, -self.b, self.m)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - m*b^2; zero only for the zero element."""
@@ -135,7 +157,7 @@ class QuadExt:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return QuadExt(self.a / n, -self.b / n, self.m)
+        return _quad(self.a / n, -self.b / n, self.m)
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
@@ -160,6 +182,15 @@ class QuadExt:
 
     def __str__(self):
         return render_scalar(self)
+
+
+def _quad(a: Fraction, b: Fraction, m: int) -> QuadExt:
+    """a + b*sqrt(m) from Fraction parts and a validated m, checking neither again."""
+    x = object.__new__(QuadExt)
+    x.a = a
+    x.b = b
+    x.m = m
+    return x
 
 
 def as_scalar(value, m: int | None = None) -> Scalar:
@@ -224,7 +255,7 @@ def parse_scalar(text: str) -> Scalar:
         b = Fraction(coeff)
         if sign == "-":
             b = -b
-        return QuadExt(a, b, validate_radicand(int(radicand)))
+        return _quad(a, b, validate_radicand(int(radicand)))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {text!r}") from None
     except ValueError:  # more digits than int() converts

@@ -269,23 +269,25 @@ def connected_basis_subset(alphas: Sequence[Vector], graph: Graph) -> tuple[int,
     the support inside the current subgraph, and drop the returned vertex.
     """
     n = len(alphas[0])
-    if rank(Matrix.from_rows([list(a) for a in alphas])) != n:
+    stacked = Matrix.from_rows([list(a) for a in alphas])
+    stacked_rank = rank(stacked)
+    if stacked_rank != n:
         raise NotSpanning("reflection vectors do not span the space")
     if not is_connected(graph):
         raise NotConnected("non-fixing graph must be connected")
-    if len(alphas) != graph.vertex_count:
+    if graph.vertices != tuple(range(1, len(alphas) + 1)):
         raise ValueError("one vertex per vector expected")
 
+    # vertex i is alpha_(i-1), so the first stack is the spanning one above
     current = list(graph.vertices)
-    while True:
-        stacked = Matrix.from_rows([list(alphas[i - 1]) for i in current])
-        if rank(stacked) == len(current):
-            break
+    while stacked_rank != len(current):
         dependency = _full_support_dependency(stacked)
         support = [current[pos] for pos, c in enumerate(dependency) if c]
         subgraph = induced(graph, current)
         drop = deletable_vertex(subgraph, support)
         current.remove(drop)
+        stacked = Matrix.from_rows([list(alphas[i - 1]) for i in current])
+        stacked_rank = rank(stacked)
     return tuple(current)
 
 

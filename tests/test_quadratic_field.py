@@ -16,8 +16,9 @@ from reflext.linalg import (
     rref,
     subspace_sum,
 )
+from reflext import scalars
 from reflext.reflections import recognize_reflection
-from reflext.repkit import simplicity
+from reflext.repkit import Representation, simplicity
 from reflext.scalars import QuadExt
 from reflext.theoremlab import steinberg_mode, verify_theorem
 
@@ -119,3 +120,26 @@ def test_mixed_rational_and_quadratic_entries():
     assert m.field() == 5
     assert m.det() == 2
     assert rank(m) == 2
+
+
+def test_verify_validates_no_radicand(monkeypatch):
+    # the radicand is checked once, when the inputs are built; arithmetic on
+    # validated scalars inside the pipeline must not test it again
+    h3 = Representation(
+        [
+            Matrix.from_rows(rows)
+            for rows in (
+                [[-1, 1, 0], [0, 1, 0], [0, 0, 1]],
+                [[1, 0, 0], [1, -1, PHI], [0, 0, 1]],
+                [[1, 0, 0], [0, 1, 0], [0, PHI, -1]],
+            )
+        ]
+    )
+    h3_conjugate = h3.conjugate(Matrix.from_rows([[1, 2, 0], [0, 1, -1], [1, 1, 0]]))
+    inputs = [entry("H2-5").representation, h3_conjugate]
+    calls = []
+    real = scalars._is_square_free
+    monkeypatch.setattr(scalars, "_is_square_free", lambda m: calls.append(m) or real(m))
+    for rep in inputs:
+        assert verify_theorem(rep).verified
+    assert calls == []

@@ -1,17 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reflext.errors import NotDiagonalizable, NotRankOne, SingularMatrix
-from reflext.linalg import Matrix, Subspace, image, kernel
+from reflext.linalg import Matrix, Subspace, dot, image, kernel, rank
 from reflext.reflections import (
     fixes_vector,
     is_reflection,
     recognize_reflection,
     reflection_from_parts,
 )
+from reflext.scalars import QuadExt
 
 S1 = Matrix.from_rows([[-1, 1], [0, 1]])
 
@@ -112,3 +113,61 @@ def test_is_reflection_predicate():
     assert is_reflection(S1)
     assert not is_reflection(Matrix.identity(2))
     assert not is_reflection(Matrix.from_rows([[1, 1], [0, 1]]))
+
+
+# Oracles for the elimination-free recognition, over Q and over Q(sqrt(5)):
+# entries mix Fractions with QuadExt values, some of them rational.
+PHI = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+FIELDS = {
+    "Q": rationals,
+    "Q(sqrt 5)": st.one_of(
+        rationals, st.builds(lambda a, b: a + b * PHI, rationals, st.integers(-2, 2))
+    ),
+}
+
+
+def scalar_lists(field, n):
+    return st.lists(FIELDS[field], min_size=n, max_size=n)
+
+
+@st.composite
+def reflections_with_vector(draw):
+    field = draw(st.sampled_from(sorted(FIELDS)))
+    n = draw(st.integers(min_value=1, max_value=4))
+    alpha = draw(scalar_lists(field, n).filter(any))
+    f = draw(scalar_lists(field, n).filter(any))
+    assume(dot(alpha, f) not in (0, -1))  # eigenvalue 1 + f(alpha) must not be 1 or 0
+    m = reflection_from_parts(alpha, f)
+    # v = w + shift alpha has f(v) = c f(alpha): fixed exactly when c == 0
+    w = draw(scalar_lists(field, n))
+    c = draw(st.one_of(st.just(Fraction(0)), FIELDS[field]))
+    shift = c - dot(f, w) / dot(f, alpha)
+    v = tuple(x + shift * a for x, a in zip(w, alpha))
+    return m, v
+
+
+@given(reflections_with_vector())
+@settings(max_examples=100, deadline=None)
+def test_recognition_matches_elimination(case):
+    m, v = case
+    data = recognize_reflection(m)
+    diff = m - Matrix.identity(m.rows)
+    assert data.hyperplane == kernel(diff)
+    assert Subspace.span([data.alpha], m.rows) == image(diff)
+    assert data.alpha == image(diff).basis.row(0)  # the canonical generator
+    assert Matrix(m.rows, 1, data.alpha) @ Matrix(1, m.rows, data.functional) == diff
+    assert fixes_vector(data, v) == (data.apply(v) == v)
+
+
+@given(st.sampled_from(sorted(FIELDS)), st.sampled_from([0, 2, 3]), st.data())
+@settings(max_examples=50, deadline=None)
+def test_rank_other_than_one_keeps_message(field, r, data):
+    n = data.draw(st.integers(min_value=max(r, 1), max_value=4))
+    left = Matrix(n, r, data.draw(scalar_lists(field, n * r)))
+    right = Matrix(r, n, data.draw(scalar_lists(field, r * n)))
+    diff = left @ right
+    assume(rank(diff) == r)
+    with pytest.raises(NotRankOne) as exc:
+        recognize_reflection(Matrix.identity(n) + diff)
+    assert str(exc.value) == f"rank(M - I) = {r}, expected 1"

@@ -253,6 +253,36 @@ def test_cli_verify_oversized_scalar_exit_two(runner, tmp_path):
     assert result.stderr.startswith("error:")
 
 
+def _sqrt_dihedral_doc(m):
+    # infinite dihedral with a = b = sqrt(m): a * b = m != 4, so it verifies
+    root = f"0+1*sqrt({m})"
+    return {
+        "field": {"quadratic": m},
+        "dim": 2,
+        "generators": [
+            {"label": "s1", "matrix": [["-1", root], ["0", "1"]]},
+            {"label": "s2", "matrix": [["1", "0"], [root, "-1"]]},
+        ],
+    }
+
+
+def test_cli_verify_large_prime_radicand(runner, tmp_path):
+    # a 14-digit prime: trial division stops at its cube root, about 2 * 10**4
+    path = tmp_path / "prime14.json"
+    path.write_text(json.dumps(_sqrt_dihedral_doc(10000000000037)))
+    result = runner.invoke(main, ["verify", str(path), "--json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["conclusion"]["status"] == "TheoremVerified"
+
+
+def test_cli_verify_radicand_over_limit_exit_two(runner, tmp_path):
+    path = tmp_path / "radicand19.json"
+    path.write_text(json.dumps(_sqrt_dihedral_doc(1000000000000000003)))
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:")
+
+
 def test_cli_verify_boolean_dim_exit_two(runner, tmp_path):
     # bool is an int subclass; "dim": true must not reach the report schema
     doc = {"field": "Q", "dim": True, "generators": [{"matrix": [["2"]]}]}

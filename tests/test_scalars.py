@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from reflext.errors import FieldMismatch, ParseError
 from reflext.scalars import (
     QuadExt,
+    _is_square_free,
     as_scalar,
     field_tag,
     inv,
@@ -78,6 +80,27 @@ def test_radicand_validation():
         QuadExt(1, 1, 12)
 
 
+def test_is_square_free_matches_brute_force():
+    def brute(m):
+        return all(m % (d * d) for d in range(2, isqrt(m) + 1))
+
+    assert all(_is_square_free(m) == brute(m) for m in range(1, 5000))
+    p, q = 1000003, 1000033  # the two least primes above 10**6
+    for m in (p, 2 * p, p * q, 2 * p * q):
+        assert _is_square_free(m)
+    for m in (p * p, 2 * p * p, p * p * q, 3 * q * q):
+        assert not _is_square_free(m)
+
+
+def test_radicand_limit():
+    assert QuadExt(1, 1, 10**18 - 11).m == 10**18 - 11  # the largest prime below 10**18
+    for text in ("1+1*sqrt(1000000000000000003)", "1+1*sqrt(%s)" % ("7" * 40)):
+        with pytest.raises(ParseError, match=r"below 10\*\*18"):
+            parse_scalar(text)
+    with pytest.raises(ParseError):
+        QuadExt(1, 1, 10**18 + 3)
+
+
 def test_field_tags():
     assert field_tag(Fraction(1)) is None
     assert field_tag(QuadExt(1, 2, 7)) == 7
@@ -129,6 +152,23 @@ def test_multiplicative_inverse(x):
     assert inv(x) * x == 1
     if isinstance(x, QuadExt):
         assert x * x.conjugate() == x.norm()
+
+
+@given(quadratics(m=5), scalars(5), st.integers(min_value=-3, max_value=3))
+@settings(max_examples=100)
+def test_arithmetic_results_keep_fraction_parts(x, y, e):
+    # results skip the constructor, so their parts must already be Fractions:
+    # b == 0 results then hash and compare like the rational they equal
+    results = [x + y, y + x, x - y, y - x, x * y, y * x, -x, +x, x.conjugate(), x + 1, 1 - x]
+    results += [2 * x, x * Fraction(1, 3), x ** abs(e)]
+    if x:
+        results += [x.inverse(), y / x, 1 / x, x ** e]
+    if y:
+        results.append(x / y)
+    for r in results:
+        assert type(r.a) is Fraction and type(r.b) is Fraction
+        if r.b == 0:
+            assert r == r.a and hash(r) == hash(r.a)
 
 
 @given(quadratics(m=5), rationals)
