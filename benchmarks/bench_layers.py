@@ -1,5 +1,7 @@
 """Micro-benchmarks of the hypothesis layer: reflection recognition, the
-hypothesis checks, and one Q(sqrt(m)) multiply for m = 5 and for a 10-digit prime.
+hypothesis checks on simple bases and on reducible affine bases (where the
+base commutant is counted), and one Q(sqrt(m)) multiply for m = 5 and for a
+10-digit prime.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_layers.py --benchmark-json=BENCH_<label>.json
 
@@ -30,6 +32,14 @@ def chain(k: int, last=-1) -> list[list]:
     return c
 
 
+def cycle(k: int) -> list[list]:
+    """Cartan matrix of affine A_(k-1): a cycle on k nodes, so V is reducible."""
+    c = [[2 if i == j else 0 for j in range(k)] for i in range(k)]
+    for i in range(k):
+        c[i][(i + 1) % k] = c[(i + 1) % k][i] = -1
+    return c
+
+
 A5 = _cartan_rep(chain(5))
 H4 = _cartan_rep(chain(4, -PHI))
 H3_CONJUGATE = _cartan_rep(chain(3, -PHI)).conjugate(
@@ -49,6 +59,12 @@ def test_recognize_reflection(benchmark, generator):
 def test_check_hypotheses(benchmark, rep):
     hyp = benchmark(check_hypotheses, rep)
     assert hyp.condition4_holds and hyp.v_simple.is_simple
+
+
+@pytest.mark.parametrize("k", [4, 6, 10], ids=["affine-A3", "affine-A5", "affine-A9"])
+def test_check_hypotheses_reducible(benchmark, k):
+    hyp = benchmark(check_hypotheses, _cartan_rep(cycle(k)))
+    assert hyp.v_simple.status == "Reducible" and hyp.v_simple.commutant_dim == 1
 
 
 @pytest.mark.parametrize("m", [5, 1000000007], ids=["sqrt5", "sqrt-10-digit-prime"])

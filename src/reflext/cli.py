@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from math import comb
 
 import click
 
@@ -31,6 +32,12 @@ EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_CERTIFICATION = 4
 
+# Size limits, checked before any computation starts; a request above one is
+# an error with exit 2.  Times at the limit are for one 2 GHz Xeon core.
+MAX_TRACE_DIM = 12  # verify --trace emits 2**n - 1 move sequences: 4095, 0.9 s at A12
+MAX_EXTERIOR_DIM = 70  # exterior --d forms C(n, d)-square compounds: 0.9 s at A8, d = 4
+MAX_HOM_DIM = 20  # hom solves (left dim)(right dim) unknowns: 400, 18 s at A6:3 A6:3
+
 
 def _load_target(target: str) -> tuple[Representation, str]:
     """Catalog name or representation-file path."""
@@ -41,6 +48,16 @@ def _load_target(target: str) -> tuple[Representation, str]:
     if os.path.exists(target):
         return load_repfile(target), target
     raise ParseError(f"{target!r} is neither a catalog entry nor an existing file")
+
+
+def _power_dim(n: int, d: int) -> int:
+    """dim of the d-th exterior power; 0 for a degree exterior_rep rejects."""
+    return comb(n, d) if 0 <= d <= n else 0
+
+
+def _refuse_above(size: int, limit: int, what: str) -> None:
+    if size > limit:
+        raise ParseError(f"{what} is {size}, above the limit {limit}")
 
 
 def _emit(doc: dict, text: str, as_json: bool) -> None:
@@ -80,6 +97,8 @@ def verify(target: str, as_json: bool, trace: bool, degrees: tuple[int, ...]) ->
     """Run the full certification pipeline; exit 0 iff the theorem is verified."""
     try:
         rep, source = _load_target(target)
+        if trace:
+            _refuse_above(rep.dim, MAX_TRACE_DIM, "dimension for --trace")
         report = verify_theorem(rep, trace=trace, degrees=list(degrees) or None)
     except (ParseError, BadDegree) as exc:
         click.echo(f"error: {exc}", err=True)
@@ -100,6 +119,9 @@ def exterior(target: str, degree: int, as_json: bool) -> None:
     """Print the compound generator matrices of the d-th exterior power."""
     try:
         rep, source = _load_target(target)
+        _refuse_above(
+            _power_dim(rep.dim, degree), MAX_EXTERIOR_DIM, f"dimension of degree {degree}"
+        )
         ext = exterior_rep(rep, degree)
     except (ParseError, BadDegree) as exc:
         click.echo(f"error: {exc}", err=True)
@@ -130,10 +152,16 @@ def _load_power(spec: str) -> tuple[Representation, str]:
     if sep and base and suffix.lstrip("-").isdigit():
         rep, source = _load_target(base)
         try:
-            return exterior_rep(rep, int(suffix)), f"{source}:{suffix}"
+            d = int(suffix)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"degree of {base!r} has {len(suffix)} digits") from None
+        _refuse_above(_power_dim(rep.dim, d), MAX_HOM_DIM, f"dimension of {spec}")
+        try:
+            return exterior_rep(rep, d), f"{source}:{suffix}"
         except BadDegree as exc:
             raise ParseError(str(exc)) from None
     rep, source = _load_target(spec)
+    _refuse_above(rep.dim, MAX_HOM_DIM, f"dimension of {spec}")
     return rep, source
 
 

@@ -25,7 +25,7 @@ from .errors import (
 from .linalg import Matrix
 from .repkit import Representation
 from .reports import field_doc, matrix_doc
-from .scalars import field_tag, parse_scalar, validate_radicand
+from .scalars import parse_scalar_in, validate_radicand
 
 
 def parse_field(spec: Any) -> int | None:
@@ -72,13 +72,12 @@ def representation_from_document(doc: Any) -> Representation:
                     raise ParseError(
                         f"generator {idx}: entries must be scalar strings, got {e!r}"
                     )
-                value = parse_scalar(e)
-                tag = field_tag(value)
-                if tag is not None and tag != m:
+                try:
+                    entries.append(parse_scalar_in(e, m))
+                except FieldMismatch:
                     raise ParseError(
                         f"generator {idx}: entry {e!r} lives outside the declared field"
-                    )
-                entries.append(value)
+                    ) from None
         matrices.append(Matrix(n, n, entries))
     try:
         return Representation(matrices, labels)

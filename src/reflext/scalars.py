@@ -241,8 +241,8 @@ _RAT = r"-?\d+(?:/\d+)?"
 _SCALAR_RE = re.compile(rf"^({_RAT})(?:([+-])({_RAT})\*sqrt\((\d+)\))?$")
 
 
-def parse_scalar(text: str) -> Scalar:
-    """Parse the scalar grammar; inverse of render_scalar."""
+def _scalar_parts(text: str) -> tuple[Fraction, Fraction, int | None]:
+    """a, b and the unchecked radicand (None for a rational) of a scalar string."""
     s = text.strip()
     match = _SCALAR_RE.match(s)
     if match is None:
@@ -251,15 +251,33 @@ def parse_scalar(text: str) -> Scalar:
     try:
         a = Fraction(head)
         if sign is None:
-            return a
+            return a, _ZERO, None
         b = Fraction(coeff)
-        if sign == "-":
-            b = -b
-        return _quad(a, b, validate_radicand(int(radicand)))
+        return a, -b if sign == "-" else b, int(radicand)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {text!r}") from None
     except ValueError:  # more digits than int() converts
         raise ParseError(f"scalar has too many digits ({len(s)} characters)") from None
+
+
+def parse_scalar(text: str) -> Scalar:
+    """Parse the scalar grammar; inverse of render_scalar."""
+    a, b, radicand = _scalar_parts(text)
+    return a if radicand is None else _quad(a, b, validate_radicand(radicand))
+
+
+def parse_scalar_in(text: str, m: int | None) -> Scalar:
+    """parse_scalar for an element of Q(sqrt(m)) with m already validated (None for Q).
+
+    The radicand of the text is compared with m as a plain integer and not
+    validated again; any other radicand raises FieldMismatch.
+    """
+    a, b, radicand = _scalar_parts(text)
+    if radicand is None:
+        return a
+    if radicand != m:
+        raise FieldMismatch(f"sqrt({radicand}) is not in the declared field")
+    return _quad(a, b, m)
 
 
 def render_scalar(x: Scalar) -> str:

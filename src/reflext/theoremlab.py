@@ -10,6 +10,9 @@ No generic commutant or Hom system is solved on the theorem path:
 - Condition 3 (base simplicity) is decided exactly from s_i(w) - w =
   f_i(w) alpha_i: an invariant subspace lies in the common kernel of the f_i
   or contains some alpha_j together with every alpha_i that s_i moves it to.
+  A reducible base's End(V) is counted from the same data: one scalar per
+  component of the "moves" graph, cut down by the dependencies of the
+  alpha_i and of the f_i, plus Hom(V / span alpha, ker F).
 - The claim-4 lines alpha_I, each the intersection of the eigenspaces of
   wedge^d s_i over i in I, rest on one rank: alpha_S independent.
 - End(wedge^d V) is scalar because an endomorphism preserves every claim-4
@@ -42,9 +45,10 @@ from .errors import (
 )
 from .exterior import reflection_compound_trace
 from .graphs import Graph, deletable_vertex, induced, is_connected, move_sequence
-from .linalg import Matrix, Subspace, Vector, kernel, rank
+from .linalg import Matrix, Subspace, Vector, dot, kernel, rank
 from .reflections import ReflectionData, fixes_vector, recognize_reflection
-from .repkit import Representation, SimplicityVerdict, hom_space, is_invariant
+from .repkit import Representation, SimplicityVerdict, is_invariant
+from .scalars import Scalar
 
 
 @dataclass(frozen=True)
@@ -220,16 +224,29 @@ def _base_simplicity(
     some alpha_j and with it every alpha_i reachable from j along "s_i moves
     alpha_j".  The common kernel of the f_i and each such reachable span are
     invariant themselves, so V is simple iff the kernel is 0 and every
-    reachable span is V; the first one that is proper is the witness.  In the
-    simple case an endomorphism preserves each eigenline alpha_i with one
-    coefficient along the same reachability, so the commutant is the scalars.
-    A reducible verdict reports its exact commutant dimension from one
-    n^2-unknown solve.  Symmetric or not, the criterion never fails to decide.
+    reachable span is V; the first one that is proper is the witness.
+    Symmetric or not, the criterion never fails to decide.
+
+    End(V) is read off the same structure, with no n^2-unknown solve.  Let A
+    have columns alpha_i and F rows f_i.  T s_i = s_i T says (T alpha_i) f_i^T
+    = alpha_i (f_i^T T), and as alpha_i, f_i != 0 this means T alpha_i =
+    c_i alpha_i and f_i^T T = c_i f_i^T for one scalar c_i; applying f_i to
+    T alpha_j then gives c_i = c_j whenever s_i moves alpha_j.  So T -> c is linear, with kernel Hom(V / span alpha,
+    ker F), and its image Gamma is the set of c that are constant on each
+    component of the undirected moves graph, make alpha_i -> c_i alpha_i well
+    defined (sum_i a_i c_i alpha_i = 0 for a in ker A), and let F T = D_c F be
+    solved off span alpha (sum_i y_i c_i f_i = 0 for y in ker F^T):
+
+        dim End(V) = dim Gamma + (n - rank A)(n - rank F),
+
+    with one unknown per component in Gamma; when the alphas are a basis it
+    is the number of components.  In the simple case it is 1.
     """
     n = rep.dim
-    witness = kernel(Matrix.from_rows([list(r.functional) for r in refls]))
-    method = "reflection-kernel"
-    if witness.dim == 0:
+    functionals = Matrix.from_rows([list(r.functional) for r in refls])
+    common_kernel = kernel(functionals)
+    witness, method = common_kernel, "reflection-kernel"
+    if common_kernel.dim == 0:
         method = "reflection-span"
         spans: dict[frozenset[int], Subspace] = {}
         for start in range(len(refls)):
@@ -244,8 +261,57 @@ def _base_simplicity(
     if not is_invariant(rep, witness):
         raise InternalError(f"{method} witness is not invariant")
     return SimplicityVerdict(
-        "Reducible", hom_space(rep, rep).dim, witness=witness, method=method
+        "Reducible",
+        _commutant_dim(refls, moves, functionals, n - common_kernel.dim),
+        witness=witness,
+        method=method,
     )
+
+
+def _commutant_dim(
+    refls: Sequence[ReflectionData],
+    moves: Sequence[Sequence[bool]],
+    functionals: Matrix,
+    rank_f: int,
+) -> int:
+    """dim End(V) = dim Gamma + (n - rank A)(n - rank F), as in _base_simplicity.
+
+    For c constant on components, sum_i a_i c_i alpha_i always lies in ker F
+    and sum_i y_i c_i f_i vanishes on span alpha, so the first relation is
+    imposed only when ker F != 0 and the second only when span alpha != V.
+    """
+    k, n = functionals.rows, functionals.cols
+    undirected = [[a or b for a, b in zip(row, col)] for row, col in zip(moves, zip(*moves))]
+    components: list[set[int]] = []
+    for start in range(k):
+        if not any(start in c for c in components):
+            components.append(_reachable(undirected, start))
+    alphas = [r.alpha for r in refls]
+    dependencies = kernel(Matrix.from_rows([list(a) for a in alphas]).transpose())
+    rank_a = k - dependencies.dim
+    free = (n - rank_a) * (n - rank_f)
+    if len(components) == 1:
+        return 1 + free
+    rows: list[list[Scalar]] = []
+    if rank_f < n:
+        rows += _grouped_relations(dependencies, alphas, components)
+    if rank_a < n:
+        rows += _grouped_relations(
+            kernel(functionals.transpose()), [r.functional for r in refls], components
+        )
+    bound = rank(Matrix.from_rows(rows)) if rows else 0
+    return len(components) - bound + free
+
+
+def _grouped_relations(
+    relations: Subspace, vectors: Sequence[Vector], components: Sequence[set[int]]
+) -> list[list[Scalar]]:
+    """sum_i r_i c_i v_i = 0 for each relation r, as rows in the one value of c per component."""
+    return [
+        [dot([r[i] for i in c], [vectors[i][t] for i in c]) for c in components]
+        for r in relations.basis_vectors()
+        for t in range(len(vectors[0]))
+    ]
 
 
 def _reachable(moves: Sequence[Sequence[bool]], start: int) -> set[int]:

@@ -21,9 +21,11 @@ from reflext.exterior import (
     reflection_compound_trace,
     wedge,
 )
+from reflext import linalg, repkit
 from reflext.linalg import Matrix, Subspace, kernel
 from reflext.reflections import is_reflection, recognize_reflection
-from reflext.repkit import Representation, exterior_rep, hom_dim, simplicity
+from reflext.repkit import Representation, exterior_rep, hom_dim, hom_space, simplicity
+from reflext.scalars import QuadExt
 from reflext.theoremlab import check_hypotheses, verify_theorem
 
 from conftest import random_invertible
@@ -249,3 +251,105 @@ def test_claim4_lines_match_bruteforce_eigenspaces():
                 assert minus_intersection_bruteforce(picked, d) == line, (name, t_set)
                 checked += 1
     assert checked >= 60  # 46 lines over the catalog entries, 15 for A4
+
+
+def _affine(n):
+    """Affine A_(n-1): the cyclic Cartan matrix on n nodes, reducible, with ker F the null root."""
+    cyclic = [[0] * n for _ in range(n)]
+    for i in range(n):
+        cyclic[i][i] = 2
+        cyclic[i][(i + 1) % n] = cyclic[(i + 1) % n][i] = -1
+    return _cartan_rep(cyclic)
+
+
+def _block_reflections(rng, quadratic):
+    """Random s_i = I + alpha_i f_i^T, conjugated, whose moves graph splits along
+    two or three coordinate blocks: V is reducible, and the commutant has one
+    candidate scalar per block.  The blocks are glued by an optional direction
+    in ker F, where every alpha has a random part, and an optional direction
+    outside span alpha, where every functional has one; these feed the two
+    relation terms of the commutant.  Over Q(sqrt 5) when quadratic."""
+    values = [1, -1, 2] + ([QuadExt(Fraction(1, 2), Fraction(1, 2), 5)] if quadratic else [])
+    while True:
+        sizes = [rng.choice([1, 1, 2]) for _ in range(rng.randint(2, 3))]
+        glue_kernel, glue_cokernel = rng.randint(0, 1), rng.randint(0, 1)
+        n = sum(sizes) + glue_kernel + glue_cokernel
+        if n <= 4:
+            break
+
+    def draw(coords):
+        v = [Fraction(0)] * n
+        for c in coords:
+            v[c] = rng.choice([0] + values)
+        return v
+
+    kernel_coords = range(sum(sizes), sum(sizes) + glue_kernel)
+    cokernel_coords = range(sum(sizes) + glue_kernel, n)
+    gens, start = [], 0
+    for size in sizes:
+        block = range(start, start + size)
+        start += size
+        for _ in range(rng.randint(1, 3)):
+            while True:
+                alpha, f = draw(block), draw(block)
+                f_alpha = sum((x * y for x, y in zip(alpha, f)), Fraction(0))
+                if f_alpha not in (0, -1):  # eigenvalue 1 + f(alpha) is neither 1 nor 0
+                    break
+            alpha = [x + y for x, y in zip(alpha, draw(kernel_coords))]
+            f = [x + y for x, y in zip(f, draw(cokernel_coords))]
+            gens.append(Matrix.identity(n) + Matrix(n, 1, alpha) @ Matrix(1, n, f))
+    return Representation(gens).conjugate(random_invertible(rng, n, 1))
+
+
+def _reducible_bases():
+    reps = [
+        (name, entry(name).representation)
+        for name in list_entries()
+        if entry(name).expected.failure_reason == "condition3"
+    ]
+    reps += [(f"affine-A{n - 1}", _affine(n)) for n in range(3, 9)]
+    rng = random.Random(6006)
+    reps += [(f"blocks-{i}", _block_reflections(rng, i % 3 == 0)) for i in range(40)]
+    return reps
+
+
+def test_reducible_base_commutant_matches_generic():
+    kinds = set()
+    for label, rep in _reducible_bases():
+        hyp = check_hypotheses(rep)
+        verdict = hyp.v_simple
+        generic = hom_space(rep, rep).dim
+        assert verdict.commutant_dim == generic, label
+        k, n = len(rep.generators), rep.dim
+        kinds |= {
+            "k > n" if k > n else "k < n" if k < n else "k = n",
+            "quadratic" if rep.field() else "rational",
+            "asymmetric" if hyp.condition4_violations else "symmetric",
+            verdict.method,  # reflection-kernel: singular F
+        }
+        if generic > 1:
+            kinds.add("End > scalars")
+        assert verdict.status == "Reducible", label
+        w = verdict.witness
+        assert 0 < w.dim < n, label
+        assert all(w.contains(g.apply(v)) for g in rep.generators for v in w.basis_vectors())
+        if label.startswith("affine"):
+            assert verdict.method == "reflection-kernel"
+            assert w == Subspace.span([[1] * n], n)
+    assert kinds >= {
+        "k > n", "k < n", "k = n", "quadratic", "rational", "asymmetric",
+        "reflection-kernel", "reflection-span", "End > scalars",
+    }
+
+
+def test_reducible_base_commutant_solves_no_intertwiner(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return linalg.solve_intertwiner(*args)
+
+    monkeypatch.setattr(repkit, "solve_intertwiner", counted)
+    for label, rep in _reducible_bases():
+        assert check_hypotheses(rep).v_simple.status == "Reducible", label
+    assert calls == []

@@ -1,10 +1,12 @@
 import json
+from math import comb
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from reflext.catalog import entry
+from reflext import cli, scalars
+from reflext.catalog import _cartan_rep, entry
 from reflext.cli import main
 from reflext.errors import ParseError
 from reflext.graphs import induced
@@ -312,3 +314,80 @@ def test_tampered_documents_are_rejected(runner):
             validate(dict(doc, **{key: bad}))
         assert list(info.value.path) == [key]
         validate(doc)
+
+
+def test_repfile_validates_its_radicand_once(monkeypatch):
+    # 64 sqrt entries of the declared field: one square-freeness test, not 65
+    p = 999999999999999989  # the largest prime below 10**18
+    rows = [
+        [f"{int(i == j)}+1*sqrt({p})" for j in range(4)] for i in range(4)
+    ]  # I + sqrt(p) J, det 1 + 4 sqrt(p)
+    doc = {"field": {"quadratic": p}, "dim": 4, "generators": [{"matrix": rows}] * 4}
+    calls = []
+    real = scalars._is_square_free
+    monkeypatch.setattr(scalars, "_is_square_free", lambda m: calls.append(m) or real(m))
+    rep = representation_from_document(doc)
+    assert rep.field() == p
+    assert calls == [p]
+
+
+@pytest.mark.parametrize(
+    "field, value", [("Q", "1+1*sqrt(4)"), ({"quadratic": 5}, "1+1*sqrt(7)")]
+)
+def test_cli_verify_entry_outside_declared_field_exit_two(runner, tmp_path, field, value):
+    doc = {"field": field, "dim": 1, "generators": [{"matrix": [[value]]}]}
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:")
+    assert "outside the declared field" in result.stderr
+
+
+def _chain_file(tmp_path, n):
+    cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    path = tmp_path / f"a{n}.json"
+    path.write_text(json.dumps(representation_to_document(_cartan_rep(cartan))))
+    return str(path)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a refused request started its computation")
+
+
+def test_cli_verify_trace_dimension_limit(runner, tmp_path, monkeypatch):
+    n = cli.MAX_TRACE_DIM + 1
+    monkeypatch.setattr(cli, "verify_theorem", _refuse)
+    result = runner.invoke(main, ["verify", _chain_file(tmp_path, n), "--trace"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:")
+
+
+def test_cli_exterior_dimension_limit(runner, tmp_path, monkeypatch):
+    # C(9, 4) = 126 > 70; C(9, 1) and C(9, 9) stay below
+    assert comb(9, 4) > cli.MAX_EXTERIOR_DIM >= comb(9, 1)
+    path = _chain_file(tmp_path, 9)
+    assert runner.invoke(main, ["exterior", path, "--d", "9"]).exit_code == 0
+    monkeypatch.setattr(cli, "exterior_rep", _refuse)
+    result = runner.invoke(main, ["exterior", path, "--d", "4"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("n, suffix", [(7, ":3"), (21, "")])
+def test_cli_hom_dimension_limit(runner, tmp_path, monkeypatch, n, suffix):
+    # C(7, 3) = 35 and a plain 21-dim target are both above the limit of 20
+    assert min(comb(7, 3), 21) > cli.MAX_HOM_DIM
+    target = _chain_file(tmp_path, n) + suffix
+    monkeypatch.setattr(cli, "exterior_rep", _refuse)
+    monkeypatch.setattr(cli, "hom_dim", _refuse)
+    for args in (["hom", target, "A2"], ["hom", "A2", target]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error:")
+
+
+def test_cli_hom_degree_with_too_many_digits_exit_two(runner):
+    result = runner.invoke(main, ["hom", "A2:" + "1" * 5000, "A2"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:")
