@@ -1,7 +1,8 @@
 """Micro-benchmarks of the hypothesis layer: reflection recognition, the
 hypothesis checks on simple bases and on reducible affine bases (where the
 base commutant is counted), and one Q(sqrt(m)) multiply for m = 5 and for a
-10-digit prime.
+10-digit prime; and of report validation: one theorem document (A3, and B2
+with --trace) and one analyze document (cond4-fail) against its schema.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_layers.py --benchmark-json=BENCH_<label>.json
 
@@ -15,11 +16,17 @@ from fractions import Fraction
 
 import pytest
 
-from reflext.catalog import _cartan_rep
+from reflext.catalog import _cartan_rep, entry
 from reflext.linalg import Matrix
 from reflext.reflections import recognize_reflection
+from reflext.reports import (
+    analyze_document,
+    theorem_document,
+    validate_analyze_document,
+    validate_theorem_document,
+)
 from reflext.scalars import QuadExt
-from reflext.theoremlab import check_hypotheses
+from reflext.theoremlab import check_hypotheses, verify_theorem
 
 PHI = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)  # 2 cos(pi/5)
 
@@ -72,3 +79,15 @@ def test_quadext_multiply(benchmark, m):
     x = QuadExt(Fraction(3, 7), Fraction(-5, 11), m)
     y = QuadExt(Fraction(1, 2), Fraction(1, 2), m)
     assert benchmark(x.__mul__, y) == x * y
+
+
+@pytest.mark.parametrize("name, trace", [("A3", False), ("B2", True)], ids=["A3", "B2-trace"])
+def test_validate_theorem_document(benchmark, name, trace):
+    rep = entry(name).representation
+    doc = theorem_document(verify_theorem(rep, trace=trace), rep, name)
+    benchmark(validate_theorem_document, doc)
+
+
+def test_validate_analyze_document(benchmark):
+    rep = entry("cond4-fail").representation
+    benchmark(validate_analyze_document, analyze_document(rep, check_hypotheses(rep), "cond4-fail"))

@@ -79,3 +79,14 @@ class UnknownEntry(ReflextError):
 
 class InternalError(ReflextError):
     """An internal consistency check failed; this is a bug, never a property of the input."""
+
+
+class SchemaViolation(InternalError):
+    """An emitted document breaks its schema; ``path`` lists the keys and indices to the fault."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.path: list = []
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (at {self.path})"

@@ -1,9 +1,10 @@
 """Structured documents for analysis and certification results.
 
 The JSON documents and the human-readable text are generated from the same
-report values; every emitted document is validated against the schemas below.
-Scalars travel as exact strings, never as floats.  jsonschema is imported at
-the first validation, so importing this module does not load it.
+report values; every emitted document is validated against the schemas below
+by ``reflext.schema``, which raises ``SchemaViolation`` on a fault.  Scalars
+travel as exact strings, never as floats.  ``reflext.schema`` is imported at
+the first validation, so importing this module does not compile it.
 """
 
 from __future__ import annotations
@@ -310,15 +311,15 @@ ANALYZE_SCHEMA = {
 
 
 def validate_theorem_document(doc: dict) -> None:
-    import jsonschema
+    from .schema import validate
 
-    jsonschema.validate(doc, THEOREM_SCHEMA)
+    validate(doc, THEOREM_SCHEMA)
 
 
 def validate_analyze_document(doc: dict) -> None:
-    import jsonschema
+    from .schema import validate
 
-    jsonschema.validate(doc, ANALYZE_SCHEMA)
+    validate(doc, ANALYZE_SCHEMA)
 
 
 def field_doc(m: Optional[int]):

@@ -79,3 +79,20 @@ print(verdict.status, verdict.method, "sympy" in sys.modules)
     result = _run([], code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["Inconclusive", "search-exhausted", "True"]
+
+
+def test_commands_load_neither_sympy_nor_jsonschema():
+    # report validation uses reflext.schema, so no command needs jsonschema
+    for args, code in [
+        (["verify", "A3", "--json"], 0),
+        (["verify", "cond4-fail"], 3),
+        (["analyze", "A3", "--json"], 0),
+    ]:
+        statement = (
+            "from reflext.cli import main\n"
+            "try:\n"
+            f"    main({args!r})\n"
+            "except SystemExit as exc:\n"
+            f"    assert exc.code == {code}, exc.code"
+        )
+        assert _loaded_after(statement) == [False, False], args

@@ -1,3 +1,4 @@
+import copy
 import json
 from math import comb
 
@@ -8,7 +9,7 @@ from click.testing import CliRunner
 from reflext import cli, scalars
 from reflext.catalog import _cartan_rep, entry
 from reflext.cli import main
-from reflext.errors import ParseError
+from reflext.errors import ParseError, SchemaViolation
 from reflext.graphs import induced
 from reflext.repfile import (
     load_repfile,
@@ -310,10 +311,31 @@ def test_tampered_documents_are_rejected(runner):
         (validate_analyze_document, analyze, "ok", "yes"),
     ]:
         validate(doc)
-        with pytest.raises(jsonschema.ValidationError) as info:
+        with pytest.raises(SchemaViolation) as info:
             validate(dict(doc, **{key: bad}))
         assert list(info.value.path) == [key]
         validate(doc)
+    assert not jsonschema.Draft7Validator(THEOREM_SCHEMA).is_valid(dict(theorem, dim="3"))
+    assert not jsonschema.Draft7Validator(ANALYZE_SCHEMA).is_valid(dict(analyze, ok="yes"))
+    # nested faults; an extra key is reported at the object that holds it
+    for where, bad, path in [
+        (["per_degree", 0, "claim4", "ok"], "yes", ["per_degree", 0, "claim4", "ok"]),
+        (
+            ["hypothesis", "reflections", 1, "alpha", 0],
+            "1.5",
+            ["hypothesis", "reflections", 1, "alpha", 0],
+        ),
+        (["conclusion", "extra"], None, ["conclusion"]),
+    ]:
+        tampered = copy.deepcopy(theorem)
+        parent = tampered
+        for step in where[:-1]:
+            parent = parent[step]
+        parent[where[-1]] = bad
+        with pytest.raises(SchemaViolation) as info:
+            validate_theorem_document(tampered)
+        assert list(info.value.path) == path
+        assert not jsonschema.Draft7Validator(THEOREM_SCHEMA).is_valid(tampered)
 
 
 def test_repfile_validates_its_radicand_once(monkeypatch):
