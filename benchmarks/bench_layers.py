@@ -1,10 +1,16 @@
 """Micro-benchmarks of the hypothesis layer: reflection recognition, the
-hypothesis checks on simple bases and on reducible affine bases (where the
-base commutant is counted), and one Q(sqrt(m)) multiply for m = 5 and for a
-10-digit prime; and of report validation: one theorem document (A3, and B2
-with --trace) and one analyze document (cond4-fail) against its schema.
+hypothesis checks on simple bases (up to A60) and on reducible affine bases
+(where the base commutant is counted), and one Q(sqrt(m)) multiply for m = 5
+and for a 10-digit prime; of the whole certifier, verify_theorem on the
+H3 conjugate and on A16, A40 and A60; and of report validation: one theorem
+document (A3, and B2 with --trace) and one analyze document (cond4-fail)
+against its schema.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_layers.py --benchmark-json=BENCH_<label>.json
+
+A certifier that counts claim 5 by a search over all 2^n subsets does not
+finish the A40 and A60 rungs of test_verify_theorem; deselect them there
+with -k "not (verify_theorem and (A40 or A60))".
 
 The tier-1 suite does not collect this file (testpaths is tests/), and the
 file name does not match pytest's test_*.py pattern; it runs when named.
@@ -52,6 +58,7 @@ H4 = _cartan_rep(chain(4, -PHI))
 H3_CONJUGATE = _cartan_rep(chain(3, -PHI)).conjugate(
     Matrix.from_rows([[1, 2, 0], [0, 1, -1], [1, 1, 0]])
 )
+A16, A40, A60 = (_cartan_rep(chain(k)) for k in (16, 40, 60))
 
 
 @pytest.mark.parametrize(
@@ -62,7 +69,7 @@ def test_recognize_reflection(benchmark, generator):
     assert data.matrix == generator
 
 
-@pytest.mark.parametrize("rep", [A5, H4], ids=["A5", "H4"])
+@pytest.mark.parametrize("rep", [A5, H4, A60], ids=["A5", "H4", "A60"])
 def test_check_hypotheses(benchmark, rep):
     hyp = benchmark(check_hypotheses, rep)
     assert hyp.condition4_holds and hyp.v_simple.is_simple
@@ -72,6 +79,13 @@ def test_check_hypotheses(benchmark, rep):
 def test_check_hypotheses_reducible(benchmark, k):
     hyp = benchmark(check_hypotheses, _cartan_rep(cycle(k)))
     assert hyp.v_simple.status == "Reducible" and hyp.v_simple.commutant_dim == 1
+
+
+@pytest.mark.parametrize(
+    "rep", [H3_CONJUGATE, A16, A40, A60], ids=["H3-conjugate", "A16", "A40", "A60"]
+)
+def test_verify_theorem(benchmark, rep):
+    assert benchmark(verify_theorem, rep).verified
 
 
 @pytest.mark.parametrize("m", [5, 1000000007], ids=["sqrt5", "sqrt-10-digit-prime"])

@@ -226,6 +226,8 @@ def rref(matrix: Matrix) -> tuple[Matrix, int]:
     """Canonical reduced row echelon form and rank.
 
     Pivots are 1 with zeros above and below; zero rows sink to the bottom.
+    Scaling and clearing touch only the nonzero entries of the pivot row,
+    which all lie at or right of the pivot: earlier pivots cleared the rest.
     """
     rows = matrix.row_list()
     n_rows, n_cols = matrix.rows, matrix.cols
@@ -235,12 +237,17 @@ def rref(matrix: Matrix) -> tuple[Matrix, int]:
         if pivot is None:
             continue
         rows[lead], rows[pivot] = rows[pivot], rows[lead]
-        piv_inv = inv(rows[lead][col])
-        rows[lead] = [piv_inv * x for x in rows[lead]]
+        pivot_row = rows[lead]
+        support = [j for j in range(col, n_cols) if pivot_row[j]]
+        piv_inv = inv(pivot_row[col])
+        for j in support:
+            pivot_row[j] = piv_inv * pivot_row[j]
         for r in range(n_rows):
-            if r != lead and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[lead])]
+            row = rows[r]
+            if r != lead and row[col]:
+                factor = row[col]
+                for j in support:
+                    row[j] = row[j] - factor * pivot_row[j]
         lead += 1
         if lead == n_rows:
             break

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InternalError, NotDiagonalizable, NotRankOne, SingularMatrix
 from .linalg import Matrix, Subspace, Vector, dot, is_zero_vector, rank, vector
@@ -21,17 +22,21 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class ReflectionData:
-    """Canonical data (matrix, alpha, lambda, hyperplane, functional) of a reflection."""
+    """Canonical data (matrix, alpha, lambda, functional) of a reflection; the
+    fixed hyperplane ker f is built at its first read."""
 
     matrix: Matrix
     alpha: Vector
     eigenvalue: Scalar
-    hyperplane: Subspace
     functional: Vector
 
     @property
     def dim(self) -> int:
         return self.matrix.rows
+
+    @cached_property
+    def hyperplane(self) -> Subspace:
+        return _kernel_of_functional(self.functional)
 
     def apply(self, v) -> Vector:
         return self.matrix.apply(v)
@@ -81,8 +86,7 @@ def recognize_reflection(matrix: Matrix) -> ReflectionData:
     # M alpha == lambda alpha: M alpha = (1 + f(alpha)) alpha, as M - I == alpha f^T
     if 1 + dot(functional, alpha) != eigenvalue:
         raise InternalError("alpha is not an eigenvector for the reflection eigenvalue")
-    hyperplane = _kernel_of_functional(functional)
-    return ReflectionData(matrix, alpha, eigenvalue, hyperplane, functional)
+    return ReflectionData(matrix, alpha, eigenvalue, functional)
 
 
 def _kernel_of_functional(functional: Vector) -> Subspace:

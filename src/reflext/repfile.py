@@ -27,6 +27,11 @@ from .repkit import Representation
 from .reports import field_doc, matrix_doc
 from .scalars import parse_scalar_in, validate_radicand
 
+# dense worst case at the limit: 64 generators I + alpha f^T with entries of
+# alpha and f in 1..3 take 39 s in `reflext verify --json` (13 s at dim 48,
+# 3.1 s at 32; 2-vCPU VM, Python 3.11.7), mostly one det per generator
+MAX_DIM = 64
+
 
 def parse_field(spec: Any) -> int | None:
     if spec == "Q":
@@ -49,6 +54,8 @@ def representation_from_document(doc: Any) -> Representation:
     n = doc["dim"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f"dim must be a positive integer, got {n!r}")
+    if n > MAX_DIM:
+        raise ParseError(f"dim is {n}, above the limit {MAX_DIM}")
     gens = doc["generators"]
     if not isinstance(gens, list) or not gens:
         raise ParseError("generators must be a nonempty list")

@@ -8,17 +8,16 @@ degree d that the d-th exterior power is simple, plus pairwise non-isomorphy.
 No generic commutant or Hom system is solved on the theorem path:
 
 - Condition 3 (base simplicity) is decided exactly from s_i(w) - w =
-  f_i(w) alpha_i: an invariant subspace lies in the common kernel of the f_i
-  or contains some alpha_j together with every alpha_i that s_i moves it to.
-  A reducible base's End(V) is counted from the same data: one scalar per
-  component of the "moves" graph, cut down by the dependencies of the
+  f_i(w) alpha_i and the Cartan matrix C_ij = f_i(alpha_j): V is simple iff
+  "s_i moves alpha_j" (C_ij != 0) is strongly connected and rank C = n.
+  A reducible base's witness and End(V) come from the same data: one scalar
+  per component of the "moves" graph, cut down by the dependencies of the
   alpha_i and of the f_i, plus Hom(V / span alpha, ker F).
 - The claim-4 lines alpha_I, each the intersection of the eigenspaces of
   wedge^d s_i over i in I, rest on one rank: alpha_S independent.
 - End(wedge^d V) is scalar because an endomorphism preserves every claim-4
   line alpha_I and has equal coefficients on subsets one claim-5 move apart,
-  so its dimension is at most the number of components of the move graph on
-  d-subsets of the basis subset.
+  and on a connected graph the moves connect all d-subsets (claim 5).
 - Distinct degrees of equal dimension have different characters, since
   tr(wedge^d s) = C(n-1, d) + lambda C(n-1, d-1) for every generator s.
 
@@ -28,8 +27,8 @@ All failures are structured report values carrying re-checkable witnesses.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
@@ -46,9 +45,11 @@ from .errors import (
 from .exterior import reflection_compound_trace
 from .graphs import Graph, deletable_vertex, induced, is_connected, move_sequence
 from .linalg import Matrix, Subspace, Vector, dot, kernel, rank
-from .reflections import ReflectionData, fixes_vector, recognize_reflection
+from .reflections import ReflectionData, recognize_reflection
 from .repkit import Representation, SimplicityVerdict, is_invariant
 from .scalars import Scalar
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -147,10 +148,6 @@ class TheoremReport:
         return self.conclusion.status == "TheoremVerified"
 
 
-def _is_involution(g: Matrix) -> bool:
-    return g @ g == Matrix.identity(g.rows)
-
-
 def check_hypotheses(rep: Representation) -> HypothesisReport:
     """Run conditions 1-4; failures are values, never exceptions.
 
@@ -177,11 +174,9 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
         )
 
     k = len(rep.generators)
+    cartan = _cartan_matrix(refls)
     # moves[i][j]: s_i moves alpha_j; the one relation behind conditions 3 and 4
-    moves = [
-        [i != j and not fixes_vector(refls[i], refls[j].alpha) for j in range(k)]
-        for i in range(k)
-    ]
+    moves = [[i != j and bool(cartan[i][j]) for j in range(k)] for i in range(k)]
     violations: list[tuple[int, int]] = []
     edges: list[tuple[int, int]] = []
     for i, j in itertools.combinations(range(k), 2):
@@ -192,14 +187,15 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
 
     remarks: list[str] = []
     for i, j in violations:
-        if _is_involution(rep.generators[i - 1]) and _is_involution(rep.generators[j - 1]):
+        # s^2 = I + (2 + f(alpha)) alpha f^T, so a reflection is an involution iff lambda = -1
+        if refls[i - 1].eigenvalue == -1 and refls[j - 1].eigenvalue == -1:
             remarks.append(
                 f"generators {i} and {j} are involutions with asymmetric fixing; "
                 "the order of their product is then forced infinite (not machine-checked)"
             )
 
     graph = Graph.on_range(k, edges) if not violations else None
-    v_simple = _base_simplicity(rep, refls, moves)
+    v_simple = _base_simplicity(rep, refls, moves, cartan)
     return HypothesisReport(
         reflections=tuple(refls),
         condition1_failures=(),
@@ -212,26 +208,61 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
     )
 
 
+def _cartan_matrix(refls: Sequence[ReflectionData]) -> list[list[Scalar]]:
+    """C_ij = f_i(alpha_j), the Cartan matrix of the linear reflection group.
+
+    The diagonal is lambda_i - 1, since s_i alpha_i = (1 + f_i(alpha_i))
+    alpha_i; off it, each product runs over the coordinates where both
+    alpha_j and f_i are nonzero.
+    """
+    supports = [[(t, a) for t, a in enumerate(r.alpha) if a] for r in refls]
+    cartan = []
+    for i, r in enumerate(refls):
+        f = r.functional
+        row = []
+        for j, support in enumerate(supports):
+            if i == j:
+                row.append(r.eigenvalue - 1)
+                continue
+            total: Scalar = _ZERO
+            for t, a in support:
+                if f[t]:
+                    total = total + f[t] * a
+            row.append(total)
+        cartan.append(row)
+    return cartan
+
+
 def _base_simplicity(
     rep: Representation,
     refls: Sequence[ReflectionData],
     moves: Sequence[Sequence[bool]],
+    cartan: Sequence[Sequence[Scalar]],
 ) -> SimplicityVerdict:
     """Condition 3 decided exactly for reflections s_i = I + alpha_i f_i^T.
 
-    moves[i][j] says that s_i moves alpha_j.  Since s_i(w) - w = f_i(w) alpha_i,
-    a nonzero invariant W either lies in every hyperplane f_i = 0, or contains
-    some alpha_j and with it every alpha_i reachable from j along "s_i moves
-    alpha_j".  The common kernel of the f_i and each such reachable span are
-    invariant themselves, so V is simple iff the kernel is 0 and every
-    reachable span is V; the first one that is proper is the witness.
-    Symmetric or not, the criterion never fails to decide.
+    moves[i][j] says that s_i moves alpha_j, i.e. C_ij = f_i(alpha_j) != 0.
+    Since s_i(w) - w = f_i(w) alpha_i, a nonzero invariant W either lies in
+    every hyperplane f_i = 0, or contains some alpha_j and with it every
+    alpha_i reachable from j along "s_i moves alpha_j".  The common kernel of
+    the f_i and each such reachable span are invariant themselves, so V is
+    simple iff the kernel is 0 and every reachable span is V.
 
-    End(V) is read off the same structure, with no n^2-unknown solve.  Let A
-    have columns alpha_i and F rows f_i.  T s_i = s_i T says (T alpha_i) f_i^T
-    = alpha_i (f_i^T T), and as alpha_i, f_i != 0 this means T alpha_i =
-    c_i alpha_i and f_i^T T = c_i f_i^T for one scalar c_i; applying f_i to
-    T alpha_j then gives c_i = c_j whenever s_i moves alpha_j.  So T -> c is linear, with kernel Hom(V / span alpha,
+    One rank decides this.  With A the matrix of columns alpha_i and F that
+    of rows f_i, C = F A, so rank C = n forces ker F = 0 and span alpha = V;
+    if moreover the moves digraph is strongly connected, every reachable set
+    is all of S and V is simple.  Conversely, if V is simple then ker F = 0,
+    so F is injective and rank C = rank A = n, and every reachable set R is
+    all of S: for i not in R, f_i vanishes on span alpha_R = V, but f_i != 0.
+
+    Otherwise V is reducible, and the first proper subspace among the common
+    kernel and the reachable spans is the witness.
+
+    End(V) is read off the same structure, with no n^2-unknown solve.
+    T s_i = s_i T says (T alpha_i) f_i^T = alpha_i (f_i^T T), and as alpha_i,
+    f_i != 0 this means T alpha_i = c_i alpha_i and f_i^T T = c_i f_i^T for
+    one scalar c_i; applying f_i to T alpha_j then gives c_i = c_j whenever
+    s_i moves alpha_j.  So T -> c is linear, with kernel Hom(V / span alpha,
     ker F), and its image Gamma is the set of c that are constant on each
     component of the undirected moves graph, make alpha_i -> c_i alpha_i well
     defined (sum_i a_i c_i alpha_i = 0 for a in ker A), and let F T = D_c F be
@@ -243,13 +274,21 @@ def _base_simplicity(
     is the number of components.  In the simple case it is 1.
     """
     n = rep.dim
+    k = len(refls)
+    reversed_moves = [list(col) for col in zip(*moves)]
+    if (
+        len(_reachable(moves, 0)) == k
+        and len(_reachable(reversed_moves, 0)) == k
+        and rank(Matrix.from_rows(cartan)) == n
+    ):
+        return SimplicityVerdict("Simple", 1, method="reflection-criterion")
     functionals = Matrix.from_rows([list(r.functional) for r in refls])
     common_kernel = kernel(functionals)
     witness, method = common_kernel, "reflection-kernel"
     if common_kernel.dim == 0:
         method = "reflection-span"
         spans: dict[frozenset[int], Subspace] = {}
-        for start in range(len(refls)):
+        for start in range(k):
             reached = frozenset(_reachable(moves, start))
             if reached not in spans:
                 spans[reached] = Subspace.span([refls[i].alpha for i in reached], n)
@@ -257,7 +296,7 @@ def _base_simplicity(
                 witness = spans[reached]
                 break
         else:
-            return SimplicityVerdict("Simple", 1, method="reflection-criterion")
+            raise InternalError("every reachable span is V, yet rank C < n or moves disconnect")
     if not is_invariant(rep, witness):
         raise InternalError(f"{method} witness is not invariant")
     return SimplicityVerdict(
@@ -365,30 +404,6 @@ def _full_support_dependency(stacked: Matrix) -> Vector:
     return dep_space.basis.row(0)
 
 
-def _move_components(graph: Graph, members: Sequence[int], d: int) -> int:
-    """Connected components of the claim-5 move graph on d-subsets of members.
-
-    Two d-subsets are adjacent when they differ by swapping i out for j along
-    an edge {i, j} of the graph; an endomorphism of the d-th exterior power
-    has one coefficient per component in the basis of claim-4 lines.
-    """
-    adj = graph.adjacency()
-    unseen = {frozenset(c) for c in itertools.combinations(members, d)}
-    components = 0
-    while unseen:
-        components += 1
-        queue = deque([unseen.pop()])
-        while queue:
-            subset = queue.popleft()
-            for i in subset:
-                for j in adj[i] - subset:
-                    moved = subset - {i} | {j}
-                    if moved in unseen:
-                        unseen.remove(moved)
-                        queue.append(moved)
-    return components
-
-
 def _characters_separate(refls: Sequence[ReflectionData], n: int) -> bool:
     """Every two degrees of equal dimension differ in the trace of some generator."""
     return all(
@@ -451,14 +466,24 @@ def verify_theorem(
     """Full pipeline; every failure mode is a structured conclusion, never an
     exception (malformed requests like out-of-range degrees still raise).
 
-    Each exterior power is certified by counting move-graph components (one
-    means End is the scalars) and non-isomorphy by comparing characters.  The
-    step from scalar End to simple is the FromSimpleBase premise, which is
-    sound in characteristic 0: the Zariski closure of a group acting
-    irreducibly on V is reductive, so every wedge^d V is semisimple, and a
-    semisimple module with scalar End is simple.  Schur's lemma then makes
-    Hom between different degrees 0.  A degree whose move graph is
-    disconnected is a certification failure, never handed to a generic solver.
+    Each exterior power is certified by the claim-5 lemma and non-isomorphy
+    by comparing characters.  On a connected graph, the moves "swap i in I
+    for a neighbour j not in I" connect all d-subsets, for every d (the
+    constructive proof is graphs.move_sequence, replayed under trace=True).
+    An endomorphism of wedge^d V keeps every claim-4 line alpha_I and has
+    equal coefficients on subsets one move apart, so one check that the
+    basis subset S induces a connected graph makes End(wedge^d V) the
+    scalars in every degree.  The step from scalar End to simple is the
+    FromSimpleBase premise, which is sound in characteristic 0: the Zariski
+    closure of a group acting irreducibly on V is reductive, so every
+    wedge^d V is semisimple, and a semisimple module with scalar End is
+    simple.  Schur's lemma then makes Hom between different degrees 0.
+
+    S is all generators when k = n: the Simple verdict on V includes
+    rank C = n, so the alphas are a basis, and the graph of a simple base is
+    connected.  For k > n, connected_basis_subset picks S.  A simple base
+    with either choice cannot give a disconnected S, so one is an
+    InternalError.
 
     Claim 4 is certified by one rank.  For s_i = I + alpha_i f_i^T with
     eigenvalue lambda_i = 1 + f_i(alpha_i) != 1, V = F alpha_i (+) ker f_i, so
@@ -466,7 +491,8 @@ def verify_theorem(
     independent alpha_I the intersection of these eigenspaces over I is
     alpha_I ^ wedge^(d-|I|) V, the line spanned by alpha_I when |I| = d.  So
     rank(alpha_S) = |S| makes every one of the C(|S|, d) d-subsets of S a
-    claim-4 line, in every degree at once.
+    claim-4 line, in every degree at once; it is checked again here even
+    where rank C = n already implies it.
     """
     n = rep.dim
     k = len(rep.generators)
@@ -490,53 +516,43 @@ def verify_theorem(
             classical_mode=_classical,
         )
 
-    # a simple base has a connected graph and spanning alphas: a component's
-    # alphas span an invariant subspace
     refls = [r for r in hyp.reflections if r is not None]
     if _preset_subset is not None:
         subset = _preset_subset
+    elif k == n:
+        subset = hyp.graph.vertices
     else:
         subset = connected_basis_subset([r.alpha for r in refls], hyp.graph)
-    members = sorted(subset)
-    move_graph = induced(hyp.graph, members)
-    components = [_move_components(move_graph, members, d) for d in range(n + 1)]
-
+    if not is_connected(induced(hyp.graph, subset)):
+        raise InternalError("basis subset of a simple base induces a disconnected graph")
     alphas_s = Matrix.from_rows([list(refls[i - 1].alpha) for i in subset])
     if rank(alphas_s) != len(subset):
         raise InternalError("connected basis subset is not independent")
+
     degree_list = sorted(set(degrees)) if degrees is not None else list(range(n + 1))
-    per_degree: list[DegreeReport] = []
-    failures = [
-        f"exterior power d={d}: move graph on {d}-subsets has {c} components"
-        for d, c in enumerate(components)
-        if c != 1
-    ]
-    for d in degree_list:
-        claim5 = _claim5_trace(hyp.graph, subset, d) if trace else None
-        per_degree.append(
-            DegreeReport(
-                degree=d,
-                space_dim=comb(n, d),
-                commutant_dim=components[d],
-                verdict="Simple" if components[d] == 1 else "Inconclusive",
-                claim4_checked=comb(len(subset), d),
-                claim4_exhaustive=True,
-                claim4_ok=True,
-                claim5_trace=claim5,
-            )
+    per_degree = [
+        DegreeReport(
+            degree=d,
+            space_dim=comb(n, d),
+            commutant_dim=1,
+            verdict="Simple",
+            claim4_checked=comb(len(subset), d),
+            claim4_exhaustive=True,
+            claim4_ok=True,
+            claim5_trace=_claim5_trace(hyp.graph, subset, d) if trace else None,
         )
+        for d in degree_list
+    ]
 
     dim_filter_ok = _characters_separate(refls, n)
-    if not dim_filter_ok:
-        failures.append("characters do not separate two degrees of equal dimension")
     hom_matrix = None
-    if dim_filter_ok and all(c == 1 for c in components):
+    if dim_filter_ok:
         hom_matrix = tuple(tuple(int(a == b) for b in range(n + 1)) for a in range(n + 1))
-
-    if failures:
-        conclusion = Conclusion("CertificationFailed", "; ".join(failures))
-    else:
         conclusion = Conclusion("TheoremVerified")
+    else:
+        conclusion = Conclusion(
+            "CertificationFailed", "characters do not separate two degrees of equal dimension"
+        )
     return TheoremReport(
         hypothesis=hyp,
         claim1_connected=True,

@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from reflext import cli, scalars
+from reflext import cli, repfile, scalars
 from reflext.catalog import _cartan_rep, entry
 from reflext.cli import main
 from reflext.errors import ParseError, SchemaViolation
@@ -413,3 +413,26 @@ def test_cli_hom_degree_with_too_many_digits_exit_two(runner):
     result = runner.invoke(main, ["hom", "A2:" + "1" * 5000, "A2"])
     assert result.exit_code == 2
     assert result.stderr.startswith("error:")
+
+
+def test_repfile_dimension_limit(runner, tmp_path, monkeypatch):
+    n = repfile.MAX_DIM + 1
+    # the entries are not even scalars: the limit is checked before any is parsed
+    doc = {"field": "Q", "dim": n, "generators": [{"matrix": [["x"] * n] * n}]}
+    monkeypatch.setattr(repfile, "Representation", _refuse)
+    monkeypatch.setattr(repfile, "parse_scalar_in", _refuse)
+    with pytest.raises(ParseError, match="above the limit"):
+        representation_from_document(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "analyze"):
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error:")
+
+
+def test_repfile_dimension_limit_admits_the_limit():
+    n = repfile.MAX_DIM
+    rows = [["-1" if (r, c) == (0, 0) else "1" if r == c else "0" for c in range(n)] for r in range(n)]
+    rep = representation_from_document({"field": "Q", "dim": n, "generators": [{"matrix": rows}]})
+    assert rep.dim == n
