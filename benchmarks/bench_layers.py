@@ -1,7 +1,11 @@
 """Micro-benchmarks of the hypothesis layer: reflection recognition, the
 hypothesis checks on simple bases (up to A60) and on reducible affine bases
 (where the base commutant is counted), and one Q(sqrt(m)) multiply for m = 5
-and for a 10-digit prime; of the whole certifier, verify_theorem on the
+and for a 10-digit prime; of the fraction-free kernel: rank of the H4 Cartan
+matrix and of a dense 16x16 matrix over Q(sqrt(5)), and the determinant of a
+dense 32x32 integer matrix; of input construction: building A60 (one
+determinant per generator) and loading the dense dim-32 representation file
+of benchmarks/dense_repfile.py; of the whole certifier, verify_theorem on the
 H3 conjugate and on A16, A40 and A60; and of report validation: one theorem
 document (A3, and B2 with --trace) and one analyze document (cond4-fail)
 against its schema.
@@ -18,13 +22,17 @@ The committed BENCH_*.json files keep pytest-benchmark's statistics and drop
 its per-round samples (``stats.data``).
 """
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from dense_repfile import dense_document
 from reflext.catalog import _cartan_rep, entry
-from reflext.linalg import Matrix
+from reflext.linalg import Matrix, rank
 from reflext.reflections import recognize_reflection
+from reflext.repfile import load_repfile
 from reflext.reports import (
     analyze_document,
     theorem_document,
@@ -59,6 +67,39 @@ H3_CONJUGATE = _cartan_rep(chain(3, -PHI)).conjugate(
     Matrix.from_rows([[1, 2, 0], [0, 1, -1], [1, 1, 0]])
 )
 A16, A40, A60 = (_cartan_rep(chain(k)) for k in (16, 40, 60))
+
+_rng = random.Random(9)
+H4_CARTAN = Matrix.from_rows(chain(4, -PHI))
+DENSE16_SQRT5 = Matrix(
+    16,
+    16,
+    [
+        QuadExt(Fraction(_rng.randint(-9, 9), _rng.randint(1, 9)), _rng.randint(-9, 9), 5)
+        for _ in range(256)
+    ],
+)
+DENSE32 = Matrix(32, 32, [_rng.randint(-99, 99) for _ in range(1024)])
+
+
+@pytest.mark.parametrize(
+    "matrix", [H4_CARTAN, DENSE16_SQRT5], ids=["H4-cartan", "dense16-sqrt5"]
+)
+def test_rank(benchmark, matrix):
+    assert benchmark(rank, matrix) == matrix.rows
+
+
+def test_det(benchmark):
+    assert benchmark(DENSE32.det) != 0
+
+
+def test_build_a60(benchmark):
+    assert benchmark(_cartan_rep, chain(60)).dim == 60
+
+
+def test_load_dense_repfile(benchmark, tmp_path):
+    path = tmp_path / "dense32.json"
+    path.write_text(json.dumps(dense_document(32, 0)))
+    assert benchmark(load_repfile, str(path)).dim == 32
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .errors import UnknownEntry
@@ -79,7 +80,9 @@ def _cartan_rep(cartan: list[list]) -> Representation:
 _GOLDEN = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)  # (1 + sqrt(5)) / 2
 
 
+@cache
 def _build_entries() -> dict[str, CatalogEntry]:
+    """The entries in catalog order, built at the first lookup rather than at import."""
     entries: list[CatalogEntry] = []
 
     entries.append(
@@ -180,15 +183,12 @@ def _build_entries() -> dict[str, CatalogEntry]:
     return {e.name: e for e in entries}
 
 
-_ENTRIES = _build_entries()
-
-
 def list_entries() -> list[str]:
-    return list(_ENTRIES)
+    return list(_build_entries())
 
 
 def entry(name: str) -> CatalogEntry:
     try:
-        return _ENTRIES[name]
+        return _build_entries()[name]
     except KeyError:
         raise UnknownEntry(f"no catalog entry named {name!r}") from None

@@ -1,0 +1,198 @@
+"""Fraction-free elimination over Z[sqrt(m)]: the kernel behind linalg's
+rank and det, the rank-one test of a reflection and the Cartan-matrix checks.
+
+A row of scalars is multiplied by the lcm of its denominators, which puts it
+in Z[sqrt(m)] (Z over Q), and rows are reduced by Bareiss elimination on
+Python ints.  An element a + b*sqrt(m) of Z[sqrt(m)] is an int over Q (m is
+None) and the pair (a, b) of ints over Q(sqrt(m)), except that zero is the
+int 0 in both: truthiness is then the zero test for scalars and cleared
+entries alike.  Every value handed back is a Fraction or a QuadExt.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import chain
+from math import lcm
+from typing import Iterable, Sequence
+
+from .errors import InternalError
+from .scalars import QuadExt, Scalar, _quad, merge_tags
+
+_ZERO = Fraction(0)
+
+
+def pairing_pattern(
+    left: Sequence[Sequence[Scalar]], right: Sequence[Sequence[Scalar]]
+) -> tuple[list[list[bool]], int]:
+    """Zero pattern and rank of the matrix P_ij = left_i . right_j.
+
+    Both come from G_ij = l_i . r_j over Z[sqrt(m)], where l_i and r_j are
+    the vectors with denominators cleared: G is P with row i scaled by the
+    positive integer that cleared left_i and column j by the one that cleared
+    right_j, so it has P's zero pattern and rank.  Each product runs over
+    the coordinates where both factors are nonzero.
+    """
+    m = field_of(chain.from_iterable([*left, *right]))
+    lefts = [clear(v, m)[0] for v in left]
+    rights = [clear(v, m)[0] for v in right]
+    supports = [[t for t, x in enumerate(r) if x] for r in rights]
+    gram = []
+    for l_vec in lefts:
+        row = []
+        for r_vec, support in zip(rights, supports):
+            pairs = [(l_vec[t], r_vec[t]) for t in support if l_vec[t]]
+            if m is None:
+                row.append(sum(a * b for a, b in pairs))
+                continue
+            u = sum(a * c + m * b * e for (a, b), (c, e) in pairs)
+            v = sum(a * e + b * c for (a, b), (c, e) in pairs)
+            row.append((u, v) if u or v else 0)
+        gram.append(row)
+    pattern = [[bool(x) for x in row] for row in gram]
+    return pattern, echelon(gram, len(rights), m, cleared=True)[0]
+
+
+def field_of(entries: Iterable[Scalar]) -> int | None:
+    """The radicand m of the QuadExt entries, None if there are none.
+
+    Entries from different quadratic fields raise FieldMismatch.
+    """
+    entries = tuple(entries)
+    if QuadExt not in set(map(type, entries)):
+        return None
+    m = None
+    for tag in {x.m for x in entries if type(x) is QuadExt}:
+        m = merge_tags(m, tag)
+    return m
+
+
+def clear(row: Sequence[Scalar], m: int | None) -> tuple[list, int]:
+    """The row over Z[sqrt(m)] times the lcm of its denominators, and that lcm."""
+    if m is None:
+        ratios = [x.as_integer_ratio() for x in row]
+        den = lcm(*[b for _, b in ratios])
+        return [a * (den // b) for a, b in ratios], den
+    parts = [(x.a, x.b) if type(x) is QuadExt else (x, _ZERO) for x in row]
+    den = lcm(*[a.denominator for a, _ in parts], *[b.denominator for _, b in parts])
+    out: list = []
+    for a, b in parts:
+        u = a.numerator * (den // a.denominator)
+        v = b.numerator * (den // b.denominator)
+        out.append((u, v) if u or v else 0)
+    return out, den
+
+
+def to_scalar(z, den: int, m: int | None) -> Scalar:
+    """The scalar z / den for z in Z[sqrt(m)] and a nonzero int den."""
+    if m is None:
+        return Fraction(z, den)
+    a, b = z or (0, 0)
+    return _quad(Fraction(a, den), Fraction(b, den), m)
+
+
+def combine(row: list, p, q, other: list, d, columns: range, m: int | None) -> None:
+    """row[j] = (p row[j] - q other[j]) / d in Z[sqrt(m)] for j in columns.
+
+    The division must be exact; a remainder is an InternalError.
+    """
+    if m is None:
+        for j in columns:
+            x = p * row[j] - q * other[j]
+            if d != 1:
+                x, rem = divmod(x, d)
+                if rem:
+                    raise InternalError("inexact division in fraction-free elimination")
+            row[j] = x
+        return
+    p1, p2 = p
+    q1, q2 = q or (0, 0)
+    d1, d2 = d
+    # (u + v sqrt m) / d = (u + v sqrt m)(d1 - d2 sqrt m) / (d1^2 - m d2^2)
+    divisor = d1 * d1 - m * d2 * d2 if d2 else d1
+    for j in columns:
+        a, b = row[j] or (0, 0)
+        c, e = other[j] or (0, 0)
+        u = p1 * a + m * (p2 * b - q2 * e) - q1 * c
+        v = p1 * b + p2 * a - q1 * e - q2 * c
+        if d2:
+            u, v = u * d1 - m * v * d2, v * d1 - u * d2
+        if divisor != 1:
+            u, rem_u = divmod(u, divisor)
+            v, rem_v = divmod(v, divisor)
+            if rem_u or rem_v:
+                raise InternalError("inexact division in fraction-free elimination")
+        row[j] = (u, v) if u or v else 0
+
+
+def echelon(
+    rows: list, cols: int, m: int | None, stop_at_free_column: bool = False, cleared: bool = False
+) -> tuple[int, object, int, int]:
+    """Fraction-free row echelon form over Z[sqrt(m)] (Bareiss 1968).
+
+    `rows` holds rows of scalars, or with `cleared` rows over Z[sqrt(m)];
+    it is reduced in place.  Returns the rank, the last pivot, the sign of
+    the row permutation and the product of the row scales: for a square
+    matrix of full rank, sign * pivot / scale is its determinant.  With
+    stop_at_free_column the reduction ends at the first column without a
+    pivot, which settles that a square matrix is singular.
+
+    After step k every row below the k pivot rows holds (k + 1)-minors of
+    the cleared rows, so dividing by the previous pivot is exact.  As in
+    rref, a row whose entry in the pivot column is zero is left untouched.
+    Bareiss would multiply it by p_k / p_(k-1); its level (the last step
+    that touched it) keeps that factor implicit, so its next update divides
+    by the pivot of its own level instead, and a pivot row catches up before
+    it is used.
+
+    A row is cleared of denominators when a step first reads it, so a zero
+    row costs only zero tests.  A pivot row that eliminates nothing is read
+    only at its pivot, which is all that is cleared of it: every later minor
+    depends on that row only through this entry, since the row is zero in
+    the earlier pivot columns and every row below is zero in this one.
+    """
+    n_rows = len(rows)
+    is_cleared = [cleared] * n_rows
+    level = [0] * n_rows
+    pivots = [1 if m is None else (1, 0)]  # pivots[k] is the pivot of step k
+    sign = 1
+    scale = 1
+    lead = 0
+    for col in range(cols):
+        if lead == n_rows:
+            break
+        pivot = next((r for r in range(lead, n_rows) if rows[r][col]), None)
+        if pivot is None:
+            if stop_at_free_column:
+                break
+            continue
+        if pivot != lead:
+            rows[lead], rows[pivot] = rows[pivot], rows[lead]
+            level[lead], level[pivot] = level[pivot], level[lead]
+            is_cleared[lead], is_cleared[pivot] = is_cleared[pivot], is_cleared[lead]
+            sign = -sign
+        targets = [r for r in range(lead + 1, n_rows) if rows[r][col]]
+        if not is_cleared[lead] and not targets:
+            (entry,), den = clear([rows[lead][col]], m)
+            rows[lead] = [0] * cols
+            rows[lead][col] = entry
+            scale *= den
+            is_cleared[lead] = True
+        for r in [lead, *targets]:
+            if not is_cleared[r]:
+                rows[r], den = clear(rows[r], m)
+                scale *= den
+                is_cleared[r] = True
+        pivot_row = rows[lead]
+        if level[lead] != lead:
+            # catch up, on the pivot alone when no row below needs the rest
+            width = range(col, cols if targets else col + 1)
+            combine(pivot_row, pivots[lead], 0, pivot_row, pivots[level[lead]], width, m)
+        p = pivot_row[col]
+        for r in targets:
+            row = rows[r]
+            combine(row, p, row[col], pivot_row, pivots[level[r]], range(col, cols), m)
+            level[r] = lead + 1
+        pivots.append(p)
+        lead += 1
+    return lead, pivots[-1], sign, scale

@@ -3,6 +3,9 @@
 Matrices are immutable, stored row-major as tuples of exact scalars.  A
 Subspace is identified with its canonical reduced-row-echelon basis (zero rows
 dropped), so subspace equality is literal matrix equality.
+
+Ranks and determinants run on the fraction-free kernel of
+`reflext.fractionfree` instead.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatch, EmptyGeneratorList, LengthMismatch, SingularMatrix
+from .fractionfree import echelon, field_of, to_scalar
 from .scalars import Scalar, as_scalar, field_tag, inv, merge_tags
 
 Vector = tuple[Scalar, ...]
@@ -168,26 +172,17 @@ class Matrix:
         return Matrix(self.rows, self.cols + other.cols, out)
 
     def det(self) -> Scalar:
+        """Determinant by the fraction-free kernel: a QuadExt exactly when some
+        entry is one, a Fraction otherwise."""
         if self.rows != self.cols:
             raise LengthMismatch("determinant of non-square matrix")
         n = self.rows
-        rows = self.row_list()
-        result: Scalar = _ONE
-        for c in range(n):
-            pivot = next((r for r in range(c, n) if rows[r][c]), None)
-            if pivot is None:
-                return _ZERO
-            if pivot != c:
-                rows[c], rows[pivot] = rows[pivot], rows[c]
-                result = -result
-            result = result * rows[c][c]
-            piv_inv = inv(rows[c][c])
-            for r in range(c + 1, n):
-                if rows[r][c]:
-                    factor = rows[r][c] * piv_inv
-                    for j in range(c, n):
-                        rows[r][j] = rows[r][j] - factor * rows[c][j]
-        return result
+        m = field_of(self.entries)
+        rows = [self.row(i) for i in range(n)]
+        rank, pivot, sign, scale = echelon(rows, n, m, stop_at_free_column=True)
+        if rank < n:
+            return to_scalar(0, 1, m)
+        return to_scalar(pivot, sign * scale, m)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -255,7 +250,15 @@ def rref(matrix: Matrix) -> tuple[Matrix, int]:
 
 
 def rank(matrix: Matrix) -> int:
-    return rref(matrix)[1]
+    """Rank by the fraction-free kernel."""
+    m = field_of(matrix.entries)
+    return echelon([matrix.row(i) for i in range(matrix.rows)], matrix.cols, m)[0]
+
+
+def row_rank(rows: Sequence[Sequence[Scalar]], cols: int) -> int:
+    """Rank of the matrix with these rows, by the fraction-free kernel."""
+    m = field_of(itertools.chain.from_iterable(rows))
+    return echelon(list(rows), cols, m)[0]
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InternalError, NotDiagonalizable, NotRankOne, SingularMatrix
-from .linalg import Matrix, Subspace, Vector, dot, is_zero_vector, rank, vector
-from .scalars import Scalar, inv
+from .linalg import Matrix, Subspace, Vector, dot, is_zero_vector, row_rank, vector
+from .scalars import Scalar, _quad, field_tag, inv
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -51,33 +51,34 @@ def recognize_reflection(matrix: Matrix) -> ReflectionData:
     Raises NotRankOne if rank(M - I) != 1, NotDiagonalizable for unipotent
     transvections (eigenvalue 1), SingularMatrix for eigenvalue 0.
 
-    No elimination runs on a reflection: alpha is the first nonzero column of
-    D = M - I scaled to first nonzero coordinate p = 1 (the canonical basis of
-    im D), f is row p of D, and D == alpha f^T entry by entry is the rank-one
-    test.  Only a failed test reduces D, for its rank.
+    The rank of D = M - I comes from the fraction-free kernel.  On a
+    reflection its first pivot is the first nonzero entry p of the first
+    nonzero column q, and that one step forms the 2x2 minors
+    D_pq D_ij - D_iq D_pj, which all vanish exactly when D = alpha f^T; a
+    row with D_iq = 0 is left as it is, so a zero row costs only a zero
+    test.  alpha is column q of D scaled to alpha_p = 1 (the canonical basis
+    of im D) and f is row p of D.
     """
     if matrix.rows != matrix.cols:
         raise NotRankOne("reflection candidate must be square")
     n = matrix.rows
-    diff = Matrix(
-        n, n, [x - _ONE if k % (n + 1) == 0 else x for k, x in enumerate(matrix.entries)]
-    )
-    column = next((c for c in map(diff.col, range(n)) if not is_zero_vector(c)), None)
-    if column is None:
-        raise NotRankOne("rank(M - I) = 0, expected 1")
-    p = next(i for i in range(n) if column[i])
+    diff = [list(matrix.row(i)) for i in range(n)]
+    for i in range(n):
+        diff[i][i] = diff[i][i] - _ONE
+    rank = row_rank(diff, n)
+    if rank != 1:
+        raise NotRankOne(f"rank(M - I) = {rank}, expected 1")
+    # for D = alpha f^T, row p is the first nonzero row and q the first j with f_j != 0
+    p = next(i for i in range(n) if not is_zero_vector(diff[i]))
+    q = next(j for j in range(n) if diff[p][j])
+    column = [row[q] for row in diff]
     scale = inv(column[p])
     alpha = tuple(scale * x for x in column)
-    # alpha[p] is 1; multiplying by it puts f in Q(sqrt(m)) whenever alpha is
-    unit = inv(alpha[p])
-    functional = tuple(x * unit for x in diff.row(p))
-    # D == alpha f^T row by row; row p is f itself
-    if not all(
-        diff.row(i) == tuple(a * x for x in functional) if a else is_zero_vector(diff.row(i))
-        for i, a in enumerate(alpha)
-        if i != p
-    ):
-        raise NotRankOne(f"rank(M - I) = {rank(diff)}, expected 1")
+    # f is row p of D, lifted into Q(sqrt(m)) when alpha_p = 1 is a QuadExt
+    m = field_tag(alpha[p])
+    functional = tuple(
+        _quad(x, _ZERO, m) if m is not None and type(x) is Fraction else x for x in diff[p]
+    )
     eigenvalue = matrix.trace() - (n - 1)
     if eigenvalue == 1:
         raise NotDiagonalizable("unipotent transvection: eigenvalue 1 on the moving line")

@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 from .errors import (
@@ -28,9 +29,15 @@ from .reports import field_doc, matrix_doc
 from .scalars import parse_scalar_in, validate_radicand
 
 # dense worst case at the limit: 64 generators I + alpha f^T with entries of
-# alpha and f in 1..3 take 39 s in `reflext verify --json` (13 s at dim 48,
-# 3.1 s at 32; 2-vCPU VM, Python 3.11.7), mostly one det per generator
+# alpha and f in 1..3 (benchmarks/dense_repfile.py) take 5.5 s in
+# `reflext verify --json` (2.1 s at dim 48, 0.9 s at 32; 2-vCPU VM, Python
+# 3.11.7), half of it one fraction-free det per generator
 MAX_DIM = 64
+# an entry with a longer numerator or denominator is refused before it is
+# parsed; with generator entries of this many digits (dense_repfile.py
+# --digits 100) the dense case takes 33 s at dim 64 and 2.1 s at dim 32
+MAX_ENTRY_DIGITS = 100
+_NUMBER = re.compile(r"(?<![\d(])\d+")  # a numerator or denominator, not a radicand
 
 
 def parse_field(spec: Any) -> int | None:
@@ -79,6 +86,7 @@ def representation_from_document(doc: Any) -> Representation:
                     raise ParseError(
                         f"generator {idx}: entries must be scalar strings, got {e!r}"
                     )
+                _refuse_long_numbers(idx, e)
                 try:
                     entries.append(parse_scalar_in(e, m))
                 except FieldMismatch:
@@ -90,6 +98,21 @@ def representation_from_document(doc: Any) -> Representation:
         return Representation(matrices, labels)
     except (SingularMatrix, LengthMismatch, EmptyGeneratorList, FieldMismatch) as exc:
         raise ParseError(f"invalid representation: {exc}") from None
+
+
+def _refuse_long_numbers(idx: int, text: str) -> None:
+    """ParseError for a numerator or denominator above MAX_ENTRY_DIGITS digits.
+
+    The digits of a radicand, which follow "sqrt(", are bounded by its own
+    check.  Only a string longer than the limit can hold such a number.
+    """
+    if len(text) > MAX_ENTRY_DIGITS:
+        longest = max(map(len, _NUMBER.findall(text)), default=0)
+        if longest > MAX_ENTRY_DIGITS:
+            raise ParseError(
+                f"generator {idx}: entry has a {longest}-digit number, "
+                f"above the limit {MAX_ENTRY_DIGITS}"
+            )
 
 
 def load_repfile(path: str) -> Representation:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
@@ -43,13 +42,12 @@ from .errors import (
     SingularMatrix,
 )
 from .exterior import reflection_compound_trace
+from .fractionfree import pairing_pattern
 from .graphs import Graph, deletable_vertex, induced, is_connected, move_sequence
 from .linalg import Matrix, Subspace, Vector, dot, kernel, rank
 from .reflections import ReflectionData, recognize_reflection
 from .repkit import Representation, SimplicityVerdict, is_invariant
 from .scalars import Scalar
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -174,9 +172,10 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
         )
 
     k = len(rep.generators)
-    cartan = _cartan_matrix(refls)
+    # the Cartan matrix C_ij = f_i(alpha_j): its zero pattern and its rank
+    support, cartan_rank = pairing_pattern([r.functional for r in refls], [r.alpha for r in refls])
     # moves[i][j]: s_i moves alpha_j; the one relation behind conditions 3 and 4
-    moves = [[i != j and bool(cartan[i][j]) for j in range(k)] for i in range(k)]
+    moves = [[i != j and support[i][j] for j in range(k)] for i in range(k)]
     violations: list[tuple[int, int]] = []
     edges: list[tuple[int, int]] = []
     for i, j in itertools.combinations(range(k), 2):
@@ -195,7 +194,7 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
             )
 
     graph = Graph.on_range(k, edges) if not violations else None
-    v_simple = _base_simplicity(rep, refls, moves, cartan)
+    v_simple = _base_simplicity(rep, refls, moves, cartan_rank)
     return HypothesisReport(
         reflections=tuple(refls),
         condition1_failures=(),
@@ -208,36 +207,11 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
     )
 
 
-def _cartan_matrix(refls: Sequence[ReflectionData]) -> list[list[Scalar]]:
-    """C_ij = f_i(alpha_j), the Cartan matrix of the linear reflection group.
-
-    The diagonal is lambda_i - 1, since s_i alpha_i = (1 + f_i(alpha_i))
-    alpha_i; off it, each product runs over the coordinates where both
-    alpha_j and f_i are nonzero.
-    """
-    supports = [[(t, a) for t, a in enumerate(r.alpha) if a] for r in refls]
-    cartan = []
-    for i, r in enumerate(refls):
-        f = r.functional
-        row = []
-        for j, support in enumerate(supports):
-            if i == j:
-                row.append(r.eigenvalue - 1)
-                continue
-            total: Scalar = _ZERO
-            for t, a in support:
-                if f[t]:
-                    total = total + f[t] * a
-            row.append(total)
-        cartan.append(row)
-    return cartan
-
-
 def _base_simplicity(
     rep: Representation,
     refls: Sequence[ReflectionData],
     moves: Sequence[Sequence[bool]],
-    cartan: Sequence[Sequence[Scalar]],
+    cartan_rank: int,
 ) -> SimplicityVerdict:
     """Condition 3 decided exactly for reflections s_i = I + alpha_i f_i^T.
 
@@ -279,7 +253,7 @@ def _base_simplicity(
     if (
         len(_reachable(moves, 0)) == k
         and len(_reachable(reversed_moves, 0)) == k
-        and rank(Matrix.from_rows(cartan)) == n
+        and cartan_rank == n
     ):
         return SimplicityVerdict("Simple", 1, method="reflection-criterion")
     functionals = Matrix.from_rows([list(r.functional) for r in refls])

@@ -1,4 +1,5 @@
-"""Cold start: sympy and jsonschema load only where they are used.
+"""Cold start: sympy and jsonschema load only where they are used, and the
+catalog is built at its first lookup.
 
 Each check runs in a fresh interpreter, so it sees exactly the modules that
 an import or a command loads; nothing here depends on timing.
@@ -38,6 +39,19 @@ def _loaded_after(statement):
 def test_import_loads_neither_sympy_nor_jsonschema():
     assert _loaded_after("import reflext") == [False, False]
     assert _loaded_after("import reflext.cli") == [False, False]
+
+
+def test_import_builds_no_catalog_entry():
+    code = (
+        "import reflext.cli\n"
+        "from reflext import catalog\n"
+        "print(catalog._build_entries.cache_info().currsize)\n"
+        "names = catalog.list_entries()\n"
+        "print(catalog._build_entries.cache_info().currsize, names[0], names[-1], len(names))"
+    )
+    result = _run([], code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["0", "1 A2 dihedral-3-3 24"]
 
 
 def test_hom_command_does_not_load_sympy():

@@ -1,0 +1,231 @@
+"""The fraction-free kernel behind rank, det, the rank-one test and the Cartan rank.
+
+Oracles: `rref` (still the only path to canonical subspaces) for ranks, and
+the Fraction/QuadExt Gaussian elimination that `Matrix.det` used before the
+kernel, kept here, for determinants.  The seeded matrices are over Q, Q(sqrt 5)
+and Q(sqrt p) for the 10-digit prime p = 1000000007; they are rectangular,
+rank-deficient (products through a thinner middle), have zero rows and
+columns, 200-bit entries, and mix Fraction with QuadExt entries.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from reflext import fractionfree
+from reflext.errors import FieldMismatch, InternalError, NotRankOne
+from reflext.fractionfree import pairing_pattern
+from reflext.linalg import Matrix, rank, row_rank, rref
+from reflext.reflections import reflection_from_parts, recognize_reflection
+from reflext.scalars import QuadExt, field_tag, inv
+
+P10 = 1000000007
+FIELDS = [None, 5, P10]
+
+
+def old_det(matrix):
+    """Gaussian elimination over Fraction/QuadExt with zero-row skipping."""
+    n = matrix.rows
+    rows = matrix.row_list()
+    result = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            result = -result
+        result = result * rows[c][c]
+        piv_inv = inv(rows[c][c])
+        for r in range(c + 1, n):
+            if rows[r][c]:
+                factor = rows[r][c] * piv_inv
+                for j in range(c, n):
+                    rows[r][j] = rows[r][j] - factor * rows[c][j]
+    return result
+
+
+def scalar(rng, m, bits=4, zero_share=0.3):
+    if rng.random() < zero_share:
+        return Fraction(0)
+
+    def rational():
+        return Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
+
+    # over Q(sqrt m) some entries stay plain Fractions: mixed entries
+    if m is not None and rng.random() < 0.7:
+        return QuadExt(rational(), rational(), m)
+    return rational()
+
+
+def seeded_matrix(rng, m, rows, cols, bits=4):
+    shape = rng.random()
+    if shape < 0.35 and rows and cols:
+        # rank at most k: a product through a k-dimensional middle
+        k = rng.randint(0, min(rows, cols))
+        left = Matrix(rows, k, [scalar(rng, m, bits) for _ in range(rows * k)])
+        right = Matrix(k, cols, [scalar(rng, m, bits) for _ in range(k * cols)])
+        return left @ right if k else Matrix.zero(rows, cols)
+    entries = [scalar(rng, m, bits) for _ in range(rows * cols)]
+    if shape < 0.6 and rows and cols:
+        # a zero row and a zero column
+        i, j = rng.randrange(rows), rng.randrange(cols)
+        entries = [
+            Fraction(0) if r == i or c == j else entries[r * cols + c]
+            for r in range(rows)
+            for c in range(cols)
+        ]
+    return Matrix(rows, cols, entries)
+
+
+@pytest.mark.parametrize("m", FIELDS, ids=["Q", "sqrt5", "sqrt-10-digit-prime"])
+def test_rank_equals_rref_rank(m):
+    rng = random.Random(9001 if m is None else m)
+    for _ in range(400):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        matrix = seeded_matrix(rng, m, rows, cols)
+        assert rank(matrix) == rref(matrix)[1], matrix
+        assert row_rank([matrix.row(i) for i in range(rows)], cols) == rref(matrix)[1]
+
+
+@pytest.mark.parametrize("m", FIELDS, ids=["Q", "sqrt5", "sqrt-10-digit-prime"])
+def test_rank_with_200_bit_entries(m):
+    rng = random.Random(77 if m is None else m + 77)
+    for _ in range(25):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        matrix = seeded_matrix(rng, m, rows, cols, bits=200)
+        assert rank(matrix) == rref(matrix)[1]
+
+
+def test_rank_of_empty_and_zero_matrices():
+    assert rank(Matrix(0, 4, [])) == 0
+    assert rank(Matrix(3, 0, [])) == 0
+    assert rank(Matrix.zero(3, 5)) == 0
+    assert rank(Matrix(1, 1, [QuadExt(0, 0, 5)])) == 0
+    assert rank(Matrix.identity(6)) == 6
+
+
+@pytest.mark.parametrize("m", FIELDS, ids=["Q", "sqrt5", "sqrt-10-digit-prime"])
+def test_det_equals_fraction_elimination(m):
+    rng = random.Random(4242 if m is None else m + 1)
+    for trial in range(300):
+        big = trial % 10 == 0
+        n = rng.randint(0, 4 if big else 7)
+        matrix = seeded_matrix(rng, m, n, n, bits=200 if big else 4)
+        det = matrix.det()
+        assert det == old_det(matrix), matrix
+        # the field of the entries decides the type, whatever the value
+        assert field_tag(det) == matrix.field()
+
+
+def test_det_of_empty_matrix_is_one():
+    det = Matrix(0, 0, []).det()
+    assert det == 1 and type(det) is Fraction
+
+
+def test_mixed_radicands_raise_field_mismatch():
+    mixed = Matrix.from_rows([[QuadExt(0, 1, 2), 0], [0, QuadExt(0, 1, 3)]])
+    with pytest.raises(FieldMismatch):
+        rank(mixed)
+    with pytest.raises(FieldMismatch):
+        mixed.det()
+    with pytest.raises(FieldMismatch):
+        pairing_pattern([[QuadExt(1, 1, 2)]], [[QuadExt(1, 1, 3)]])
+
+
+def test_inexact_division_is_an_internal_error():
+    # 3 / 2 in Z, (1 + sqrt 5) / 2 and 1 / (1 + sqrt 5) in Z[sqrt 5]
+    with pytest.raises(InternalError, match="inexact division"):
+        fractionfree.combine([3], 1, 0, [0], 2, range(1), None)
+    with pytest.raises(InternalError, match="inexact division"):
+        fractionfree.combine([(1, 1)], (1, 0), 0, [0], (2, 0), range(1), 5)
+    with pytest.raises(InternalError, match="inexact division"):
+        fractionfree.combine([(1, 0)], (1, 0), 0, [0], (1, 1), range(1), 5)
+    row = [(6, 2)]  # (6 + 2 sqrt 5) / (1 + sqrt 5) = 1 + sqrt 5
+    fractionfree.combine(row, (1, 0), 0, [0], (1, 1), range(1), 5)
+    assert row == [(1, 1)]
+
+
+def test_rows_with_a_zero_pivot_entry_are_not_cleared(monkeypatch):
+    cleared = []
+    clear = fractionfree.clear
+
+    def counting_clear(row, m):
+        cleared.append(len(row))
+        return clear(row, m)
+
+    monkeypatch.setattr(fractionfree, "clear", counting_clear)
+    # M - I = alpha f^T in dimension 8 with alpha = (0, 1, 0, 2, 0, ...): the
+    # one step clears rows 1 and 3 and leaves the six zero rows alone
+    n = 8
+    f = [Fraction(c - 4, 3) for c in range(n)]
+    diff = [[Fraction(0)] * n for _ in range(n)]
+    diff[1], diff[3] = f, [2 * x for x in f]
+    assert row_rank(diff, n) == 1
+    assert cleared == [n, n]
+    # a Cartan generator of A_8: a pivot row that eliminates nothing is read
+    # only at its pivot, so only rows 2 and 3 are cleared whole
+    cleared.clear()
+    generator = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    generator[3][2:5] = [Fraction(1), Fraction(-1), Fraction(1)]
+    assert Matrix.from_rows(generator).det() == -1
+    assert sorted(cleared) == [1] * (n - 2) + [n, n]
+
+
+@pytest.mark.parametrize("m", FIELDS, ids=["Q", "sqrt5", "sqrt-10-digit-prime"])
+def test_pairing_pattern_matches_the_scalar_products(m):
+    rng = random.Random(31 if m is None else m + 31)
+    for _ in range(200):
+        n, k = rng.randint(1, 5), rng.randint(1, 6)
+        left = [[scalar(rng, m, zero_share=0.5) for _ in range(n)] for _ in range(k)]
+        right = [[scalar(rng, m, zero_share=0.5) for _ in range(n)] for _ in range(k)]
+        products = [[sum((a * b for a, b in zip(f, v)), Fraction(0)) for v in right] for f in left]
+        support, rk = pairing_pattern(left, right)
+        assert support == [[bool(x) for x in row] for row in products]
+        assert rk == rref(Matrix.from_rows(products))[1]
+
+
+def old_reflection_data(matrix):
+    """alpha, f and lambda as recognize_reflection built them before the kernel."""
+    n = matrix.rows
+    diff = Matrix(n, n, [x - 1 if k % (n + 1) == 0 else x for k, x in enumerate(matrix.entries)])
+    column = next(c for c in map(diff.col, range(n)) if any(c))
+    p = next(i for i in range(n) if column[i])
+    scale = inv(column[p])
+    alpha = tuple(scale * x for x in column)
+    unit = inv(alpha[p])
+    return alpha, tuple(x * unit for x in diff.row(p)), matrix.trace() - (n - 1)
+
+
+@pytest.mark.parametrize("m", FIELDS, ids=["Q", "sqrt5", "sqrt-10-digit-prime"])
+def test_reflection_data_and_rank_two_perturbations(m):
+    rng = random.Random(555 if m is None else m + 555)
+    checked = 0
+    while checked < 60:
+        n = rng.randint(1, 6)
+        alpha = [scalar(rng, m, zero_share=0.4) for _ in range(n)]
+        f = [scalar(rng, m, zero_share=0.4) for _ in range(n)]
+        lam = 1 + sum((a * b for a, b in zip(f, alpha)), Fraction(0))
+        if not any(alpha) or not any(f) or lam in (0, 1):
+            continue
+        matrix = reflection_from_parts(alpha, f)
+        data = recognize_reflection(matrix)
+        expected = old_reflection_data(matrix)
+        got = (data.alpha, data.functional, data.eigenvalue)
+        assert got == expected
+        assert [list(map(field_tag, x)) for x in got[:2]] == [
+            list(map(field_tag, x)) for x in expected[:2]
+        ]
+        # one more rank-one term along an independent direction: rank(M - I) = 2
+        u = [scalar(rng, m, zero_share=0.4) for _ in range(n)]
+        g = [scalar(rng, m, zero_share=0.4) for _ in range(n)]
+        perturbed = matrix + reflection_from_parts(u, g) - Matrix.identity(n)
+        if rref(perturbed - Matrix.identity(n))[1] == 2:
+            with pytest.raises(NotRankOne) as info:
+                recognize_reflection(perturbed)
+            assert str(info.value) == "rank(M - I) = 2, expected 1"
+        checked += 1
+    with pytest.raises(NotRankOne) as info:
+        recognize_reflection(Matrix.identity(3))
+    assert str(info.value) == "rank(M - I) = 0, expected 1"

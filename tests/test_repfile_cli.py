@@ -436,3 +436,37 @@ def test_repfile_dimension_limit_admits_the_limit():
     rows = [["-1" if (r, c) == (0, 0) else "1" if r == c else "0" for c in range(n)] for r in range(n)]
     rep = representation_from_document({"field": "Q", "dim": n, "generators": [{"matrix": rows}]})
     assert rep.dim == n
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{big}", "-{big}", "1/{big}", "1+{big}*sqrt(5)", "1-1/{big}*sqrt(5)"],
+    ids=["numerator", "negative", "denominator", "sqrt-coefficient", "sqrt-denominator"],
+)
+def test_repfile_entry_digit_limit(runner, tmp_path, monkeypatch, text):
+    big = "7" * (repfile.MAX_ENTRY_DIGITS + 1)
+    matrix = [[text.format(big=big)]]
+    doc = {"field": {"quadratic": 5}, "dim": 1, "generators": [{"matrix": matrix}]}
+    # refused before the entry is parsed
+    monkeypatch.setattr(repfile, "Representation", _refuse)
+    monkeypatch.setattr(repfile, "parse_scalar_in", _refuse)
+    with pytest.raises(ParseError, match="above the limit"):
+        representation_from_document(doc)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "analyze"):
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error:")
+
+
+def test_repfile_entry_digit_limit_admits_the_limit():
+    digits = "9" * repfile.MAX_ENTRY_DIGITS
+    doc = {"field": {"quadratic": 5}, "dim": 1, "generators": [{"matrix": [[f"-{digits}"]]}]}
+    assert representation_from_document(doc).generators[0][0, 0] == -int(digits)
+    doc["generators"][0]["matrix"] = [[f"1/{digits}+{digits}*sqrt(5)"]]
+    representation_from_document(doc)
+    # a radicand's digits are not counted: this one fails as a foreign field
+    doc["generators"][0]["matrix"] = [[f"1+1*sqrt({'1' * (repfile.MAX_ENTRY_DIGITS + 1)})"]]
+    with pytest.raises(ParseError, match="outside the declared field"):
+        representation_from_document(doc)
