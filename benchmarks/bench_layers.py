@@ -6,9 +6,11 @@ matrix and of a dense 16x16 matrix over Q(sqrt(5)), and the determinant of a
 dense 32x32 integer matrix; of input construction: building A60 (one
 determinant per generator) and loading the dense dim-32 representation file
 of benchmarks/dense_repfile.py; of the whole certifier, verify_theorem on the
-H3 conjugate and on A16, A40 and A60; and of report validation: one theorem
+H3 conjugate and on A16, A40 and A60; of report validation: one theorem
 document (A3, and B2 with --trace) and one analyze document (cond4-fail)
-against its schema.
+against its schema; and of the command line, one cold
+`python -B -m reflext.cli verify A2 --json` process on a copy of the package
+without bytecode, so every round compiles `reflext` from source.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_layers.py --benchmark-json=BENCH_<label>.json
 
@@ -23,8 +25,13 @@ its per-round samples (``stats.data``).
 """
 
 import json
+import os
 import random
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -146,3 +153,19 @@ def test_validate_theorem_document(benchmark, name, trace):
 def test_validate_analyze_document(benchmark):
     rep = entry("cond4-fail").representation
     benchmark(validate_analyze_document, analyze_document(rep, check_hypotheses(rep), "cond4-fail"))
+
+
+def test_cold_cli_verify(benchmark, tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src" / "reflext"
+    shutil.copytree(src, tmp_path / "reflext", ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    command = [sys.executable, "-B", "-m", "reflext.cli", "verify", "A2", "--json"]
+    result = benchmark.pedantic(
+        subprocess.run,
+        args=(command,),
+        kwargs={"capture_output": True, "text": True, "env": env, "cwd": tmp_path},
+        rounds=30,
+        warmup_rounds=1,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["conclusion"]["status"] == "TheoremVerified"

@@ -15,10 +15,9 @@ a * b == 4, which makes the plane reducible (condition 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import UnknownEntry
 from .linalg import Matrix
@@ -26,14 +25,12 @@ from .repkit import Representation
 from .scalars import QuadExt, as_scalar
 
 
-@dataclass(frozen=True)
-class Expected:
+class Expected(NamedTuple):
     theorem_applies: bool
     failure_reason: Optional[str] = None  # conclusion reason prefix when not applicable
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     representation: Representation
     expected: Expected
@@ -60,19 +57,16 @@ def infinite_dihedral(a, b) -> Representation:
 
 def _cartan_rep(cartan: list[list]) -> Representation:
     """Reflection representation from a generalized Cartan matrix:
-    s_i sends e_j to e_j - c[i][j] * e_i."""
+    s_i sends e_j to e_j - c[i][j] * e_i.
+
+    Every generator shares the identity's rows, whose scalars are built
+    once; only its row i, 1 or 0 minus c[i][j], is new."""
     k = len(cartan)
+    identity = Matrix.identity(k)
     gens = []
-    for i in range(k):
-        rows = []
-        for r in range(k):
-            row = []
-            for j in range(k):
-                base = Fraction(1) if r == j else Fraction(0)
-                if r == i:
-                    base = base - as_scalar(cartan[i][j])
-                row.append(base)
-            rows.append(row)
+    for i, c in enumerate(cartan):
+        rows = [identity.row(r) for r in range(k)]
+        rows[i] = [int(i == j) - as_scalar(c[j]) for j in range(k)]
         gens.append(Matrix.from_rows(rows))
     return Representation(gens)
 

@@ -7,12 +7,11 @@ Exit codes: 0 success / theorem verified, 2 parse or input error,
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
 from math import comb
-
-import click
 
 from . import catalog as catalog_mod
 from .errors import BadDegree, ParseError, ReflextError, UnknownEntry
@@ -33,10 +32,11 @@ EXIT_HYPOTHESIS = 3
 EXIT_CERTIFICATION = 4
 
 # Size limits, checked before any computation starts; a request above one is
-# an error with exit 2.  Times at the limit are for one 2 GHz Xeon core.
-MAX_TRACE_DIM = 12  # verify --trace emits 2**n - 1 move sequences: 4095, 0.9 s at A12
-MAX_EXTERIOR_DIM = 70  # exterior --d forms C(n, d)-square compounds: 0.9 s at A8, d = 4
-MAX_HOM_DIM = 20  # hom solves (left dim)(right dim) unknowns: 400, 18 s at A6:3 A6:3
+# an error with exit 2.  Times at the limit are whole in-process commands with
+# --json on a 2-vCPU Xeon VM, Python 3.11.7.
+MAX_TRACE_DIM = 12  # verify --trace emits 2**n - 1 move sequences: 4095 at A12, 5-8 s for 44 MB
+MAX_EXTERIOR_DIM = 70  # exterior --d forms C(n, d)-square compounds: 0.6 s at A8, d = 4
+MAX_HOM_DIM = 20  # hom solves (left dim)(right dim) unknowns: 400, 0.7 s at A6:3 A6:3
 
 
 def _load_target(target: str) -> tuple[Representation, str]:
@@ -60,62 +60,52 @@ def _refuse_above(size: int, limit: int, what: str) -> None:
         raise ParseError(f"{what} is {size}, above the limit {limit}")
 
 
+def _error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_PARSE
+
+
 def _emit(doc: dict, text: str, as_json: bool) -> None:
-    if as_json:
-        click.echo(json.dumps(doc, indent=2))
-    else:
-        click.echo(text)
+    print(json.dumps(doc, indent=2) if as_json else text)
 
 
-@click.group()
-def main() -> None:
-    """Exact certification tools for reflection representations and their exterior powers."""
+def _print_generators(generators: list[dict]) -> None:
+    for g in generators:
+        print(f"  {g['label']}:")
+        for row in g["matrix"]:
+            print("    [ " + "  ".join(row) + " ]")
 
 
-@main.command()
-@click.argument("target")
-@click.option("--json", "as_json", is_flag=True, help="emit the structured document")
-def analyze(target: str, as_json: bool) -> None:
+def analyze(target: str, as_json: bool) -> int:
     """Per-generator reflection data, the non-fixing graph, and condition-4 status."""
     try:
         rep, source = _load_target(target)
     except ParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        return _error(exc)
     hyp = check_hypotheses(rep)
     doc = analyze_document(rep, hyp, source)
     _emit(doc, render_analyze_text(doc), as_json)
-    sys.exit(EXIT_OK if doc["ok"] else EXIT_HYPOTHESIS)
+    return EXIT_OK if doc["ok"] else EXIT_HYPOTHESIS
 
 
-@main.command()
-@click.argument("target")
-@click.option("--json", "as_json", is_flag=True, help="emit the structured document")
-@click.option("--trace", is_flag=True, help="include move-sequence proof traces")
-@click.option("--d", "degrees", multiple=True, type=int, help="restrict exterior degrees")
-def verify(target: str, as_json: bool, trace: bool, degrees: tuple[int, ...]) -> None:
+def verify(target: str, as_json: bool, trace: bool, degrees: list[int]) -> int:
     """Run the full certification pipeline; exit 0 iff the theorem is verified."""
     try:
         rep, source = _load_target(target)
         if trace:
             _refuse_above(rep.dim, MAX_TRACE_DIM, "dimension for --trace")
-        report = verify_theorem(rep, trace=trace, degrees=list(degrees) or None)
+        report = verify_theorem(rep, trace=trace, degrees=degrees or None)
     except (ParseError, BadDegree) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        return _error(exc)
     doc = theorem_document(report, rep, source)
     _emit(doc, render_theorem_text(doc), as_json)
     status = report.conclusion.status
     if status == "TheoremVerified":
-        sys.exit(EXIT_OK)
-    sys.exit(EXIT_HYPOTHESIS if status == "HypothesisFailed" else EXIT_CERTIFICATION)
+        return EXIT_OK
+    return EXIT_HYPOTHESIS if status == "HypothesisFailed" else EXIT_CERTIFICATION
 
 
-@main.command()
-@click.argument("target")
-@click.option("--d", "degree", required=True, type=int, help="exterior-power degree")
-@click.option("--json", "as_json", is_flag=True, help="emit the structured document")
-def exterior(target: str, degree: int, as_json: bool) -> None:
+def exterior(target: str, degree: int, as_json: bool) -> int:
     """Print the compound generator matrices of the d-th exterior power."""
     try:
         rep, source = _load_target(target)
@@ -124,8 +114,7 @@ def exterior(target: str, degree: int, as_json: bool) -> None:
         )
         ext = exterior_rep(rep, degree)
     except (ParseError, BadDegree) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        return _error(exc)
     doc = {
         "source": source,
         "d": degree,
@@ -136,14 +125,11 @@ def exterior(target: str, degree: int, as_json: bool) -> None:
         ],
     }
     if as_json:
-        click.echo(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2))
     else:
-        click.echo(f"exterior power d={degree} of {source} (dim {ext.dim})")
-        for g in doc["generators"]:
-            click.echo(f"  {g['label']}:")
-            for row in g["matrix"]:
-                click.echo("    [ " + "  ".join(row) + " ]")
-    sys.exit(EXIT_OK)
+        print(f"exterior power d={degree} of {source} (dim {ext.dim})")
+        _print_generators(doc["generators"])
+    return EXIT_OK
 
 
 def _load_power(spec: str) -> tuple[Representation, str]:
@@ -165,33 +151,23 @@ def _load_power(spec: str) -> tuple[Representation, str]:
     return rep, source
 
 
-@main.command()
-@click.argument("left")
-@click.argument("right")
-@click.option("--json", "as_json", is_flag=True, help="emit the structured document")
-def hom(left: str, right: str, as_json: bool) -> None:
+def hom(left: str, right: str, as_json: bool) -> int:
     """Dimension of the space of intertwiners LEFT -> RIGHT (use NAME:d for exterior powers)."""
     try:
         lrep, lsource = _load_power(left)
         rrep, rsource = _load_power(right)
         dim = hom_dim(lrep, rrep)
     except ReflextError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        return _error(exc)
     if as_json:
-        click.echo(json.dumps({"left": lsource, "right": rsource, "hom_dim": dim}))
+        print(json.dumps({"left": lsource, "right": rsource, "hom_dim": dim}))
     else:
-        click.echo(f"dim Hom({lsource}, {rsource}) = {dim}")
-    sys.exit(EXIT_OK)
+        print(f"dim Hom({lsource}, {rsource}) = {dim}")
+    return EXIT_OK
 
 
-@main.group()
-def catalog() -> None:
-    """Built-in example representations."""
-
-
-@catalog.command(name="list")
-def catalog_list() -> None:
+def catalog_list() -> int:
+    """Names, dimensions and expected verdicts of the built-in entries."""
     for name in catalog_mod.list_entries():
         entry = catalog_mod.entry(name)
         expected = (
@@ -199,29 +175,86 @@ def catalog_list() -> None:
             if entry.expected.theorem_applies
             else f"fails ({entry.expected.failure_reason})"
         )
-        click.echo(f"{name:<22} dim {entry.representation.dim}  theorem {expected}")
+        print(f"{name:<22} dim {entry.representation.dim}  theorem {expected}")
+    return EXIT_OK
 
 
-@catalog.command(name="show")
-@click.argument("name")
-@click.option("--json", "as_json", is_flag=True, help="emit the representation file document")
-def catalog_show(name: str, as_json: bool) -> None:
+def catalog_show(name: str, as_json: bool) -> int:
+    """One entry as a representation file document."""
     try:
         entry = catalog_mod.entry(name)
     except UnknownEntry as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        return _error(exc)
     doc = representation_to_document(entry.representation)
     if as_json:
-        click.echo(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2))
     else:
-        click.echo(f"{entry.name}: {entry.notes}")
-        click.echo(f"  field {doc['field']}, dim {doc['dim']}")
-        for g in doc["generators"]:
-            click.echo(f"  {g['label']}:")
-            for row in g["matrix"]:
-                click.echo("    [ " + "  ".join(row) + " ]")
-    sys.exit(EXIT_OK)
+        print(f"{entry.name}: {entry.notes}")
+        print(f"  field {doc['field']}, dim {doc['dim']}")
+        _print_generators(doc["generators"])
+    return EXIT_OK
+
+
+def _parser(prog_name: str | None) -> argparse.ArgumentParser:
+    # an option must be spelled out: --js is an error, not --json
+    parser = argparse.ArgumentParser(
+        prog=prog_name or "reflext",
+        description="Exact certification tools for reflection representations "
+        "and their exterior powers.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(group, run, name=None):
+        sub = group.add_parser(
+            name or run.__name__, help=run.__doc__, description=run.__doc__, allow_abbrev=False
+        )
+        sub.set_defaults(run=run)
+        return sub
+
+    def json_flag(sub, help="emit the structured document"):
+        sub.add_argument("--json", dest="as_json", action="store_true", help=help)
+
+    sub = command(commands, analyze)
+    sub.add_argument("target")
+    json_flag(sub)
+
+    sub = command(commands, verify)
+    sub.add_argument("target")
+    json_flag(sub)
+    sub.add_argument("--trace", action="store_true", help="include move-sequence proof traces")
+    sub.add_argument(
+        "--d", dest="degrees", action="append", type=int, default=[],
+        help="restrict exterior degrees",
+    )
+
+    sub = command(commands, exterior)
+    sub.add_argument("target")
+    sub.add_argument("--d", dest="degree", required=True, type=int, help="exterior-power degree")
+    json_flag(sub)
+
+    sub = command(commands, hom)
+    sub.add_argument("left")
+    sub.add_argument("right")
+    json_flag(sub)
+
+    catalog = commands.add_parser(
+        "catalog", help="Built-in example representations.", allow_abbrev=False
+    )
+    entries = catalog.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    command(entries, catalog_list, "list")
+    sub = command(entries, catalog_show, "show")
+    sub.add_argument("name")
+    json_flag(sub, "emit the representation file document")
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Run one command; always ends in SystemExit with its exit code (2 for
+    an argument error)."""
+    options = vars(_parser(prog_name).parse_args(args))
+    del options["command"]
+    sys.exit(options.pop("run")(**options))
 
 
 if __name__ == "__main__":

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BadDegree, DependentAlphas, InternalError, NotABasis
 from .linalg import (
@@ -100,8 +99,7 @@ def wedge(vectors: Sequence[Sequence]) -> Vector:
     return tuple(minors.get(rows, zero) for rows in wedge_index_sets(n, d))
 
 
-@dataclass(frozen=True)
-class EigenSplit:
+class EigenSplit(NamedTuple):
     """The 1- and lambda-eigenspaces of a reflection acting on the d-th exterior power."""
 
     plus: Subspace

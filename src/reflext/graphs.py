@@ -9,9 +9,8 @@ whose removal keeps the graph connected (eccentricity argument).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     HypothesisViolated,
@@ -22,12 +21,10 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Undirected graph on explicit integer vertex labels; no loops, no multi-edges."""
+    """Undirected graph on explicit integer vertex labels; no loops, no multi-edges.
 
-    vertices: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
+    Two graphs are equal when their vertices and edges are."""
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Sequence[int]] = ()):
         vs = tuple(sorted(set(vertices)))
@@ -40,8 +37,19 @@ class Graph:
             if a not in vset or b not in vset:
                 raise ValueError(f"edge {e} uses unknown vertex")
             normalized.add((min(a, b), max(a, b)))
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", frozenset(normalized))
+        self.vertices: tuple[int, ...] = vs
+        self.edges: frozenset[tuple[int, int]] = frozenset(normalized)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self):
+        return f"Graph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     @classmethod
     def on_range(cls, k: int, edges: Iterable[Sequence[int]] = ()) -> "Graph":
@@ -70,8 +78,7 @@ class Graph:
         return {v: frozenset(ns) for v, ns in adj.items()}
 
 
-@dataclass(frozen=True)
-class MoveStep:
+class MoveStep(NamedTuple):
     """One move: vertex `removed` leaves the subset, neighbor `added` enters, along `edge`."""
 
     removed: int

@@ -11,9 +11,8 @@ Ranks and determinants run on the fraction-free kernel of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AmbientMismatch, EmptyGeneratorList, LengthMismatch, SingularMatrix
 from .fractionfree import echelon, field_of, to_scalar
@@ -261,8 +260,7 @@ def row_rank(rows: Sequence[Sequence[Scalar]], cols: int) -> int:
     return echelon(list(rows), cols, m)[0]
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """Subspace of F^ambient_dim, identified with its canonical RREF basis."""
 
     ambient_dim: int

@@ -8,7 +8,6 @@ linear functional f, and conversely s = I + alpha f^T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -20,15 +19,32 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
 class ReflectionData:
     """Canonical data (matrix, alpha, lambda, functional) of a reflection; the
-    fixed hyperplane ker f is built at its first read."""
+    fixed hyperplane ker f is built at its first read.  Equality and hashing
+    use the four data and ignore the cached hyperplane."""
 
-    matrix: Matrix
-    alpha: Vector
-    eigenvalue: Scalar
-    functional: Vector
+    def __init__(self, matrix: Matrix, alpha: Vector, eigenvalue: Scalar, functional: Vector):
+        self.matrix = matrix
+        self.alpha = alpha
+        self.eigenvalue = eigenvalue
+        self.functional = functional
+
+    def _key(self) -> tuple:
+        return (self.matrix, self.alpha, self.eigenvalue, self.functional)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "ReflectionData(matrix={!r}, alpha={!r}, eigenvalue={!r}, functional={!r})".format(
+            *self._key()
+        )
 
     @property
     def dim(self) -> int:

@@ -9,10 +9,9 @@ dihedral) in scope.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     BadDegree,
@@ -37,13 +36,12 @@ from .polys import roots_in_field
 from .scalars import Scalar, merge_tags
 
 
-@dataclass(frozen=True)
 class Representation:
-    """Dimension plus an ordered list of labeled invertible generator matrices."""
+    """Dimension plus an ordered list of labeled invertible generator matrices.
 
-    dim: int
-    generators: tuple[Matrix, ...]
-    labels: tuple[str, ...]
+    Two representations are equal when their generators and labels are."""
+
+    __slots__ = ("dim", "generators", "labels")
 
     def __init__(self, generators: Sequence[Matrix], labels: Sequence[str] | None = None):
         gens = tuple(generators)
@@ -61,9 +59,23 @@ class Representation:
             labels = tuple(labels)
             if len(labels) != len(gens):
                 raise LengthMismatch("one label per generator")
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "labels", labels)
+        self.dim: int = n
+        self.generators: tuple[Matrix, ...] = gens
+        self.labels: tuple[str, ...] = labels
+
+    def _key(self) -> tuple:
+        return (self.dim, self.generators, self.labels)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Representation(dim={!r}, generators={!r}, labels={!r})".format(*self._key())
 
     def field(self) -> int | None:
         tag = None
@@ -154,8 +166,7 @@ def duality_holds(rep: Representation, d: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SimplicityVerdict:
+class SimplicityVerdict(NamedTuple):
     """Outcome of simplicity certification.
 
     status 'Simple' or 'Reducible' (with a generator-invariant witness) or

@@ -27,9 +27,8 @@ All failures are structured report values carrying re-checkable witnesses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import comb
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     AlphasNotABasis,
@@ -50,8 +49,7 @@ from .repkit import Representation, SimplicityVerdict, is_invariant
 from .scalars import Scalar
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Outcome of checking the four hypotheses on the input generators."""
 
     reflections: tuple[Optional[ReflectionData], ...]
@@ -75,8 +73,7 @@ class HypothesisReport:
         return [r.alpha for r in self.reflections if r is not None]
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     removed: int
     added: int
     before: tuple[int, ...]
@@ -87,14 +84,12 @@ class TraceStep:
         return (min(self.removed, self.added), max(self.removed, self.added))
 
 
-@dataclass(frozen=True)
-class TraceSequence:
+class TraceSequence(NamedTuple):
     target: tuple[int, ...]
     steps: tuple[TraceStep, ...]
 
 
-@dataclass(frozen=True)
-class ClaimFiveTrace:
+class ClaimFiveTrace(NamedTuple):
     """Move-sequence demonstration that the wedge coefficients are constant.
 
     Each step carries two d-subsets differing by one graph edge; the scalar
@@ -107,8 +102,7 @@ class ClaimFiveTrace:
     sequences: tuple[TraceSequence, ...]
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     degree: int
     space_dim: int
     commutant_dim: int
@@ -120,16 +114,14 @@ class DegreeReport:
     witness: Optional[Subspace] = None
 
 
-@dataclass(frozen=True)
-class Conclusion:
+class Conclusion(NamedTuple):
     status: str  # TheoremVerified | HypothesisFailed | CertificationFailed
     reason: Optional[str] = None
     witness_subspace: Optional[Subspace] = None
     witness_pairs: tuple[tuple[int, int], ...] = ()
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     hypothesis: HypothesisReport
     claim1_connected: Optional[bool] = None
     claim2_spanning: Optional[bool] = None
@@ -138,7 +130,7 @@ class TheoremReport:
     per_degree: tuple[DegreeReport, ...] = ()
     pairwise_hom: Optional[tuple[tuple[int, ...], ...]] = None
     dim_filter_ok: Optional[bool] = None
-    conclusion: Conclusion = field(default_factory=lambda: Conclusion("CertificationFailed"))
+    conclusion: Conclusion = Conclusion("CertificationFailed")
     classical_mode: bool = False
 
     @property

@@ -110,3 +110,25 @@ def test_commands_load_neither_sympy_nor_jsonschema():
             f"    assert exc.code == {code}, exc.code"
         )
         assert _loaded_after(statement) == [False, False], args
+
+
+def test_cli_loads_neither_click_nor_dataclasses():
+    # an argparse front end and NamedTuple records; dataclasses would also load inspect
+    code = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return [m for m in ('click', 'dataclasses', 'inspect') if m in sys.modules]\n"
+        "import reflext.cli\n"
+        "print(loaded())\n"
+        "for args in (['verify', 'A3', '--json'], ['analyze', 'A3', '--json'],\n"
+        "             ['hom', 'A3:1', 'A3:2', '--json']):\n"
+        "    try:\n"
+        "        reflext.cli.main(args)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, (args, exc.code)\n"
+        "print(loaded(), file=sys.stderr)\n"
+    )
+    result = _run([], code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "[]"
+    assert result.stderr.strip() == "[]"

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reflext.errors import NotDiagonalizable, NotRankOne, SingularMatrix
+from reflext.graphs import Graph
 from reflext.linalg import Matrix, Subspace, dot, image, kernel, rank
 from reflext.reflections import (
     fixes_vector,
@@ -12,6 +13,7 @@ from reflext.reflections import (
     recognize_reflection,
     reflection_from_parts,
 )
+from reflext.repkit import Representation
 from reflext.scalars import QuadExt
 
 S1 = Matrix.from_rows([[-1, 1], [0, 1]])
@@ -171,3 +173,17 @@ def test_rank_other_than_one_keeps_message(field, r, data):
     with pytest.raises(NotRankOne) as exc:
         recognize_reflection(Matrix.identity(n) + diff)
     assert str(exc.value) == f"rank(M - I) = {r}, expected 1"
+
+
+def test_plain_classes_compare_their_fields():
+    a, b = recognize_reflection(S1), recognize_reflection(S1)
+    a.hyperplane  # the cached hyperplane is not compared
+    assert a == b and hash(a) == hash(b)
+    assert a != recognize_reflection(Matrix.from_rows([[1, 0], [1, -1]]))
+    assert Graph([2, 1], [(2, 1)]) == Graph.on_range(2, [(1, 2)])
+    assert len({Graph([1, 2], [(1, 2)]), Graph.on_range(2, [(2, 1)])}) == 1
+    assert Graph.on_range(2) != Graph.on_range(2, [(1, 2)])
+    rep = Representation([S1])
+    assert rep == Representation([S1], ["s1"]) and hash(rep) == hash(Representation([S1]))
+    assert rep != Representation([S1], ["t"])
+    assert rep != (1, (S1,), ("s1",))

@@ -1,10 +1,12 @@
+import contextlib
 import copy
+import io
 import json
 from math import comb
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
-from click.testing import CliRunner
 
 from reflext import cli, repfile, scalars
 from reflext.catalog import _cartan_rep, entry
@@ -28,9 +30,27 @@ A2_DOC = {
 }
 
 
+class _Runner:
+    """Runs a command in-process: `.invoke(main, args)` returns its
+    `.exit_code`, `.output` (stdout) and `.stderr`.  Any exception other
+    than SystemExit propagates."""
+
+    @staticmethod
+    def invoke(command, args):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                command(args)
+            except SystemExit as exc:
+                code = exc.code
+            else:
+                code = 0
+        return SimpleNamespace(exit_code=code, output=out.getvalue(), stderr=err.getvalue())
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return _Runner()
 
 
 def test_repfile_roundtrip(tmp_path):
@@ -470,3 +490,40 @@ def test_repfile_entry_digit_limit_admits_the_limit():
     doc["generators"][0]["matrix"] = [[f"1+1*sqrt({'1' * (repfile.MAX_ENTRY_DIGITS + 1)})"]]
     with pytest.raises(ParseError, match="outside the declared field"):
         representation_from_document(doc)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bogus", "A2"],
+        ["verify"],
+        ["verify", "A2", "--bogus"],
+        ["verify", "A2", "--d", "x"],
+        ["verify", "A2", "--js"],
+        ["exterior", "A2"],
+    ],
+    ids=["unknown-command", "missing-target", "unknown-option", "non-integer-d", "abbreviation",
+         "exterior-without-d"],
+)
+def test_cli_argument_errors_exit_two(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.output == ""
+    assert result.stderr.strip()
+
+
+def test_cli_verify_repeated_degrees(runner):
+    result = runner.invoke(main, ["verify", "A3", "--d", "1", "--d", "2", "--json"])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert [d["d"] for d in doc["per_degree"]] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "args, code", [(["verify", "A3"], 0), (["verify", "cond4-fail"], 3), (["verify", "nope"], 2)]
+)
+def test_cli_main_with_prog_name_exits_with_the_command_code(args, code):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with pytest.raises(SystemExit) as exc:
+            main(args=args, prog_name="reflext")
+    assert exc.value.code == code
