@@ -21,7 +21,6 @@ from reflext import (
     recognize_reflection,
     wedge,
 )
-from reflext.exterior import minus_intersection_bruteforce
 from reflext.linalg import intersect_all
 
 rep = entry("A3").representation
@@ -33,7 +32,11 @@ n = rep.dim
 team = refls[:2]
 line = minus_intersection(team, 2)
 print("joint minus-eigenspace at d = k = 2:", line.basis)
-assert line == minus_intersection_bruteforce(team, 2)
+ambient = comb(n, 2)
+assert line == intersect_all(
+    [kernel(compound(r.matrix, 2) - Matrix.identity(ambient).scale(r.eigenvalue)) for r in team],
+    ambient,
+)
 assert line.basis.row(0) == wedge([r.alpha for r in team])
 
 # Pointwise-fixed part of the d-th power == exterior power of the intersected

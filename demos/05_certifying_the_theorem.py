@@ -5,7 +5,7 @@ Every verdict is backed by exact linear algebra; failures come with witnesses
 that can be re-checked in a few lines.
 """
 
-from reflext import entry, infinite_dihedral, verify_theorem, steinberg_mode
+from reflext import entry, infinite_dihedral, verify_theorem
 
 for name in ("A3", "H2-5", "A2-redundant"):
     report = verify_theorem(entry(name).representation, trace=(name == "A3"))
@@ -27,9 +27,10 @@ for a, b in [(1, 1), (3, 3), (2, 2)]:
 bad = verify_theorem(entry("cond4-fail").representation)
 print(f"cond4-fail: {bad.conclusion.status}, violating pairs {bad.conclusion.witness_pairs}")
 
-# The classical setting (reflections along a basis) rides the same pipeline.
-classical = steinberg_mode(entry("B2").representation)
-print(f"B2 (classical mode): {classical.conclusion.status}, subset {classical.claim3_subset}")
+# The classical setting, k = n reflections along a basis, is Steinberg's
+# theorem; the pipeline certifies it with every generator as the subset.
+classical = verify_theorem(entry("B2").representation)
+print(f"B2 (k = n): {classical.conclusion.status}, subset {classical.claim3_subset}")
 
 # A move trace explains WHY all endomorphisms are scalar: the wedge coefficient
 # is constant along graph moves, and moves reach every subset.

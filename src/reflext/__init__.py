@@ -39,7 +39,6 @@ from .theoremlab import (
     TheoremReport,
     check_hypotheses,
     connected_basis_subset,
-    steinberg_mode,
     verify_theorem,
 )
 from .catalog import CatalogEntry, entry, infinite_dihedral, list_entries
@@ -86,7 +85,6 @@ __all__ = [
     "TheoremReport",
     "check_hypotheses",
     "connected_basis_subset",
-    "steinberg_mode",
     "verify_theorem",
     "CatalogEntry",
     "entry",

@@ -69,10 +69,6 @@ class NotSpanning(ReflextError):
     """Reflection vectors do not span the ambient space."""
 
 
-class AlphasNotABasis(ReflextError):
-    """Classical mode requires the reflection vectors to form a basis (k = n)."""
-
-
 class UnknownEntry(ReflextError):
     """No catalog entry with the requested name."""
 

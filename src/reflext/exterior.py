@@ -19,7 +19,6 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    intersect_all,
     kernel,
     rank,
     vector,
@@ -38,19 +37,16 @@ def compound(matrix: Matrix, d: int) -> Matrix:
     """d-th compound: the matrix of d x d minors in lexicographic subset order.
 
     Entry (J, I) is det of the submatrix on rows J, columns I, so the compound
-    realizes the action of the matrix on the d-th exterior power.
+    realizes the action of the matrix on the d-th exterior power.  Column I
+    holds every minor on the columns I, which is the wedge of those columns.
     """
     if matrix.rows != matrix.cols:
         raise BadDegree("compound of non-square matrix")
     n = matrix.rows
     _check_degree(n, d)
-    subsets = wedge_index_sets(n, d)
-    entries: list[Scalar] = []
-    for row_set in subsets:
-        for col_set in subsets:
-            entries.append(matrix.submatrix(row_set, col_set).det())
-    size = comb(n, d)
-    return Matrix(size, size, entries)
+    columns = [wedge([matrix.col(i) for i in col_set]) for col_set in wedge_index_sets(n, d)]
+    size = len(columns)
+    return Matrix(size, size, [col[j] for j in range(size) for col in columns])
 
 
 def reflection_compound_trace(refl: ReflectionData, d: int) -> Scalar:
@@ -207,17 +203,3 @@ def exterior_subspace(space: Subspace, d: int) -> Subspace:
     rows = space.basis_vectors()
     vecs = [wedge([rows[i] for i in c]) for c in itertools.combinations(range(len(rows)), d)]
     return Subspace.span(vecs, comb(n, d))
-
-
-def minus_intersection_bruteforce(refls: Sequence[ReflectionData], d: int) -> Subspace:
-    """Oracle path: intersect the eigen-kernels of the compound matrices directly."""
-    if not refls:
-        raise ValueError("need at least one reflection")
-    n = refls[0].dim
-    _check_degree(n, d)
-    ambient = comb(n, d)
-    spaces = []
-    for r in refls:
-        cmp_mat = compound(r.matrix, d)
-        spaces.append(kernel(cmp_mat - Matrix.identity(ambient).scale(r.eigenvalue)))
-    return intersect_all(spaces, ambient)

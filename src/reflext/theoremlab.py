@@ -31,7 +31,6 @@ from math import comb
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
-    AlphasNotABasis,
     BadDegree,
     InternalError,
     NotConnected,
@@ -54,9 +53,7 @@ class HypothesisReport(NamedTuple):
 
     reflections: tuple[Optional[ReflectionData], ...]
     condition1_failures: tuple[tuple[int, str], ...]
-    generation_assumed: bool
     v_simple: Optional[SimplicityVerdict]
-    condition4_evaluated: bool
     condition4_violations: tuple[tuple[int, int], ...]
     graph: Optional[Graph]
     remarks: tuple[str, ...] = ()
@@ -67,7 +64,7 @@ class HypothesisReport(NamedTuple):
 
     @property
     def condition4_holds(self) -> bool:
-        return self.condition4_evaluated and not self.condition4_violations
+        return self.condition1_ok and not self.condition4_violations
 
     def alphas(self) -> list[Vector]:
         return [r.alpha for r in self.reflections if r is not None]
@@ -108,10 +105,8 @@ class DegreeReport(NamedTuple):
     commutant_dim: int
     verdict: str
     claim4_checked: int
-    claim4_exhaustive: bool
     claim4_ok: bool
     claim5_trace: Optional[ClaimFiveTrace] = None
-    witness: Optional[Subspace] = None
 
 
 class Conclusion(NamedTuple):
@@ -123,15 +118,11 @@ class Conclusion(NamedTuple):
 
 class TheoremReport(NamedTuple):
     hypothesis: HypothesisReport
-    claim1_connected: Optional[bool] = None
-    claim2_spanning: Optional[bool] = None
-    n_le_k: Optional[bool] = None
     claim3_subset: Optional[tuple[int, ...]] = None
     per_degree: tuple[DegreeReport, ...] = ()
     pairwise_hom: Optional[tuple[tuple[int, ...], ...]] = None
     dim_filter_ok: Optional[bool] = None
     conclusion: Conclusion = Conclusion("CertificationFailed")
-    classical_mode: bool = False
 
     @property
     def verified(self) -> bool:
@@ -142,7 +133,7 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
     """Run conditions 1-4; failures are values, never exceptions.
 
     Condition 2 (the group is generated by the inputs) is definitional for
-    this artifact and recorded as assumed.
+    this artifact; the documents record it as assumed.
     """
     refls: list[Optional[ReflectionData]] = []
     failures: list[tuple[int, str]] = []
@@ -156,9 +147,7 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
         return HypothesisReport(
             reflections=tuple(refls),
             condition1_failures=tuple(failures),
-            generation_assumed=True,
             v_simple=None,
-            condition4_evaluated=False,
             condition4_violations=(),
             graph=None,
         )
@@ -190,9 +179,7 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
     return HypothesisReport(
         reflections=tuple(refls),
         condition1_failures=(),
-        generation_assumed=True,
         v_simple=v_simple,
-        condition4_evaluated=True,
         condition4_violations=tuple(violations),
         graph=graph,
         remarks=tuple(remarks),
@@ -399,13 +386,12 @@ def _claim5_trace(graph: Graph, subset: Sequence[int], d: int) -> ClaimFiveTrace
     return ClaimFiveTrace(degree=d, base=base, sequences=tuple(sequences))
 
 
-def _hypothesis_failure(hyp: HypothesisReport, classical: bool) -> TheoremReport:
+def _hypothesis_failure(hyp: HypothesisReport) -> TheoremReport:
     if not hyp.condition1_ok:
         indices = ", ".join(f"{i} ({why})" for i, why in hyp.condition1_failures)
         return TheoremReport(
             hypothesis=hyp,
             conclusion=Conclusion("HypothesisFailed", f"condition1: generator(s) {indices}"),
-            classical_mode=classical,
         )
     if not hyp.condition4_holds:
         return TheoremReport(
@@ -415,7 +401,6 @@ def _hypothesis_failure(hyp: HypothesisReport, classical: bool) -> TheoremReport
                 "condition4: asymmetric fixing of reflection vectors",
                 witness_pairs=hyp.condition4_violations,
             ),
-            classical_mode=classical,
         )
     raise InternalError("not a hypothesis failure")
 
@@ -425,9 +410,6 @@ def verify_theorem(
     *,
     trace: bool = False,
     degrees: Sequence[int] | None = None,
-    _preset_subset: tuple[int, ...] | None = None,
-    _classical: bool = False,
-    _hyp: HypothesisReport | None = None,
 ) -> TheoremReport:
     """Full pipeline; every failure mode is a structured conclusion, never an
     exception (malformed requests like out-of-range degrees still raise).
@@ -445,11 +427,12 @@ def verify_theorem(
     wedge^d V is semisimple, and a semisimple module with scalar End is
     simple.  Schur's lemma then makes Hom between different degrees 0.
 
-    S is all generators when k = n: the Simple verdict on V includes
-    rank C = n, so the alphas are a basis, and the graph of a simple base is
-    connected.  For k > n, connected_basis_subset picks S.  A simple base
-    with either choice cannot give a disconnected S, so one is an
-    InternalError.
+    S is all generators when k = n, the case of Steinberg's theorem
+    (Endomorphisms of linear algebraic groups, 1968): the Simple verdict on
+    V includes rank C = n, so the alphas are a basis, and the graph of a
+    simple base is connected.  For k > n, connected_basis_subset picks S.  A
+    simple base with either choice cannot give a disconnected S, so one is
+    an InternalError.
 
     Claim 4 is certified by one rank.  For s_i = I + alpha_i f_i^T with
     eigenvalue lambda_i = 1 + f_i(alpha_i) != 1, V = F alpha_i (+) ker f_i, so
@@ -466,9 +449,9 @@ def verify_theorem(
         for d in degrees:
             if d < 0 or d > n:
                 raise BadDegree(f"degree {d} outside 0..{n}")
-    hyp = _hyp if _hyp is not None else check_hypotheses(rep)
-    if not hyp.condition1_ok or not hyp.condition4_holds:
-        return _hypothesis_failure(hyp, _classical)
+    hyp = check_hypotheses(rep)
+    if not hyp.condition4_holds:
+        return _hypothesis_failure(hyp)
     if hyp.v_simple is None or hyp.graph is None:
         raise InternalError("hypotheses passed without a condition-3 verdict or a graph")
     if not hyp.v_simple.is_simple:
@@ -479,13 +462,10 @@ def verify_theorem(
                 "condition3: base representation is reducible",
                 witness_subspace=hyp.v_simple.witness,
             ),
-            classical_mode=_classical,
         )
 
     refls = [r for r in hyp.reflections if r is not None]
-    if _preset_subset is not None:
-        subset = _preset_subset
-    elif k == n:
+    if k == n:
         subset = hyp.graph.vertices
     else:
         subset = connected_basis_subset([r.alpha for r in refls], hyp.graph)
@@ -503,7 +483,6 @@ def verify_theorem(
             commutant_dim=1,
             verdict="Simple",
             claim4_checked=comb(len(subset), d),
-            claim4_exhaustive=True,
             claim4_ok=True,
             claim5_trace=_claim5_trace(hyp.graph, subset, d) if trace else None,
         )
@@ -521,37 +500,9 @@ def verify_theorem(
         )
     return TheoremReport(
         hypothesis=hyp,
-        claim1_connected=True,
-        claim2_spanning=True,
-        n_le_k=n <= k,
         claim3_subset=subset,
         per_degree=tuple(per_degree),
         pairwise_hom=hom_matrix,
         dim_filter_ok=dim_filter_ok,
         conclusion=conclusion,
-        classical_mode=_classical,
-    )
-
-
-def steinberg_mode(
-    rep: Representation, *, trace: bool = False, degrees: Sequence[int] | None = None
-) -> TheoremReport:
-    """Classical setting: reflections along a basis; the connected basis subset is all of S."""
-    n = rep.dim
-    k = len(rep.generators)
-    if k != n:
-        raise AlphasNotABasis(f"classical mode needs k = n, got k = {k}, n = {n}")
-    hyp = check_hypotheses(rep)
-    if not hyp.condition1_ok:
-        return _hypothesis_failure(hyp, True)
-    alphas = hyp.alphas()
-    if rank(Matrix.from_rows([list(a) for a in alphas])) != n:
-        raise AlphasNotABasis("reflection vectors do not form a basis")
-    return verify_theorem(
-        rep,
-        trace=trace,
-        degrees=degrees,
-        _preset_subset=tuple(range(1, n + 1)),
-        _classical=True,
-        _hyp=hyp,
     )

@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from reflext.linalg import Matrix, Subspace
+from reflext.exterior import compound
+from reflext.linalg import Matrix, Subspace, intersect_all, kernel
 
 
 def random_matrix(rng, rows, cols, bound=4):
@@ -25,6 +27,17 @@ def random_subspace(rng, ambient, max_dim=None, bound=3):
         [Fraction(rng.randint(-bound, bound)) for _ in range(ambient)] for _ in range(dim)
     ]
     return Subspace.span(vectors, ambient)
+
+
+def minus_intersection_bruteforce(refls, d):
+    """Oracle for exterior.minus_intersection: intersect the lambda-eigenspaces
+    of the compound matrices directly."""
+    ambient = comb(refls[0].dim, d)
+    spaces = [
+        kernel(compound(r.matrix, d) - Matrix.identity(ambient).scale(r.eigenvalue))
+        for r in refls
+    ]
+    return intersect_all(spaces, ambient)
 
 
 @pytest.fixture

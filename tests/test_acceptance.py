@@ -14,7 +14,6 @@ from reflext.exterior import (
     eigen_split,
     exterior_subspace,
     minus_intersection,
-    minus_intersection_bruteforce,
 )
 from reflext.graphs import (
     Graph,
@@ -43,7 +42,12 @@ from reflext.repkit import (
 )
 from reflext.theoremlab import verify_theorem
 
-from conftest import random_invertible, random_matrix, random_subspace
+from conftest import (
+    minus_intersection_bruteforce,
+    random_invertible,
+    random_matrix,
+    random_subspace,
+)
 
 
 def _report(number: int, ok: bool, description: str, detail: str = "") -> None:

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from reflext import theoremlab
 from reflext.catalog import _cartan_rep, entry, list_entries
 from reflext.errors import InternalError
 from reflext.graphs import Graph, induced, is_connected
@@ -210,7 +211,12 @@ def test_move_graph_splits_on_a_disconnected_graph():
     assert move_components(graph, graph.vertices, 2) == 3  # 2+0, 1+1 and 0+2 vertices per side
 
 
-def test_disconnected_basis_subset_is_an_internal_error():
-    # 1 and 3 are not adjacent in the A3 chain 1 - 2 - 3
-    with pytest.raises(InternalError):
-        verify_theorem(entry("A3").representation, _preset_subset=(1, 3))
+def test_disconnected_basis_subset_is_an_internal_error(monkeypatch):
+    # A3 and a second copy of s1 (k = 4 > n = 3), so the pipeline asks
+    # connected_basis_subset for S; 1 and 3 are not adjacent in the chain 1 - 2 - 3
+    a3 = entry("A3").representation
+    rep = Representation(list(a3.generators) + [a3.generators[0]])
+    assert verify_theorem(rep).verified
+    monkeypatch.setattr(theoremlab, "connected_basis_subset", lambda alphas, graph: (1, 3))
+    with pytest.raises(InternalError, match="disconnected"):
+        verify_theorem(rep)

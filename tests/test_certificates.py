@@ -14,21 +14,17 @@ from pathlib import Path
 
 import pytest
 
-from reflext.catalog import _cartan_rep, entry, list_entries
-from reflext.exterior import (
-    compound,
-    minus_intersection_bruteforce,
-    reflection_compound_trace,
-    wedge,
-)
+import reflext
 from reflext import linalg, repkit
+from reflext.catalog import _cartan_rep, entry, list_entries
+from reflext.exterior import compound, reflection_compound_trace, wedge
 from reflext.linalg import Matrix, Subspace, kernel
 from reflext.reflections import is_reflection, recognize_reflection
 from reflext.repkit import Representation, exterior_rep, hom_dim, hom_space, simplicity
 from reflext.scalars import QuadExt
 from reflext.theoremlab import check_hypotheses, verify_theorem
 
-from conftest import random_invertible
+from conftest import minus_intersection_bruteforce, random_invertible
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "reflext"
 
@@ -113,6 +109,27 @@ def test_no_assert_statements_in_package():
         offenders += [
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
+    assert offenders == []
+
+
+def _public_functions(body, prefix=""):
+    for node in body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield prefix + node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield from _public_functions(node.body, f"{node.name}.")
+
+
+def test_one_certification_entry_point_without_private_knobs():
+    # the k = n case is verify_theorem's, so there is no second entry point
+    assert not hasattr(reflext, "steinberg_mode")
+    assert "steinberg_mode" not in reflext.__all__
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, node in _public_functions(tree.body):
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            offenders += [f"{path.name}:{name}({p.arg})" for p in params if p.arg.startswith("_")]
     assert offenders == []
 
 
@@ -237,11 +254,7 @@ def test_claim4_lines_match_bruteforce_eigenspaces():
         subset = report.claim3_subset
         for dr in report.per_degree:
             d = dr.degree
-            assert (dr.claim4_checked, dr.claim4_exhaustive, dr.claim4_ok) == (
-                comb(len(subset), d),
-                True,
-                True,
-            ), (name, d)
+            assert (dr.claim4_checked, dr.claim4_ok) == (comb(len(subset), d), True), (name, d)
             if d == 0:  # the empty intersection: wedge^0 V is a line already
                 continue
             for t_set in itertools.combinations(subset, d):

@@ -13,13 +13,12 @@ from reflext.exterior import (
     extend_to_basis,
     minus_basis_from_any_extension,
     minus_intersection,
-    minus_intersection_bruteforce,
     wedge,
 )
 from reflext.linalg import Matrix, Subspace, intersect, intersect_all, kernel, rank
 from reflext.reflections import recognize_reflection
 
-from conftest import random_matrix, random_subspace
+from conftest import minus_intersection_bruteforce, random_matrix, random_subspace
 
 S1 = Matrix.from_rows([[-1, 1], [0, 1]])
 S2 = Matrix.from_rows([[1, 0], [1, -1]])

@@ -20,7 +20,7 @@ from reflext import scalars
 from reflext.reflections import recognize_reflection
 from reflext.repkit import Representation, simplicity
 from reflext.scalars import QuadExt
-from reflext.theoremlab import steinberg_mode, verify_theorem
+from reflext.theoremlab import verify_theorem
 
 PHI = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
 
@@ -79,9 +79,10 @@ def test_h2_5_eigen_splits():
 
 
 def test_h2_5_classical_mode():
-    report = steinberg_mode(entry("H2-5").representation)
+    # reflections along a basis of Q(sqrt(5))^2: the basis subset is every generator
+    report = verify_theorem(entry("H2-5").representation)
     assert report.verified
-    assert report.classical_mode
+    assert report.claim3_subset == (1, 2)
 
 
 def test_quadratic_affine_dihedral_reducible_with_witness():

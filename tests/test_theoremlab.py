@@ -3,17 +3,12 @@ import itertools
 import pytest
 
 from reflext.catalog import entry, infinite_dihedral
-from reflext.errors import AlphasNotABasis, NotSpanning
+from reflext.errors import NotSpanning
 from reflext.graphs import Graph, induced, is_connected
 from reflext.linalg import Matrix, Subspace, rank
 from reflext.reflections import recognize_reflection
 from reflext.repkit import Representation
-from reflext.theoremlab import (
-    check_hypotheses,
-    connected_basis_subset,
-    steinberg_mode,
-    verify_theorem,
-)
+from reflext.theoremlab import check_hypotheses, connected_basis_subset, verify_theorem
 
 A2 = entry("A2").representation
 
@@ -112,7 +107,7 @@ def test_verify_theorem_a3():
     for a in range(4):
         for b in range(4):
             assert hom[a][b] == (1 if a == b else 0)
-    assert all(d.claim4_ok and d.claim4_exhaustive for d in report.per_degree)
+    assert all(d.claim4_ok for d in report.per_degree)
 
 
 def test_verify_theorem_dihedral_2_3():
@@ -177,32 +172,21 @@ def test_verify_restricted_degrees():
 
 
 def test_steinberg_mode_a2():
-    report = steinberg_mode(A2)
+    # k = n, the case of Steinberg's theorem: the basis subset is every generator
+    report = verify_theorem(A2)
     assert report.verified
-    assert report.classical_mode
     assert report.claim3_subset == (1, 2)
 
 
 def test_steinberg_mode_b2():
-    report = steinberg_mode(entry("B2").representation)
+    report = verify_theorem(entry("B2").representation)
     assert report.verified
+    assert report.claim3_subset == (1, 2)
     # derived: s1 s2 has trace 0 and det 1, hence order 4
     s1, s2 = entry("B2").representation.generators
     prod = s1 @ s2
     assert prod.trace() == 0 and prod.det() == 1
     assert prod @ prod @ prod @ prod == Matrix.identity(2)
-
-
-def test_steinberg_mode_rejects_k_not_n():
-    with pytest.raises(AlphasNotABasis):
-        steinberg_mode(entry("A2-redundant").representation)
-
-
-def test_steinberg_mode_rejects_dependent_alphas():
-    s1 = Matrix.from_rows([[-1, 1], [0, 1]])
-    rep = Representation([s1, s1])
-    with pytest.raises(AlphasNotABasis):
-        steinberg_mode(rep)
 
 
 def test_verdicts_invariant_under_generator_permutation():
@@ -242,4 +226,4 @@ def test_rank_four_chain_verifies():
     assert report.verified
     assert [d.commutant_dim for d in report.per_degree] == [1] * 5
     assert [d.space_dim for d in report.per_degree] == [1, 4, 6, 4, 1]
-    assert all(d.claim4_exhaustive and d.claim4_ok for d in report.per_degree)
+    assert all(d.claim4_ok for d in report.per_degree)
