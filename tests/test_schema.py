@@ -6,6 +6,8 @@ only on integral floats such as 2.0 in `integer` fields: jsonschema accepts
 them, the package rejects them, since the wire formats carry no floats.
 """
 
+import hashlib
+import json
 import random
 
 import jsonschema
@@ -16,6 +18,13 @@ from reflext.errors import InternalError, SchemaViolation
 from reflext.reports import ANALYZE_SCHEMA, THEOREM_SCHEMA, analyze_document, theorem_document
 from reflext.schema import validate
 from reflext.theoremlab import check_hypotheses, verify_theorem
+
+# sha256 of json.dumps(schema): any change to a schema, its key order included,
+# changes the digest.
+SCHEMA_DIGESTS = {
+    "theorem": "91f22679d5012e35b17f2e6d34df893a99c40d31531c5a9e8eb6393fcbf295cf",
+    "analyze": "d07d8afa9b303aabc2fe701e6b904f797dfd7f899c910f5f4347b8a9f0a28e33",
+}
 
 POOL = [None, True, False, 0, -1, 2, 2.0, 0.5, "", "x", "3", "1/2", "2+1*sqrt(5)", "1.5",
         "Q", "Simple", [], {}, [1, 2], {"quadratic": 5}]
@@ -132,3 +141,8 @@ def test_boolean_and_float_are_not_integers():
             validate(value, {"type": "integer"})
     assert jsonschema.Draft7Validator({"type": "integer"}).is_valid(2.0)
     validate(2, {"type": "integer", "minimum": 2})
+
+
+@pytest.mark.parametrize("name,schema", [("theorem", THEOREM_SCHEMA), ("analyze", ANALYZE_SCHEMA)])
+def test_schemas_match_their_pinned_digests(name, schema):
+    assert hashlib.sha256(json.dumps(schema).encode()).hexdigest() == SCHEMA_DIGESTS[name]
