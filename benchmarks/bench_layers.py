@@ -6,9 +6,10 @@ matrix and of a dense 16x16 matrix over Q(sqrt(5)), and the determinant of a
 dense 32x32 integer matrix; of input construction: building A60 (one
 determinant per generator) and loading the dense dim-32 representation file
 of benchmarks/dense_repfile.py; of the whole certifier, verify_theorem on the
-H3 conjugate and on A16, A40 and A60; of report validation: one theorem
-document (A3, and B2 with --trace) and one analyze document (cond4-fail)
-against its schema; and of the command line, one cold
+H3 conjugate and on A16, A40 and A60, and with trace=True on A12, whose 4095
+move sequences make it the one caller of shortest_path at scale; of report
+validation: one theorem document (A3, and B2 with --trace) and one analyze
+document (cond4-fail) against its schema; and of the command line, one cold
 `python -B -m reflext.cli verify A2 --json` process on a copy of the package
 without bytecode, so every round compiles `reflext` from source.
 
@@ -73,7 +74,7 @@ H4 = _cartan_rep(chain(4, -PHI))
 H3_CONJUGATE = _cartan_rep(chain(3, -PHI)).conjugate(
     Matrix.from_rows([[1, 2, 0], [0, 1, -1], [1, 1, 0]])
 )
-A16, A40, A60 = (_cartan_rep(chain(k)) for k in (16, 40, 60))
+A12, A16, A40, A60 = (_cartan_rep(chain(k)) for k in (12, 16, 40, 60))
 
 _rng = random.Random(9)
 H4_CARTAN = Matrix.from_rows(chain(4, -PHI))
@@ -134,6 +135,12 @@ def test_check_hypotheses_reducible(benchmark, k):
 )
 def test_verify_theorem(benchmark, rep):
     assert benchmark(verify_theorem, rep).verified
+
+
+@pytest.mark.parametrize("rep", [A12], ids=["A12"])
+def test_verify_theorem_trace(benchmark, rep):
+    report = benchmark(verify_theorem, rep, trace=True)
+    assert report.verified and len(report.per_degree[6].claim5_trace.sequences) == 923
 
 
 @pytest.mark.parametrize("m", [5, 1000000007], ids=["sqrt5", "sqrt-10-digit-prime"])

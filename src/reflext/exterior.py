@@ -113,14 +113,9 @@ def eigen_split(refl: ReflectionData, d: int) -> EigenSplit:
     """
     n = refl.dim
     _check_degree(n, d)
-    h_rows = refl.hyperplane.basis_vectors()
-    plus_vecs = [wedge([h_rows[i] for i in c]) for c in itertools.combinations(range(n - 1), d)]
-    minus_vecs = [
-        wedge([refl.alpha] + [h_rows[i] for i in c])
-        for c in itertools.combinations(range(n - 1), d - 1)
-    ] if d >= 1 else []
     ambient = comb(n, d)
-    plus = Subspace.span(plus_vecs, ambient)
+    plus = exterior_subspace(refl.hyperplane, d)
+    minus_vecs = minus_basis_from_any_extension(refl, refl.hyperplane.basis_vectors(), d)
     minus = Subspace.span(minus_vecs, ambient)
 
     # oracle: the formulas must agree with the kernels of the compound matrix

@@ -8,9 +8,8 @@ whose removal keeps the graph connected (eccentricity argument).
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     HypothesisViolated,
@@ -66,16 +65,17 @@ class Graph:
         return set(self._adjacency[v])
 
     def adjacency(self) -> dict[int, frozenset[int]]:
-        """Neighbor sets of every vertex, built once per graph and shared."""
-        return self._adjacency
+        """Neighbor sets of every vertex."""
+        return {v: frozenset(ns) for v, ns in self._adjacency.items()}
 
     @cached_property
-    def _adjacency(self) -> dict[int, frozenset[int]]:
+    def _adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Neighbors of every vertex in increasing order, built once per graph."""
         adj: dict[int, set[int]] = {v: set() for v in self.vertices}
         for a, b in self.edges:
             adj[a].add(b)
             adj[b].add(a)
-        return {v: frozenset(ns) for v, ns in adj.items()}
+        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
 
 class MoveStep(NamedTuple):
@@ -97,55 +97,47 @@ def induced(graph: Graph, subset: Iterable[int]) -> Graph:
     return Graph(sub, [e for e in graph.edges if e[0] in sub and e[1] in sub])
 
 
+def breadth_first(
+    adjacency: Mapping[int, Sequence[int]], source: int, target: int | None = None
+) -> dict[int, int]:
+    """Predecessors of the vertices reached from source, in the order reached.
+
+    The one search of the package.  `adjacency` lists the (out-)neighbors of
+    every vertex in increasing order, as Graph and theoremlab's moves digraph
+    keep them, so neighbors are visited in increasing order; directed
+    relations are searched as well.  source is its own predecessor, and the
+    search stops as soon as target is reached.
+    """
+    prev = {source: source}
+    if source == target:
+        return prev
+    queue = [source]
+    for v in queue:  # the loop reaches what it appends
+        for w in adjacency[v]:
+            if w not in prev:
+                prev[w] = v
+                if w == target:
+                    return prev
+                queue.append(w)
+    return prev
+
+
 def is_connected(graph: Graph) -> bool:
     """BFS verdict; empty and one-vertex graphs count as connected."""
     if graph.vertex_count <= 1:
         return True
-    adj = graph.adjacency()
-    start = graph.vertices[0]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == graph.vertex_count
+    return len(breadth_first(graph._adjacency, graph.vertices[0])) == graph.vertex_count
 
 
 def shortest_path(graph: Graph, source: int, target: int) -> list[int] | None:
     """BFS shortest path (list of vertices, source first), or None if disconnected."""
-    if source == target:
-        return [source]
-    adj = graph.adjacency()
-    prev: dict[int, int] = {source: source}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in sorted(adj[v]):
-            if w not in prev:
-                prev[w] = v
-                if w == target:
-                    path = [w]
-                    while path[-1] != source:
-                        path.append(prev[path[-1]])
-                    return path[::-1]
-                queue.append(w)
-    return None
-
-
-def distances_from(graph: Graph, source: int) -> dict[int, int]:
-    adj = graph.adjacency()
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
+    prev = breadth_first(graph._adjacency, source, target)
+    if target not in prev:
+        return None
+    path = [target]
+    while path[-1] != source:
+        path.append(prev[path[-1]])
+    return path[::-1]
 
 
 def apply_moves(subset: Iterable[int], steps: Sequence[MoveStep], graph: Graph) -> set[int]:
@@ -230,7 +222,10 @@ def deletable_vertex(graph: Graph, subset: Iterable[int]) -> int:
 
     best: tuple[int, int, int] | None = None  # (-distance, s, s')
     for s in sub:
-        dist = distances_from(graph, s)
+        # BFS reaches a vertex after its predecessor, one step farther out
+        dist: dict[int, int] = {}
+        for w, v in breadth_first(graph._adjacency, s).items():
+            dist[w] = dist[v] + 1 if w != v else 0
         for s2 in sub:
             key = (-dist[s2], s, s2)
             if best is None or key < best:

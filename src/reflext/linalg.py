@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AmbientMismatch, EmptyGeneratorList, LengthMismatch, SingularMatrix
 from .fractionfree import echelon, field_of, to_scalar
-from .scalars import Scalar, as_scalar, field_tag, inv, merge_tags
+from .scalars import Scalar, as_scalar, inv
 
 Vector = tuple[Scalar, ...]
 
@@ -85,10 +85,7 @@ class Matrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def field(self) -> int | None:
-        tag = None
-        for e in self.entries:
-            tag = merge_tags(tag, field_tag(e))
-        return tag
+        return field_of(self.entries)
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -242,8 +239,7 @@ def rref(matrix: Matrix) -> tuple[Matrix, int]:
 
 def rank(matrix: Matrix) -> int:
     """Rank by the fraction-free kernel."""
-    m = field_of(matrix.entries)
-    return echelon([matrix.row(i) for i in range(matrix.rows)], matrix.cols, m)[0]
+    return row_rank([matrix.row(i) for i in range(matrix.rows)], matrix.cols)
 
 
 def row_rank(rows: Sequence[Sequence[Scalar]], cols: int) -> int:

@@ -14,13 +14,13 @@ from math import comb
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
-    BadDegree,
     EmptyGeneratorList,
     InternalError,
     LengthMismatch,
     SingularMatrix,
 )
-from .exterior import compound
+from .exterior import _check_degree, compound
+from .fractionfree import field_of
 from .linalg import (
     Matrix,
     Subspace,
@@ -33,7 +33,7 @@ from .linalg import (
     wedge_index_sets,
 )
 from .polys import roots_in_field
-from .scalars import Scalar, merge_tags
+from .scalars import Scalar
 
 
 class Representation:
@@ -78,10 +78,7 @@ class Representation:
         return "Representation(dim={!r}, generators={!r}, labels={!r})".format(*self._key())
 
     def field(self) -> int | None:
-        tag = None
-        for g in self.generators:
-            tag = merge_tags(tag, g.field())
-        return tag
+        return field_of(e for g in self.generators for e in g.entries)
 
     def conjugate(self, p: Matrix) -> "Representation":
         p_inv = p.inverse()
@@ -95,8 +92,7 @@ class Representation:
 
 def exterior_rep(rep: Representation, d: int) -> Representation:
     """Generators replaced by their d-th compounds; dimension C(n, d)."""
-    if d < 0 or d > rep.dim:
-        raise BadDegree(f"degree {d} outside 0..{rep.dim}")
+    _check_degree(rep.dim, d)
     return Representation([compound(g, d) for g in rep.generators], rep.labels)
 
 
@@ -115,14 +111,10 @@ def det_twist(rep: Representation, det_source: Representation) -> Representation
     )
 
 
-def hom_space(left: Representation, right: Representation) -> Subspace:
+def hom_dim(left: Representation, right: Representation) -> int:
     if len(left.generators) != len(right.generators):
         raise LengthMismatch("hom space needs matching generator lists")
-    return solve_intertwiner(list(left.generators), list(right.generators))
-
-
-def hom_dim(left: Representation, right: Representation) -> int:
-    return hom_space(left, right).dim
+    return solve_intertwiner(list(left.generators), list(right.generators)).dim
 
 
 def _complement_sign(k_set: tuple[int, ...], j_set: tuple[int, ...]) -> Scalar:
@@ -140,8 +132,7 @@ def duality_intertwiner(rep: Representation, d: int) -> Matrix:
     every generator g.
     """
     n = rep.dim
-    if d < 0 or d > n:
-        raise BadDegree(f"degree {d} outside 0..{n}")
+    _check_degree(n, d)
     rows = wedge_index_sets(n, d)
     cols = wedge_index_sets(n, n - d)
     entries: list[Scalar] = []
@@ -176,7 +167,6 @@ class SimplicityVerdict(NamedTuple):
     status: str  # Simple | Reducible | Inconclusive
     commutant_dim: int
     witness: Optional[Subspace] = None
-    semisimplicity_premise: str = "None"  # Assumed | FromSimpleBase | None
     method: str = ""
 
     @property
@@ -250,46 +240,21 @@ def _word_matrices(rep: Representation, max_length: int) -> list[Matrix]:
     return out
 
 
-def simplicity(
-    rep: Representation,
-    semisimple_premise: str | None = None,
-    word_length: int = 4,
-) -> SimplicityVerdict:
+def simplicity(rep: Representation) -> SimplicityVerdict:
     """Certify simplicity or produce a reducibility witness.
 
-    With a semisimplicity premise ('Assumed' or 'FromSimpleBase'),
-    commutant dimension 1 is a complete certificate of simplicity; a larger
-    commutant triggers a witness search through kernels of non-scalar commutant
-    elements (Inconclusive if none has an eigenvalue in the field).
-
-    Without the premise, runs a spin-up search: standard basis seeds, kernels
-    of (word - mu*I) for words up to word_length with mu extracted from the
-    characteristic polynomial, and their transposed (dual) counterparts.  A
-    nullity-one kernel whose primal and dual spin-ups both fill the space is a
-    rigorous irreducibility certificate.  A search that ends without a
-    certificate or a witness is Inconclusive, whatever the commutant
-    dimension: commutant dimension 1 alone does not rule out a submodule.
+    Runs a spin-up search: kernels of non-scalar commutant elements, standard
+    basis seeds, kernels of (word - mu*I) for words up to length 4 with mu
+    extracted from the characteristic polynomial, and their transposed (dual)
+    counterparts.  A nullity-one kernel whose primal and dual spin-ups both
+    fill the space is a rigorous irreducibility certificate.  A search that
+    ends without a certificate or a witness is Inconclusive, whatever the
+    commutant dimension: commutant dimension 1 alone does not rule out a
+    submodule.
     """
     n = rep.dim
-    commutant = hom_space(rep, rep)
+    commutant = solve_intertwiner(list(rep.generators), list(rep.generators))
     cdim = commutant.dim
-
-    if semisimple_premise is not None:
-        if cdim == 1:
-            return SimplicityVerdict(
-                "Simple", cdim, semisimplicity_premise=semisimple_premise,
-                method="commutant",
-            )
-        witness = _witness_from_commutant(rep, commutant)
-        if witness is not None:
-            return SimplicityVerdict(
-                "Reducible", cdim, witness=witness,
-                semisimplicity_premise=semisimple_premise, method="commutant-kernel",
-            )
-        return SimplicityVerdict(
-            "Inconclusive", cdim, semisimplicity_premise=semisimple_premise,
-            method="commutant-kernel",
-        )
 
     def reducible(witness: Subspace, method: str) -> SimplicityVerdict:
         if not (0 < witness.dim < n and is_invariant(rep, witness)):
@@ -299,7 +264,7 @@ def simplicity(
     if n == 1:
         return SimplicityVerdict("Simple", cdim, method="dimension-one")
 
-    # commutant kernels are submodules regardless of any premise
+    # kernels of commutant elements are submodules
     if cdim > 1:
         witness = _witness_from_commutant(rep, commutant)
         if witness is not None:
@@ -314,7 +279,7 @@ def simplicity(
             return reducible(grown, "spin-basis")
 
     field_m = rep.field()
-    for word in _word_matrices(rep, word_length):
+    for word in _word_matrices(rep, 4):
         for mu in roots_in_field(charpoly(word), field_m):
             shifted = word - Matrix.identity(n).scale(mu)
             ker = kernel(shifted)

@@ -20,293 +20,190 @@ from .graphs import Graph
 
 SCALAR_PATTERN = r"^-?\d+(/\d+)?([+-]\d+(/\d+)?\*sqrt\(\d+\))?$"
 
+
+def _object(properties: dict, optional=()) -> dict:
+    """A closed object schema: every property but the optional ones is required."""
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": [key for key in properties if key not in optional],
+        "additionalProperties": False,
+    }
+
+
 _SCALAR = {"type": "string", "pattern": SCALAR_PATTERN}
 _VECTOR = {"type": "array", "items": _SCALAR}
 _MATRIX = {"type": "array", "items": _VECTOR}
-_SUBSPACE = {
-    "type": "object",
-    "properties": {"ambient_dim": {"type": "integer"}, "basis": _MATRIX},
-    "required": ["ambient_dim", "basis"],
-    "additionalProperties": False,
-}
+_INTEGERS = {"type": "array", "items": {"type": "integer"}}
+_SUBSPACE = _object({"ambient_dim": {"type": "integer"}, "basis": _MATRIX})
 _FIELD = {
     "oneOf": [
         {"const": "Q"},
-        {
-            "type": "object",
-            "properties": {"quadratic": {"type": "integer", "minimum": 2}},
-            "required": ["quadratic"],
-            "additionalProperties": False,
-        },
+        _object({"quadratic": {"type": "integer", "minimum": 2}}),
     ]
 }
 _PAIR = {"type": "array", "items": {"type": "integer"}, "minItems": 2, "maxItems": 2}
-_REFLECTION = {
-    "type": "object",
-    "properties": {
+_REFLECTION = _object(
+    {
         "label": {"type": "string"},
         "alpha": _VECTOR,
         "eigenvalue": _SCALAR,
         "hyperplane": _SUBSPACE,
         "functional": _VECTOR,
-    },
-    "required": ["label", "alpha", "eigenvalue", "hyperplane", "functional"],
-    "additionalProperties": False,
-}
-_SIMPLICITY = {
-    "type": "object",
-    "properties": {
+    }
+)
+_FAILURE = _object({"generator": {"type": "integer"}, "reason": {"type": "string"}})
+_SIMPLICITY = _object(
+    {
         "status": {"enum": ["Simple", "Reducible", "Inconclusive"]},
         "commutant_dim": {"type": "integer"},
         "witness": {"oneOf": [_SUBSPACE, {"type": "null"}]},
         "semisimplicity_premise": {"enum": ["Assumed", "FromSimpleBase", "None"]},
         "method": {"type": "string"},
     },
-    "required": ["status", "commutant_dim", "witness", "semisimplicity_premise"],
-    "additionalProperties": False,
-}
-_GRAPH = {
-    "type": "object",
-    "properties": {
-        "vertices": {"type": "array", "items": {"type": "integer"}},
-        "edges": {"type": "array", "items": _PAIR},
+    optional=("method",),
+)
+_GRAPH = _object({"vertices": _INTEGERS, "edges": {"type": "array", "items": _PAIR}})
+_STEP = _object(
+    {
+        "removed": {"type": "integer"},
+        "added": {"type": "integer"},
+        "edge": _PAIR,
+        "before": _INTEGERS,
+        "after": _INTEGERS,
+        "note": {"type": "string"},
     },
-    "required": ["vertices", "edges"],
-    "additionalProperties": False,
-}
-_TRACE = {
-    "type": "object",
-    "properties": {
+    optional=("note",),
+)
+_TRACE = _object(
+    {
         "d": {"type": "integer"},
-        "base": {"type": "array", "items": {"type": "integer"}},
+        "base": _INTEGERS,
         "sequences": {
             "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "target": {"type": "array", "items": {"type": "integer"}},
-                    "steps": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "properties": {
-                                "removed": {"type": "integer"},
-                                "added": {"type": "integer"},
-                                "edge": _PAIR,
-                                "before": {"type": "array", "items": {"type": "integer"}},
-                                "after": {"type": "array", "items": {"type": "integer"}},
-                                "note": {"type": "string"},
-                            },
-                            "required": ["removed", "added", "edge", "before", "after"],
-                            "additionalProperties": False,
-                        },
-                    },
-                },
-                "required": ["target", "steps"],
-                "additionalProperties": False,
-            },
+            "items": _object({"target": _INTEGERS, "steps": {"type": "array", "items": _STEP}}),
         },
-    },
-    "required": ["d", "base", "sequences"],
-    "additionalProperties": False,
-}
+    }
+)
 
 THEOREM_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "properties": {
-        "schema": {"const": "reflext.theorem-report/1"},
-        "source": {"type": "string"},
-        "field": _FIELD,
-        "dim": {"type": "integer"},
-        "generator_count": {"type": "integer"},
-        "labels": {"type": "array", "items": {"type": "string"}},
-        "classical_mode": {"type": "boolean"},
-        "hypothesis": {
-            "type": "object",
-            "properties": {
-                "condition1": {
-                    "type": "object",
-                    "properties": {
-                        "ok": {"type": "boolean"},
-                        "failures": {
-                            "type": "array",
-                            "items": {
-                                "type": "object",
-                                "properties": {
-                                    "generator": {"type": "integer"},
-                                    "reason": {"type": "string"},
-                                },
-                                "required": ["generator", "reason"],
-                                "additionalProperties": False,
-                            },
-                        },
-                    },
-                    "required": ["ok", "failures"],
-                    "additionalProperties": False,
-                },
-                "reflections": {
-                    "type": "array",
-                    "items": {"oneOf": [_REFLECTION, {"type": "null"}]},
-                },
-                "generation_assumed": {"type": "boolean"},
-                "condition3": {"oneOf": [_SIMPLICITY, {"type": "null"}]},
-                "condition4": {
-                    "type": "object",
-                    "properties": {
-                        "evaluated": {"type": "boolean"},
-                        "holds": {"type": "boolean"},
-                        "violations": {"type": "array", "items": _PAIR},
-                    },
-                    "required": ["evaluated", "holds", "violations"],
-                    "additionalProperties": False,
-                },
-                "graph": {"oneOf": [_GRAPH, {"type": "null"}]},
-                "remarks": {"type": "array", "items": {"type": "string"}},
-            },
-            "required": [
-                "condition1",
-                "reflections",
-                "generation_assumed",
-                "condition3",
-                "condition4",
-                "graph",
-                "remarks",
-            ],
-            "additionalProperties": False,
-        },
-        "claims": {
-            "type": "object",
-            "properties": {
-                "claim1_connected": {"type": ["boolean", "null"]},
-                "claim2_spanning": {"type": ["boolean", "null"]},
-                "n_le_k": {"type": ["boolean", "null"]},
-                "claim3_subset": {
-                    "oneOf": [
-                        {"type": "array", "items": {"type": "integer"}},
-                        {"type": "null"},
-                    ]
-                },
-            },
-            "required": ["claim1_connected", "claim2_spanning", "n_le_k", "claim3_subset"],
-            "additionalProperties": False,
-        },
-        "per_degree": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "d": {"type": "integer"},
-                    "dim": {"type": "integer"},
-                    "commutant_dim": {"type": "integer"},
-                    "verdict": {"enum": ["Simple", "Reducible", "Inconclusive"]},
-                    "claim4": {
-                        "type": "object",
-                        "properties": {
-                            "checked": {"type": "integer"},
-                            "exhaustive": {"type": "boolean"},
+    **_object(
+        {
+            "schema": {"const": "reflext.theorem-report/1"},
+            "source": {"type": "string"},
+            "field": _FIELD,
+            "dim": {"type": "integer"},
+            "generator_count": {"type": "integer"},
+            "labels": {"type": "array", "items": {"type": "string"}},
+            "classical_mode": {"type": "boolean"},
+            "hypothesis": _object(
+                {
+                    "condition1": _object(
+                        {
                             "ok": {"type": "boolean"},
-                        },
-                        "required": ["checked", "exhaustive", "ok"],
-                        "additionalProperties": False,
+                            "failures": {"type": "array", "items": _FAILURE},
+                        }
+                    ),
+                    "reflections": {
+                        "type": "array",
+                        "items": {"oneOf": [_REFLECTION, {"type": "null"}]},
                     },
-                    "witness": {"oneOf": [_SUBSPACE, {"type": "null"}]},
-                    "claim5_trace": {"oneOf": [_TRACE, {"type": "null"}]},
-                },
-                "required": ["d", "dim", "commutant_dim", "verdict", "claim4"],
-                "additionalProperties": False,
+                    "generation_assumed": {"type": "boolean"},
+                    "condition3": {"oneOf": [_SIMPLICITY, {"type": "null"}]},
+                    "condition4": _object(
+                        {
+                            "evaluated": {"type": "boolean"},
+                            "holds": {"type": "boolean"},
+                            "violations": {"type": "array", "items": _PAIR},
+                        }
+                    ),
+                    "graph": {"oneOf": [_GRAPH, {"type": "null"}]},
+                    "remarks": {"type": "array", "items": {"type": "string"}},
+                }
+            ),
+            "claims": _object(
+                {
+                    "claim1_connected": {"type": ["boolean", "null"]},
+                    "claim2_spanning": {"type": ["boolean", "null"]},
+                    "n_le_k": {"type": ["boolean", "null"]},
+                    "claim3_subset": {"oneOf": [_INTEGERS, {"type": "null"}]},
+                }
+            ),
+            "per_degree": {
+                "type": "array",
+                "items": _object(
+                    {
+                        "d": {"type": "integer"},
+                        "dim": {"type": "integer"},
+                        "commutant_dim": {"type": "integer"},
+                        "verdict": {"enum": ["Simple", "Reducible", "Inconclusive"]},
+                        "claim4": _object(
+                            {
+                                "checked": {"type": "integer"},
+                                "exhaustive": {"type": "boolean"},
+                                "ok": {"type": "boolean"},
+                            }
+                        ),
+                        "witness": {"oneOf": [_SUBSPACE, {"type": "null"}]},
+                        "claim5_trace": {"oneOf": [_TRACE, {"type": "null"}]},
+                    },
+                    optional=("witness", "claim5_trace"),
+                ),
             },
-        },
-        "pairwise_hom": {
-            "oneOf": [
-                {"type": "array", "items": {"type": "array", "items": {"type": "integer"}}},
-                {"type": "null"},
-            ]
-        },
-        "dim_filter_ok": {"type": ["boolean", "null"]},
-        "conclusion": {
-            "type": "object",
-            "properties": {
-                "status": {"enum": ["TheoremVerified", "HypothesisFailed", "CertificationFailed"]},
-                "reason": {"type": ["string", "null"]},
-                "witness_subspace": {"oneOf": [_SUBSPACE, {"type": "null"}]},
-                "witness_pairs": {"type": "array", "items": _PAIR},
+            "pairwise_hom": {
+                "oneOf": [{"type": "array", "items": _INTEGERS}, {"type": "null"}]
             },
-            "required": ["status", "reason", "witness_subspace", "witness_pairs"],
-            "additionalProperties": False,
-        },
-    },
-    "required": [
-        "schema",
-        "source",
-        "field",
-        "dim",
-        "generator_count",
-        "labels",
-        "classical_mode",
-        "hypothesis",
-        "claims",
-        "per_degree",
-        "pairwise_hom",
-        "dim_filter_ok",
-        "conclusion",
-    ],
-    "additionalProperties": False,
+            "dim_filter_ok": {"type": ["boolean", "null"]},
+            "conclusion": _object(
+                {
+                    "status": {
+                        "enum": ["TheoremVerified", "HypothesisFailed", "CertificationFailed"]
+                    },
+                    "reason": {"type": ["string", "null"]},
+                    "witness_subspace": {"oneOf": [_SUBSPACE, {"type": "null"}]},
+                    "witness_pairs": {"type": "array", "items": _PAIR},
+                }
+            ),
+        }
+    ),
 }
 
 ANALYZE_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "properties": {
-        "schema": {"const": "reflext.analyze-report/1"},
-        "source": {"type": "string"},
-        "field": _FIELD,
-        "dim": {"type": "integer"},
-        "generator_count": {"type": "integer"},
-        "generators": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "label": {"type": "string"},
-                    "reflection": {"oneOf": [_REFLECTION, {"type": "null"}]},
-                    "error": {"type": ["string", "null"]},
-                },
-                "required": ["label", "reflection", "error"],
-                "additionalProperties": False,
+    **_object(
+        {
+            "schema": {"const": "reflext.analyze-report/1"},
+            "source": {"type": "string"},
+            "field": _FIELD,
+            "dim": {"type": "integer"},
+            "generator_count": {"type": "integer"},
+            "generators": {
+                "type": "array",
+                "items": _object(
+                    {
+                        "label": {"type": "string"},
+                        "reflection": {"oneOf": [_REFLECTION, {"type": "null"}]},
+                        "error": {"type": ["string", "null"]},
+                    }
+                ),
             },
-        },
-        "condition4": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "properties": {
-                        "holds": {"type": "boolean"},
-                        "violations": {"type": "array", "items": _PAIR},
-                    },
-                    "required": ["holds", "violations"],
-                    "additionalProperties": False,
-                },
-                {"type": "null"},
-            ]
-        },
-        "graph": {"oneOf": [_GRAPH, {"type": "null"}]},
-        "remarks": {"type": "array", "items": {"type": "string"}},
-        "ok": {"type": "boolean"},
-    },
-    "required": [
-        "schema",
-        "source",
-        "field",
-        "dim",
-        "generator_count",
-        "generators",
-        "condition4",
-        "graph",
-        "remarks",
-        "ok",
-    ],
-    "additionalProperties": False,
+            "condition4": {
+                "oneOf": [
+                    _object(
+                        {
+                            "holds": {"type": "boolean"},
+                            "violations": {"type": "array", "items": _PAIR},
+                        }
+                    ),
+                    {"type": "null"},
+                ]
+            },
+            "graph": {"oneOf": [_GRAPH, {"type": "null"}]},
+            "remarks": {"type": "array", "items": {"type": "string"}},
+            "ok": {"type": "boolean"},
+        }
+    ),
 }
 
 
@@ -359,7 +256,7 @@ def simplicity_doc(v: Optional[SimplicityVerdict]):
         "status": v.status,
         "commutant_dim": v.commutant_dim,
         "witness": subspace_doc(v.witness),
-        "semisimplicity_premise": v.semisimplicity_premise,
+        "semisimplicity_premise": "None",
         "method": v.method,
     }
 

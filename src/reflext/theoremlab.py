@@ -31,7 +31,6 @@ from math import comb
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
-    BadDegree,
     InternalError,
     NotConnected,
     NotDiagonalizable,
@@ -39,9 +38,9 @@ from .errors import (
     NotSpanning,
     SingularMatrix,
 )
-from .exterior import reflection_compound_trace
+from .exterior import _check_degree, reflection_compound_trace
 from .fractionfree import pairing_pattern
-from .graphs import Graph, deletable_vertex, induced, is_connected, move_sequence
+from .graphs import Graph, breadth_first, deletable_vertex, induced, is_connected, move_sequence
 from .linalg import Matrix, Subspace, Vector, dot, kernel, rank
 from .reflections import ReflectionData, recognize_reflection
 from .repkit import Representation, SimplicityVerdict, is_invariant
@@ -65,9 +64,6 @@ class HypothesisReport(NamedTuple):
     @property
     def condition4_holds(self) -> bool:
         return self.condition1_ok and not self.condition4_violations
-
-    def alphas(self) -> list[Vector]:
-        return [r.alpha for r in self.reflections if r is not None]
 
 
 class TraceStep(NamedTuple):
@@ -228,10 +224,12 @@ def _base_simplicity(
     """
     n = rep.dim
     k = len(refls)
-    reversed_moves = [list(col) for col in zip(*moves)]
+    # s_i moves alpha_j: an arrow j -> i, searched forwards and backwards
+    moved = {j: [i for i in range(k) if moves[i][j]] for j in range(k)}
+    moving = {i: [j for j in range(k) if moves[i][j]] for i in range(k)}
     if (
-        len(_reachable(moves, 0)) == k
-        and len(_reachable(reversed_moves, 0)) == k
+        len(breadth_first(moved, 0)) == k
+        and len(breadth_first(moving, 0)) == k
         and cartan_rank == n
     ):
         return SimplicityVerdict("Simple", 1, method="reflection-criterion")
@@ -242,7 +240,7 @@ def _base_simplicity(
         method = "reflection-span"
         spans: dict[frozenset[int], Subspace] = {}
         for start in range(k):
-            reached = frozenset(_reachable(moves, start))
+            reached = frozenset(breadth_first(moved, start))
             if reached not in spans:
                 spans[reached] = Subspace.span([refls[i].alpha for i in reached], n)
             if spans[reached].dim < n:
@@ -273,11 +271,11 @@ def _commutant_dim(
     imposed only when ker F != 0 and the second only when span alpha != V.
     """
     k, n = functionals.rows, functionals.cols
-    undirected = [[a or b for a, b in zip(row, col)] for row, col in zip(moves, zip(*moves))]
+    undirected = {j: [i for i in range(k) if moves[i][j] or moves[j][i]] for j in range(k)}
     components: list[set[int]] = []
     for start in range(k):
         if not any(start in c for c in components):
-            components.append(_reachable(undirected, start))
+            components.append(set(breadth_first(undirected, start)))
     alphas = [r.alpha for r in refls]
     dependencies = kernel(Matrix.from_rows([list(a) for a in alphas]).transpose())
     rank_a = k - dependencies.dim
@@ -304,19 +302,6 @@ def _grouped_relations(
         for r in relations.basis_vectors()
         for t in range(len(vectors[0]))
     ]
-
-
-def _reachable(moves: Sequence[Sequence[bool]], start: int) -> set[int]:
-    """Indices i reachable from start along j -> i whenever s_i moves alpha_j."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        j = stack.pop()
-        for i, row in enumerate(moves):
-            if row[j] and i not in seen:
-                seen.add(i)
-                stack.append(i)
-    return seen
 
 
 def connected_basis_subset(alphas: Sequence[Vector], graph: Graph) -> tuple[int, ...]:
@@ -445,10 +430,8 @@ def verify_theorem(
     """
     n = rep.dim
     k = len(rep.generators)
-    if degrees is not None:
-        for d in degrees:
-            if d < 0 or d > n:
-                raise BadDegree(f"degree {d} outside 0..{n}")
+    for d in degrees or ():
+        _check_degree(n, d)
     hyp = check_hypotheses(rep)
     if not hyp.condition4_holds:
         return _hypothesis_failure(hyp)

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+from collections import deque
 from fractions import Fraction
 from math import comb
 
@@ -38,6 +39,55 @@ def minus_intersection_bruteforce(refls, d):
         for r in refls
     ]
     return intersect_all(spaces, ambient)
+
+
+def shortest_path_oracle(graph, source, target):
+    """Oracle for graphs.shortest_path: its own BFS, neighbours in increasing order."""
+    if source == target:
+        return [source]
+    adj = graph.adjacency()
+    prev = {source: source}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in sorted(adj[v]):
+            if w not in prev:
+                prev[w] = v
+                if w == target:
+                    path = [w]
+                    while path[-1] != source:
+                        path.append(prev[path[-1]])
+                    return path[::-1]
+                queue.append(w)
+    return None
+
+
+def distances_from_oracle(graph, source):
+    """Oracle for the graph distances behind graphs.deletable_vertex."""
+    adj = graph.adjacency()
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def reachable_oracle(moves, start):
+    """Oracle for reachability in the moves digraph: the indices i reachable
+    from start along j -> i whenever moves[i][j]."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        j = stack.pop()
+        for i, row in enumerate(moves):
+            if row[j] and i not in seen:
+                seen.add(i)
+                stack.append(i)
+    return seen
 
 
 @pytest.fixture

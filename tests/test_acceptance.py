@@ -334,7 +334,7 @@ def test_criterion_8_negative_soundness():
     else:
         subset = redundant.claim3_subset
         hyp = redundant.hypothesis
-        alphas = hyp.alphas()
+        alphas = [r.alpha for r in hyp.reflections if r is not None]
         chosen = Matrix.from_rows([list(alphas[i - 1]) for i in subset])
         if len(subset) != 2 or rank(chosen) != 2:
             problems.append("redundant entry: claim-3 subset is not a basis")

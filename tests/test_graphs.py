@@ -9,16 +9,20 @@ from reflext.errors import (
     SizeMismatch,
     SubsetTooSmall,
 )
+from reflext import graphs
 from reflext.graphs import (
     Graph,
     MoveStep,
     apply_moves,
+    breadth_first,
     deletable_vertex,
     induced,
     is_connected,
     move_sequence,
     shortest_path,
 )
+
+from conftest import distances_from_oracle, reachable_oracle, shortest_path_oracle
 
 PATH3 = Graph.on_range(3, [(1, 2), (2, 3)])
 K4 = Graph.on_range(4, list(itertools.combinations(range(1, 5), 2)))
@@ -225,3 +229,69 @@ def test_move_sequence_exhaustive_small_graphs():
                     for goal in itertools.combinations(g.vertices, d):
                         steps = move_sequence(g, set(start), set(goal))
                         assert apply_moves(set(start), steps, g) == set(goal)
+
+
+def _seeded_connected_graphs(count, max_vertices=12):
+    """A random spanning tree plus random extra edges, on shuffled labels."""
+    rng = random.Random(1313)
+    for _ in range(count):
+        k = rng.randint(1, max_vertices)
+        labels = rng.sample(range(1, 3 * max_vertices), k)
+        edges = [(labels[i], labels[rng.randrange(i)]) for i in range(1, k)]
+        density = rng.choice([0.0, 0.1, 0.3, 0.6])
+        edges += [e for e in itertools.combinations(labels, 2) if rng.random() < density]
+        yield rng, Graph(labels, edges)
+
+
+def test_one_search_matches_the_oracles_on_seeded_graphs(monkeypatch):
+    graph_count = 0
+    for rng, g in _seeded_connected_graphs(240):
+        graph_count += 1
+        assert is_connected(g)
+        for u, w in itertools.product(g.vertices, repeat=2):
+            assert shortest_path(g, u, w) == shortest_path_oracle(g, u, w)
+        dist = {s: distances_from_oracle(g, s) for s in g.vertices}
+        for _ in range(6 if g.vertex_count >= 2 else 0):
+            subset = set(rng.sample(g.vertices, rng.randint(2, g.vertex_count)))
+            if any(len(g.neighbors(t) & subset) == 1 for t in g.vertices if t not in subset):
+                continue
+            # the eccentricity rule: a subset pair at maximal distance, smallest labels first
+            expected = min((-dist[a][b], a, b) for a in subset for b in subset)[1]
+            assert deletable_vertex(g, subset) == expected
+        pairs = []
+        for _ in range(4):
+            d = rng.randint(0, g.vertex_count)
+            pairs.append((rng.sample(g.vertices, d), rng.sample(g.vertices, d)))
+        got = [move_sequence(g, start, goal) for start, goal in pairs]
+        with monkeypatch.context() as m:
+            m.setattr(graphs, "shortest_path", shortest_path_oracle)
+            assert got == [move_sequence(g, start, goal) for start, goal in pairs]
+    assert graph_count >= 200
+
+
+def test_one_search_matches_reachability_on_seeded_moves():
+    # the arrows j -> i (s_i moves alpha_j) of theoremlab._base_simplicity,
+    # searched forwards, backwards and undirected
+    rng = random.Random(1414)
+    for _ in range(200):
+        k = rng.randint(1, 12)
+        density = rng.choice([0.05, 0.15, 0.3, 0.6])
+        moves = [[i != j and rng.random() < density for j in range(k)] for i in range(k)]
+        moved = {j: [i for i in range(k) if moves[i][j]] for j in range(k)}
+        moving = {i: [j for j in range(k) if moves[i][j]] for i in range(k)}
+        undirected = {j: [i for i in range(k) if moves[i][j] or moves[j][i]] for j in range(k)}
+        transposed = [list(col) for col in zip(*moves)]
+        either = [[a or b for a, b in zip(r, c)] for r, c in zip(moves, transposed)]
+        for start in range(k):
+            assert set(breadth_first(moved, start)) == reachable_oracle(moves, start)
+            assert set(breadth_first(moving, start)) == reachable_oracle(transposed, start)
+            assert set(breadth_first(undirected, start)) == reachable_oracle(either, start)
+
+
+def test_breadth_first_stops_at_its_target():
+    # a star around 1 with a tail 5 - 6: each vertex's neighbours in increasing order
+    adjacency = {1: (2, 3, 4, 5), 2: (1,), 3: (1,), 4: (1,), 5: (1, 6), 6: (5,)}
+    assert breadth_first(adjacency, 1, 3) == {1: 1, 2: 1, 3: 1}
+    assert list(breadth_first(adjacency, 1)) == [1, 2, 3, 4, 5, 6]
+    assert breadth_first(adjacency, 6, 2) == {6: 6, 5: 6, 1: 5, 2: 1}
+    assert breadth_first(adjacency, 4, 4) == {4: 4}

@@ -126,16 +126,13 @@ def test_simplicity_reducible_with_witness():
 
 def test_simplicity_with_premise_exterior_square_a3():
     ext = exterior_rep(entry("A3").representation, 2)
-    verdict = simplicity(ext, semisimple_premise="FromSimpleBase")
-    assert verdict.status == "Simple"
-    assert verdict.commutant_dim == 1
-    assert verdict.semisimplicity_premise == "FromSimpleBase"
+    assert hom_dim(ext, ext) == 1
 
 
 def test_simplicity_premise_reducible_produces_witness():
     # direct sum of the trivial and sign characters of Z/2: semisimple, commutant dim 2
     rep = Representation([Matrix.from_rows([[1, 0], [0, -1]])])
-    verdict = simplicity(rep, semisimple_premise="Assumed")
+    verdict = simplicity(rep)
     assert verdict.status == "Reducible"
     assert verdict.witness is not None
     assert verdict.commutant_dim == 2

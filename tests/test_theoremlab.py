@@ -70,7 +70,7 @@ def test_connected_basis_subset_independent_input():
 def test_connected_basis_subset_redundant_generators():
     rep = entry("A2-redundant").representation
     hyp = check_hypotheses(rep)
-    alphas = hyp.alphas()
+    alphas = [r.alpha for r in hyp.reflections if r is not None]
     subset = connected_basis_subset(alphas, hyp.graph)
     assert len(subset) == 2
     # oracle: exhaustive over all 2-subsets; chosen one must be a basis with a
