@@ -1,7 +1,8 @@
 """Micro-benchmarks of the hypothesis layer: reflection recognition, the
 hypothesis checks on simple bases (up to A60) and on reducible affine bases
-(where the base commutant is counted), and one Q(sqrt(m)) multiply for m = 5
-and for a 10-digit prime; of the fraction-free kernel: rank of the H4 Cartan
+(where the base commutant is counted), one Q(sqrt(m)) multiply for m = 5
+and for a 10-digit prime, and one dot product of dense length-16 vectors
+over Q and over Q(sqrt(5)); of the fraction-free kernel: rank of the H4 Cartan
 matrix and of a dense 16x16 matrix over Q(sqrt(5)), and the determinant of a
 dense 32x32 integer matrix; of input construction: building A60 (one
 determinant per generator) and loading the dense dim-32 representation file
@@ -38,7 +39,7 @@ import pytest
 
 from dense_repfile import dense_document
 from reflext.catalog import _cartan_rep, entry
-from reflext.linalg import Matrix, rank
+from reflext.linalg import Matrix, dot, rank
 from reflext.reflections import recognize_reflection
 from reflext.repfile import load_repfile
 from reflext.reports import (
@@ -87,6 +88,21 @@ DENSE16_SQRT5 = Matrix(
     ],
 )
 DENSE32 = Matrix(32, 32, [_rng.randint(-99, 99) for _ in range(1024)])
+DOT_Q16 = [
+    tuple(Fraction(_rng.randint(-99, 99), _rng.randint(1, 99)) for _ in range(16)) for _ in range(2)
+]
+DOT_SQRT5_16 = [
+    tuple(
+        QuadExt(Fraction(_rng.randint(-9, 9), _rng.randint(1, 9)), _rng.randint(-9, 9), 5)
+        for _ in range(16)
+    )
+    for _ in range(2)
+]
+
+
+@pytest.mark.parametrize("u, v", [DOT_Q16, DOT_SQRT5_16], ids=["dense16-Q", "dense16-sqrt5"])
+def test_dot(benchmark, u, v):
+    assert benchmark(dot, u, v) == sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import UnknownEntry
 from .linalg import Matrix
@@ -74,63 +74,52 @@ def _cartan_rep(cartan: list[list]) -> Representation:
 _GOLDEN = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)  # (1 + sqrt(5)) / 2
 
 
-@cache
-def _build_entries() -> dict[str, CatalogEntry]:
-    """The entries in catalog order, built at the first lookup rather than at import."""
-    entries: list[CatalogEntry] = []
+def _a2_redundant() -> Representation:
+    """A2 with a redundant third generator s1 s2 s1^{-1}; exercises the
+    connected-basis-subset extraction (three vectors in dimension two)."""
+    s1 = Matrix.from_rows([[-1, 1], [0, 1]])
+    s2 = Matrix.from_rows([[1, 0], [1, -1]])
+    return Representation([s1, s2, s1 @ s2 @ s1.inverse()])
 
-    entries.append(
-        CatalogEntry(
-            "A2",
-            _rep([[[-1, 1], [0, 1]], [[1, 0], [1, -1]]]),
+
+@cache
+def _build_entries() -> dict[str, tuple[Callable[[], Representation], Expected, str]]:
+    """Each entry's representation builder, expectation and notes, keyed by
+    name in catalog order; made at the first lookup rather than at import,
+    while `entry` builds only the representation it is asked for."""
+    specs = {
+        "A2": (
+            lambda: _rep([[[-1, 1], [0, 1]], [[1, 0], [1, -1]]]),
             Expected(True),
             "rank-2 Cartan reflection representation, product of generators has order 3",
-        )
-    )
-    entries.append(
-        CatalogEntry(
-            "A3",
-            _cartan_rep([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]),
+        ),
+        "A3": (
+            lambda: _cartan_rep([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]),
             Expected(True),
             "rank-3 Cartan reflection representation of the symmetric group S4",
-        )
-    )
-    entries.append(
-        CatalogEntry(
-            "B2",
-            _rep([[[-1, 2], [0, 1]], [[1, 0], [1, -1]]]),
+        ),
+        "B2": (
+            lambda: _rep([[[-1, 2], [0, 1]], [[1, 0], [1, -1]]]),
             Expected(True),
             "product of generators has order 4",
-        )
-    )
-    entries.append(
-        CatalogEntry(
-            "G2",
-            _rep([[[-1, 1], [0, 1]], [[1, 0], [3, -1]]]),
+        ),
+        "G2": (
+            lambda: _rep([[[-1, 1], [0, 1]], [[1, 0], [3, -1]]]),
             Expected(True),
             "product of generators has order 6",
-        )
-    )
-    entries.append(
-        CatalogEntry(
-            "H2-5",
-            _cartan_rep([[2, -_GOLDEN], [-_GOLDEN, 2]]),
+        ),
+        "H2-5": (
+            lambda: _cartan_rep([[2, -_GOLDEN], [-_GOLDEN, 2]]),
             Expected(True),
             "order-10 dihedral reflection representation over Q(sqrt(5))",
-        )
-    )
-    entries.append(
-        CatalogEntry(
-            "cond4-fail",
-            _rep([[[-1, 1], [0, 1]], [[1, 0], [0, -1]]]),
+        ),
+        "cond4-fail": (
+            lambda: _rep([[[-1, 1], [0, 1]], [[1, 0], [0, -1]]]),
             Expected(False, "condition4"),
             "second generator fixes alpha_1 while the first moves alpha_2",
-        )
-    )
-    entries.append(
-        CatalogEntry(
-            "reducible-direct-sum",
-            _rep(
+        ),
+        "reducible-direct-sum": (
+            lambda: _rep(
                 [
                     [[-1, 1, 0], [0, 1, 0], [0, 0, 1]],
                     [[1, 0, 0], [1, -1, 0], [0, 0, 1]],
@@ -138,20 +127,13 @@ def _build_entries() -> dict[str, CatalogEntry]:
             ),
             Expected(False, "condition3"),
             "A2 plus a trivial line; the third coordinate axis is invariant",
-        )
-    )
-    # A2 with a redundant third generator s1 s2 s1^{-1}; exercises the
-    # connected-basis-subset extraction (three vectors in dimension two).
-    s1 = Matrix.from_rows([[-1, 1], [0, 1]])
-    s2 = Matrix.from_rows([[1, 0], [1, -1]])
-    entries.append(
-        CatalogEntry(
-            "A2-redundant",
-            Representation([s1, s2, s1 @ s2 @ s1.inverse()]),
+        ),
+        "A2-redundant": (
+            _a2_redundant,
             Expected(True),
             "three generators in dimension two; basis subset must drop one",
-        )
-    )
+        ),
+    }
     for a in range(4):
         for b in range(4):
             if a == 0 or b == 0:
@@ -166,23 +148,23 @@ def _build_entries() -> dict[str, CatalogEntry]:
                 expected = Expected(False, "condition3")
             else:
                 expected = Expected(True)
-            entries.append(
-                CatalogEntry(
-                    f"dihedral-{a}-{b}",
-                    infinite_dihedral(a, b),
-                    expected,
-                    "member of the two-parameter infinite dihedral family",
-                )
+            specs[f"dihedral-{a}-{b}"] = (
+                lambda a=a, b=b: infinite_dihedral(a, b),
+                expected,
+                "member of the two-parameter infinite dihedral family",
             )
-    return {e.name: e for e in entries}
+    return specs
 
 
 def list_entries() -> list[str]:
     return list(_build_entries())
 
 
+@cache
 def entry(name: str) -> CatalogEntry:
+    """The named entry, built at its first lookup."""
     try:
-        return _build_entries()[name]
+        build, expected, notes = _build_entries()[name]
     except KeyError:
         raise UnknownEntry(f"no catalog entry named {name!r}") from None
+    return CatalogEntry(name, build(), expected, notes)

@@ -2,8 +2,9 @@
 
 A move replaces a vertex r of a subset I by an outside neighbor t along the
 edge {r, t}; move_sequence constructs an explicit chain of moves carrying one
-subset to another inside a connected graph, and deletable_vertex picks a vertex
-whose removal keeps the graph connected (eccentricity argument).
+subset to another inside a connected graph (move_chain without the checks),
+and deletable_vertex picks a vertex whose removal keeps the graph connected
+(eccentricity argument).
 """
 
 from __future__ import annotations
@@ -140,27 +141,32 @@ def shortest_path(graph: Graph, source: int, target: int) -> list[int] | None:
     return path[::-1]
 
 
+def apply_move(current: set[int], step: MoveStep, graph: Graph) -> None:
+    """Make one move on `current` in place, validating it."""
+    if step.removed not in current:
+        raise ValueError(f"step removes {step.removed} which is not in the subset")
+    if step.added in current:
+        raise ValueError(f"step adds {step.added} which is already in the subset")
+    if not graph.has_edge(step.removed, step.added):
+        raise ValueError(f"step uses missing edge {step.edge}")
+    current.remove(step.removed)
+    current.add(step.added)
+
+
 def apply_moves(subset: Iterable[int], steps: Sequence[MoveStep], graph: Graph) -> set[int]:
     """Replay a move sequence, validating every step; returns the final subset."""
     current = set(subset)
     for step in steps:
-        if step.removed not in current:
-            raise ValueError(f"step removes {step.removed} which is not in the subset")
-        if step.added in current:
-            raise ValueError(f"step adds {step.added} which is already in the subset")
-        if not graph.has_edge(step.removed, step.added):
-            raise ValueError(f"step uses missing edge {step.edge}")
-        current.remove(step.removed)
-        current.add(step.added)
+        apply_move(current, step, graph)
     return current
 
 
 def move_sequence(graph: Graph, start: Iterable[int], goal: Iterable[int]) -> list[MoveStep]:
     """A chain of legal moves carrying `start` to `goal` in a connected graph.
 
-    Constructive induction on the overlap: pick r in start minus goal and
-    t in goal minus start, walk a shortest path from r to t shifting the
-    start-vertices sitting on it one slot toward t, then recurse.
+    Checks its input and the graph's connectivity, builds the chain by
+    move_chain and replays it, so a chain that misses the goal is an
+    InternalError.
     """
     current = set(start)
     target = set(goal)
@@ -171,11 +177,25 @@ def move_sequence(graph: Graph, start: Iterable[int], goal: Iterable[int]) -> li
         raise SizeMismatch(f"|I| = {len(current)} but |J| = {len(target)}")
     if not is_connected(graph):
         raise NotConnected("move sequences need a connected graph")
+    steps = move_chain(graph, current, target)
+    if apply_moves(current, steps, graph) != target:
+        raise InternalError("move sequence does not reach the goal subset")
+    return steps
 
+
+def move_chain(graph: Graph, start: set[int], goal: set[int]) -> list[MoveStep]:
+    """move_sequence's chain without its checks, for a connected graph and
+    equal-sized vertex subsets; replay it with apply_move to confirm it.
+
+    Constructive induction on the overlap: pick r in start minus goal and
+    t in goal minus start, walk a shortest path from r to t shifting the
+    start-vertices sitting on it one slot toward t, then recurse.
+    """
+    current = set(start)
     steps: list[MoveStep] = []
-    while current != target:
-        r = min(current - target)
-        t = min(target - current)
+    while current != goal:
+        r = min(current - goal)
+        t = min(goal - current)
         path = shortest_path(graph, r, t)
         if path is None:
             raise InternalError(f"no path from {r} to {t} in a connected graph")
@@ -190,8 +210,6 @@ def move_sequence(graph: Graph, start: Iterable[int], goal: Iterable[int]) -> li
                 current.remove(walker)
                 current.add(path[j])
                 walker = path[j]
-    if apply_moves(set(start), steps, graph) != target:
-        raise InternalError("move sequence does not reach the goal subset")
     return steps
 
 

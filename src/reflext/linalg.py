@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AmbientMismatch, EmptyGeneratorList, LengthMismatch, SingularMatrix
 from .fractionfree import echelon, field_of, to_scalar
-from .scalars import Scalar, as_scalar, inv
+from .scalars import QuadExt, Scalar, _quad, as_scalar, inv, merge_tags
 
 Vector = tuple[Scalar, ...]
 
@@ -29,16 +30,74 @@ def vector(entries: Iterable) -> Vector:
 
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
+    """u . v as an exact sum of products, normalized once.
+
+    The numerators of the products are summed over a running common
+    denominator, the lcm of their denominators, and one Fraction is built at
+    the end.  At the first QuadExt factor the sum goes on in _quad_dot.  So
+    the result is a QuadExt exactly when some entry is one, as a fold of
+    `+` and `*` would give, and entries from two quadratic fields raise
+    FieldMismatch.
+    """
     if len(u) != len(v):
         raise LengthMismatch("dot product of vectors of different lengths")
-    total: Scalar = _ZERO
-    for a, b in zip(u, v):
-        total = total + a * b
-    return total
+    num, den = 0, 1
+    pairs = zip(u, v)
+    for a, b in pairs:
+        if type(a) is QuadExt or type(b) is QuadExt:
+            return _quad_dot(itertools.chain([(a, b)], pairs), num, den)
+        x, d = a.as_integer_ratio()
+        y, e = b.as_integer_ratio()
+        if x and y:
+            x, d = x * y, d * e
+            if d == den:
+                num += x
+            elif den % d == 0:
+                num += x * (den // d)
+            else:
+                g = gcd(den, d)
+                num = num * (d // g) + x * (den // g)
+                den = den // g * d
+    return Fraction(num, den)
 
 
-def is_zero_vector(u: Sequence[Scalar]) -> bool:
-    return all(not x for x in u)
+def _quad_dot(pairs: Iterable[tuple[Scalar, Scalar]], num: int, den: int) -> QuadExt:
+    """dot's sum over Q(sqrt(m)), starting from the rational sum num / den:
+    (x + y sqrt(m)) / den, with x and y summed apart."""
+    m = None
+    x_sum, y_sum = num, 0
+    for a, b in pairs:
+        if type(a) is QuadExt and a.m != m:
+            m = merge_tags(m, a.m)
+        if type(b) is QuadExt and b.m != m:
+            m = merge_tags(m, b.m)
+        a1, a2, d = _integral_parts(a)
+        b1, b2, e = _integral_parts(b)
+        if a2 or b2:
+            x, y = a1 * b1 + m * a2 * b2, a1 * b2 + a2 * b1
+        else:
+            x, y = a1 * b1, 0
+        if x or y:
+            d *= e
+            if den % d == 0:
+                x_sum += x * (den // d)
+                y_sum += y * (den // d)
+            else:
+                g = gcd(den, d)
+                x_sum = x_sum * (d // g) + x * (den // g)
+                y_sum = y_sum * (d // g) + y * (den // g)
+                den = den // g * d
+    return _quad(Fraction(x_sum, den), Fraction(y_sum, den), m)
+
+
+def _integral_parts(t: Scalar) -> tuple[int, int, int]:
+    """(a, b, d) with t = (a + b sqrt(m)) / d and d the lcm of t's denominators."""
+    if type(t) is not QuadExt:
+        a, d = t.as_integer_ratio()
+        return a, 0, d
+    p, q = t.a, t.b
+    d = lcm(p.denominator, q.denominator)
+    return p.numerator * (d // p.denominator), q.numerator * (d // q.denominator), d
 
 
 class Matrix:
@@ -131,12 +190,10 @@ class Matrix:
         return tuple(dot(self.row(i), v) for i in range(self.rows))
 
     def trace(self) -> Scalar:
+        """Sum of the diagonal, by dot's one normalization."""
         if self.rows != self.cols:
             raise LengthMismatch("trace of non-square matrix")
-        total: Scalar = _ZERO
-        for i in range(self.rows):
-            total = total + self[i, i]
-        return total
+        return dot(self.entries[:: self.cols + 1], (1,) * self.rows)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         return Matrix(

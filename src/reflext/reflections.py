@@ -12,8 +12,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InternalError, NotDiagonalizable, NotRankOne, SingularMatrix
-from .linalg import Matrix, Subspace, Vector, dot, is_zero_vector, row_rank, vector
-from .scalars import Scalar, _quad, field_tag, inv
+from .fractionfree import clear
+from .linalg import Matrix, Subspace, Vector, dot, row_rank, vector
+from .scalars import QuadExt, Scalar, _quad, inv
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -67,13 +68,12 @@ def recognize_reflection(matrix: Matrix) -> ReflectionData:
     Raises NotRankOne if rank(M - I) != 1, NotDiagonalizable for unipotent
     transvections (eigenvalue 1), SingularMatrix for eigenvalue 0.
 
-    The rank of D = M - I comes from the fraction-free kernel.  On a
-    reflection its first pivot is the first nonzero entry p of the first
-    nonzero column q, and that one step forms the 2x2 minors
-    D_pq D_ij - D_iq D_pj, which all vanish exactly when D = alpha f^T; a
-    row with D_iq = 0 is left as it is, so a zero row costs only a zero
-    test.  alpha is column q of D scaled to alpha_p = 1 (the canonical basis
-    of im D) and f is row p of D.
+    D = M - I is read at its pivot (p, q): p is its first nonzero row and q
+    the first nonzero column of row p.  D has rank one exactly when every
+    2x2 minor D_pq D_ij - D_iq D_pj through the pivot vanishes, which
+    _moving_line decides on the cleared rows.  Only a rejection runs the
+    fraction-free rank, to say which rank D has.  alpha is column q of D
+    scaled to alpha_p = 1 (the canonical basis of im D) and f is row p of D.
     """
     if matrix.rows != matrix.cols:
         raise NotRankOne("reflection candidate must be square")
@@ -81,20 +81,17 @@ def recognize_reflection(matrix: Matrix) -> ReflectionData:
     diff = [list(matrix.row(i)) for i in range(n)]
     for i in range(n):
         diff[i][i] = diff[i][i] - _ONE
-    rank = row_rank(diff, n)
-    if rank != 1:
+    m = matrix.field()
+    p = next((i for i in range(n) if any(diff[i])), None)
+    alpha = None if p is None else _moving_line(diff, p, m)
+    if alpha is None:
+        rank = row_rank(diff, n)
+        if rank == 1:
+            raise InternalError("rank-one matrix failed the minor test")
         raise NotRankOne(f"rank(M - I) = {rank}, expected 1")
-    # for D = alpha f^T, row p is the first nonzero row and q the first j with f_j != 0
-    p = next(i for i in range(n) if not is_zero_vector(diff[i]))
-    q = next(j for j in range(n) if diff[p][j])
-    column = [row[q] for row in diff]
-    scale = inv(column[p])
-    alpha = tuple(scale * x for x in column)
     # f is row p of D, lifted into Q(sqrt(m)) when alpha_p = 1 is a QuadExt
-    m = field_tag(alpha[p])
-    functional = tuple(
-        _quad(x, _ZERO, m) if m is not None and type(x) is Fraction else x for x in diff[p]
-    )
+    lift = type(alpha[p]) is QuadExt
+    functional = tuple(_quad(x, _ZERO, m) if lift and type(x) is Fraction else x for x in diff[p])
     eigenvalue = matrix.trace() - (n - 1)
     if eigenvalue == 1:
         raise NotDiagonalizable("unipotent transvection: eigenvalue 1 on the moving line")
@@ -104,6 +101,55 @@ def recognize_reflection(matrix: Matrix) -> ReflectionData:
     if 1 + dot(functional, alpha) != eigenvalue:
         raise InternalError("alpha is not an eigenvector for the reflection eigenvalue")
     return ReflectionData(matrix, alpha, eigenvalue, functional)
+
+
+def _moving_line(diff: list[list[Scalar]], p: int, m: int | None) -> Vector | None:
+    """alpha = column q of D over D_pq, q the first nonzero column of row p;
+    None when D has rank above one.
+
+    Row i is cleared to r_i = c_i D_i over Z[sqrt(m)], c_i the lcm of its
+    denominators, so the minor through (p, q) is r_pq r_ij - r_iq r_pj over
+    c_p c_i and vanishes with it.  A row with D_iq = 0 passes exactly when
+    it is zero, and is not cleared.  Each alpha_i = r_iq c_p / (r_pq c_i) is
+    normalized once, over Q(sqrt(m)) through the norm of r_pq; it is a
+    QuadExt exactly when D_pq or D_iq is one, as D_iq / D_pq would be.
+    """
+    pivot_row, c_p = clear(diff[p], m)
+    q = next(j for j, x in enumerate(pivot_row) if x)
+    quad_pivot = type(diff[p][q]) is QuadExt
+    r_pq = pivot_row[q]
+    if m is not None:
+        u, v = r_pq
+        norm = u * u - m * v * v
+    alpha = []
+    for i, row in enumerate(diff):
+        quad = quad_pivot or type(row[q]) is QuadExt
+        if not row[q]:
+            if i > p and any(row):  # rows above row p are zero
+                return None
+            alpha.append(_quad(_ZERO, _ZERO, m) if quad else _ZERO)
+            continue
+        r_i, c_i = (pivot_row, c_p) if i == p else clear(row, m)
+        r_iq = r_i[q]
+        if m is None:
+            if any(r_pq * x != r_iq * y for x, y in zip(r_i, pivot_row)):
+                return None
+            alpha.append(Fraction(r_iq * c_p, r_pq * c_i))
+            continue
+        if any(_times(r_pq, x, m) != _times(r_iq, y, m) for x, y in zip(r_i, pivot_row)):
+            return None
+        a, b = r_iq
+        den = norm * c_i
+        x = Fraction((a * u - m * b * v) * c_p, den)
+        alpha.append(_quad(x, Fraction((b * u - a * v) * c_p, den), m) if quad else x)
+    return tuple(alpha)
+
+
+def _times(x, y, m: int) -> tuple[int, int]:
+    """The product of two elements of Z[sqrt(m)], each a pair or the int 0."""
+    a, b = x or (0, 0)
+    c, d = y or (0, 0)
+    return a * c + m * b * d, a * d + b * c
 
 
 def _kernel_of_functional(functional: Vector) -> Subspace:

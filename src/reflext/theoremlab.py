@@ -40,7 +40,15 @@ from .errors import (
 )
 from .exterior import _check_degree, reflection_compound_trace
 from .fractionfree import pairing_pattern
-from .graphs import Graph, breadth_first, deletable_vertex, induced, is_connected, move_sequence
+from .graphs import (
+    Graph,
+    apply_move,
+    breadth_first,
+    deletable_vertex,
+    induced,
+    is_connected,
+    move_chain,
+)
 from .linalg import Matrix, Subspace, Vector, dot, kernel, rank
 from .reflections import ReflectionData, recognize_reflection
 from .repkit import Representation, SimplicityVerdict, is_invariant
@@ -352,21 +360,27 @@ def _characters_separate(refls: Sequence[ReflectionData], n: int) -> bool:
 
 
 def _claim5_trace(graph: Graph, subset: Sequence[int], d: int) -> ClaimFiveTrace:
-    """Cover every d-subset of the certified set by explicit move sequences from a base."""
+    """Cover every d-subset of the certified set by explicit move sequences
+    from a base.  verify_theorem has checked that the set induces a
+    connected graph, and each chain is replayed once, validating every move
+    and the goal while the before/after subsets are recorded."""
     members = sorted(subset)
     sub_graph = induced(graph, members)
     subsets = list(itertools.combinations(members, d))
     base = subsets[0]
     sequences: list[TraceSequence] = []
     for target in subsets[1:]:
-        raw = move_sequence(sub_graph, base, target)
+        goal = set(target)
         cur = set(base)
+        before = base
         steps: list[TraceStep] = []
-        for st in raw:
-            before = tuple(sorted(cur))
-            cur.remove(st.removed)
-            cur.add(st.added)
-            steps.append(TraceStep(st.removed, st.added, before, tuple(sorted(cur))))
+        for st in move_chain(sub_graph, cur, goal):
+            apply_move(cur, st, sub_graph)
+            after = tuple(sorted(cur))
+            steps.append(TraceStep(st.removed, st.added, before, after))
+            before = after
+        if cur != goal:
+            raise InternalError("move sequence does not reach the goal subset")
         sequences.append(TraceSequence(target=target, steps=tuple(steps)))
     return ClaimFiveTrace(degree=d, base=base, sequences=tuple(sequences))
 
@@ -402,7 +416,7 @@ def verify_theorem(
     Each exterior power is certified by the claim-5 lemma and non-isomorphy
     by comparing characters.  On a connected graph, the moves "swap i in I
     for a neighbour j not in I" connect all d-subsets, for every d (the
-    constructive proof is graphs.move_sequence, replayed under trace=True).
+    constructive proof is graphs.move_chain, replayed under trace=True).
     An endomorphism of wedge^d V keeps every claim-4 line alpha_I and has
     equal coefficients on subsets one move apart, so one check that the
     basis subset S induces a connected graph makes End(wedge^d V) the

@@ -6,8 +6,11 @@ from math import comb
 
 import pytest
 
+from reflext.errors import InternalError, NotDiagonalizable, NotRankOne, SingularMatrix
 from reflext.exterior import compound
-from reflext.linalg import Matrix, Subspace, intersect_all, kernel
+from reflext.linalg import Matrix, Subspace, intersect_all, kernel, row_rank
+from reflext.reflections import ReflectionData
+from reflext.scalars import _quad, field_tag, inv
 
 
 def random_matrix(rng, rows, cols, bound=4):
@@ -39,6 +42,46 @@ def minus_intersection_bruteforce(refls, d):
         for r in refls
     ]
     return intersect_all(spaces, ambient)
+
+
+def naive_dot(u, v):
+    """Oracle for linalg.dot: the fold of `+` and `*` from Fraction(0)."""
+    total = Fraction(0)
+    for a, b in zip(u, v, strict=True):
+        total = total + a * b
+    return total
+
+
+def recognize_reflection_bareiss(matrix):
+    """Oracle for reflections.recognize_reflection: the rank of D = M - I
+    from the fraction-free kernel, then alpha = column q of D times
+    1 / D_pq, f = row p of D, and the trace and f(alpha) by naive_dot."""
+    if matrix.rows != matrix.cols:
+        raise NotRankOne("reflection candidate must be square")
+    n = matrix.rows
+    diff = [list(matrix.row(i)) for i in range(n)]
+    for i in range(n):
+        diff[i][i] = diff[i][i] - 1
+    rank = row_rank(diff, n)
+    if rank != 1:
+        raise NotRankOne(f"rank(M - I) = {rank}, expected 1")
+    p = next(i for i in range(n) if any(diff[i]))
+    q = next(j for j in range(n) if diff[p][j])
+    scale = inv(diff[p][q])
+    alpha = tuple(scale * row[q] for row in diff)
+    m = field_tag(alpha[p])
+    functional = tuple(
+        _quad(x, Fraction(0), m) if m is not None and type(x) is Fraction else x
+        for x in diff[p]
+    )
+    eigenvalue = naive_dot([matrix[i, i] for i in range(n)], [1] * n) - (n - 1)
+    if eigenvalue == 1:
+        raise NotDiagonalizable("unipotent transvection: eigenvalue 1 on the moving line")
+    if eigenvalue == 0:
+        raise SingularMatrix("matrix is singular: reflection eigenvalue 0")
+    if 1 + naive_dot(functional, alpha) != eigenvalue:
+        raise InternalError("alpha is not an eigenvector for the reflection eigenvalue")
+    return ReflectionData(matrix, alpha, eigenvalue, functional)
 
 
 def shortest_path_oracle(graph, source, target):

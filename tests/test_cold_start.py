@@ -1,5 +1,5 @@
-"""Cold start: sympy and jsonschema load only where they are used, and the
-catalog is built at its first lookup.
+"""Cold start: sympy and jsonschema load only where they are used, and a
+catalog entry is built at its first lookup, one entry at a time.
 
 Each check runs in a fresh interpreter, so it sees exactly the modules that
 an import or a command loads; nothing here depends on timing.
@@ -13,6 +13,8 @@ from pathlib import Path
 
 import jsonschema
 
+from reflext.catalog import entry
+from reflext.repfile import representation_to_document
 from reflext.reports import THEOREM_SCHEMA
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -132,3 +134,30 @@ def test_cli_loads_neither_click_nor_dataclasses():
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[0] == "[]"
     assert result.stderr.strip() == "[]"
+
+
+def test_lookup_builds_only_the_named_entry(tmp_path):
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps(representation_to_document(entry("A2").representation)))
+    code = (
+        "from reflext import catalog\n"
+        "from reflext.cli import _load_target\n"
+        "built = []\n"
+        "class Counted(catalog.Representation):\n"
+        "    def __init__(self, *args):\n"
+        "        built.append(1)\n"
+        "        super().__init__(*args)\n"
+        "catalog.Representation = Counted\n"
+        "catalog.entry('A3')\n"
+        "catalog.entry('A3')\n"
+        "print(len(built))\n"
+        "try:\n"
+        "    catalog.entry('no-such-entry')\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, len(built))\n"
+        f"_load_target({str(path)!r})\n"
+        "print(len(built), len(catalog.list_entries()))"
+    )
+    result = _run([], code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["1", "UnknownEntry 1", "1 24"]

@@ -1,12 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from reflext.errors import AmbientMismatch, EmptyGeneratorList, SingularMatrix
+from reflext.errors import (
+    AmbientMismatch,
+    EmptyGeneratorList,
+    FieldMismatch,
+    LengthMismatch,
+    SingularMatrix,
+)
 from reflext.linalg import (
     Matrix,
     Subspace,
     charpoly,
+    dot,
     image,
     intersect,
     kernel,
@@ -16,8 +24,9 @@ from reflext.linalg import (
     subspace_sum,
     unvec,
 )
+from reflext.scalars import QuadExt
 
-from conftest import random_matrix
+from conftest import naive_dot, random_matrix
 
 A2_GENS = [Matrix.from_rows([[-1, 1], [0, 1]]), Matrix.from_rows([[1, 0], [1, -1]])]
 
@@ -170,3 +179,44 @@ def test_charpoly_cayley_hamilton(rng):
             total = total + power.scale(c)
             power = power @ m
         assert total.is_zero()
+
+
+def _dot_scalars(rng, m):
+    a = Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+    kind = rng.random()
+    if kind < 0.2:
+        return Fraction(0)
+    if m is None or kind < 0.5:
+        return a if kind < 0.45 else rng.randint(-5, 5)
+    b = 0 if kind < 0.6 else Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    return QuadExt(a, b, m)
+
+
+def test_dot_matches_the_fraction_fold():
+    rng = random.Random(1019)
+    for t in range(1500):
+        m = (None, 5, 1000000007)[t % 3]
+        n = rng.randint(0, 8)
+        u = [_dot_scalars(rng, m) for _ in range(n)]
+        v = [_dot_scalars(rng, m) for _ in range(n)]
+        assert repr(dot(u, v)) == repr(naive_dot(u, v)), (u, v)
+        diagonal = Matrix(n, n, [u[i] if i == j else 0 for i in range(n) for j in range(n)])
+        assert repr(diagonal.trace()) == repr(naive_dot(u, [1] * n))
+
+
+def test_dot_edge_cases():
+    assert repr(dot((), ())) == "Fraction(0, 1)"
+    rational_quad = QuadExt(Fraction(3, 2), 0, 5)
+    assert repr(dot([rational_quad], [Fraction(2)])) == "QuadExt(Fraction(3, 1), Fraction(0, 1), 5)"
+    assert repr(dot([Fraction(0), 1], [rational_quad, 0])) == repr(QuadExt(0, 0, 5))
+    with pytest.raises(LengthMismatch):
+        dot([1], [])
+    for u, v in [
+        ([QuadExt(1, 1, 2)], [QuadExt(1, 1, 3)]),
+        ([QuadExt(1, 1, 2), 1], [1, QuadExt(0, 1, 3)]),
+        ([QuadExt(1, 0, 2), 0], [0, QuadExt(1, 0, 3)]),
+    ]:
+        with pytest.raises(FieldMismatch):
+            dot(u, v)
+        with pytest.raises(FieldMismatch):
+            naive_dot(u, v)

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,8 @@ from reflext.reflections import (
 )
 from reflext.repkit import Representation
 from reflext.scalars import QuadExt
+
+from conftest import recognize_reflection_bareiss
 
 S1 = Matrix.from_rows([[-1, 1], [0, 1]])
 
@@ -187,3 +191,101 @@ def test_plain_classes_compare_their_fields():
     assert rep == Representation([S1], ["s1"]) and hash(rep) == hash(Representation([S1]))
     assert rep != Representation([S1], ["t"])
     assert rep != (1, (S1,), ("s1",))
+
+
+# Differential test against the Bareiss-based recognition kept in conftest:
+# seeded matrices over Q, Q(sqrt 5) and Q(sqrt 1000000007), mixing Fractions
+# with QuadExt entries (some with b = 0), so that scalar types are compared too.
+def _scalar(rng, m, zero_share=0.3):
+    if rng.random() < zero_share:
+        return Fraction(0) if m is None or rng.random() < 0.7 else QuadExt(0, 0, m)
+    a = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    kind = rng.random() if m is not None else 0
+    if kind < 0.4:
+        return a
+    b = 0 if kind < 0.55 else Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+    return QuadExt(a, b, m)
+
+
+def _outer_plus_identity(alpha, f):
+    n = len(alpha)
+    return Matrix(n, n, [alpha[i] * f[j] + (i == j) for i in range(n) for j in range(n)])
+
+
+def _with_f_alpha(rng, m, n, value):
+    """alpha and f with f(alpha) = value, alpha_k != 0 solving for f_k."""
+    alpha = [_scalar(rng, m) for _ in range(n)]
+    k = rng.randrange(n)
+    while not alpha[k]:
+        alpha[k] = _scalar(rng, m, zero_share=0)
+    f = [_scalar(rng, m) for _ in range(n)]
+    rest = sum((f[j] * alpha[j] for j in range(n) if j != k), Fraction(0))
+    f[k] = (value - rest) / alpha[k]
+    return alpha, f
+
+
+def recognition_corpus(seed, count):
+    """(kind, matrix) pairs: reflections (some with a rational pivot column
+    in a quadratic matrix), lambda in {0, 1}, rank 0, perturbed rank-one
+    matrices of rank at least 2 and dense random ones."""
+    rng = random.Random(seed)
+    kinds = [
+        "rank1", "rank1", "rational column", "lambda0", "lambda1", "rank0", "perturbed", "dense"
+    ]
+    for t in range(count):
+        m = (None, 5, 1000000007)[t % 3]
+        n = rng.randint(1, 5)
+        kind = kinds[rng.randrange(len(kinds))]
+        if kind == "rank0":
+            one = QuadExt(1, 0, m) if m is not None and rng.random() < 0.5 else Fraction(1)
+            zero = _scalar(rng, m, zero_share=1)
+            yield kind, Matrix(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+        elif kind == "dense":
+            yield kind, Matrix(n, n, [_scalar(rng, m) for _ in range(n * n)])
+        elif kind in ("lambda0", "lambda1"):
+            alpha, f = _with_f_alpha(rng, m, n, -1 if kind == "lambda0" else 0)
+            yield kind, _outer_plus_identity(alpha, f)
+        else:
+            alpha = [_scalar(rng, m) for _ in range(n)]
+            f = [_scalar(rng, m) for _ in range(n)]
+            if kind == "rational column":  # D_iq = alpha_i f_q all Fractions
+                alpha = [Fraction(x.a) if type(x) is QuadExt else x for x in alpha]
+                f[next((j for j, x in enumerate(f) if x), 0)] = Fraction(rng.randint(1, 5))
+            matrix = _outer_plus_identity(alpha, f)
+            if kind == "perturbed":
+                entries = list(matrix.entries)
+                entries[rng.randrange(n * n)] += _scalar(rng, m, zero_share=0)
+                matrix = Matrix(n, n, entries)
+            yield kind, matrix
+
+
+def _outcome(recognize, matrix):
+    try:
+        return repr(recognize(matrix))
+    except (NotRankOne, NotDiagonalizable, SingularMatrix) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_recognition_matches_bareiss_oracle():
+    seen = Counter()
+    for kind, matrix in recognition_corpus(20261019, 3000):
+        got = _outcome(recognize_reflection, matrix)
+        assert got == _outcome(recognize_reflection_bareiss, matrix), (kind, matrix)
+        if got.startswith("NotRankOne"):
+            seen["rank 0" if "= 0," in got else "rank 2+"] += 1
+        elif not got.startswith("ReflectionData"):
+            seen[got.split(":")[0]] += 1  # lambda = 1 or lambda = 0
+        else:
+            data = recognize_reflection(matrix)
+            diff = matrix - Matrix.identity(matrix.rows)
+            q = next(j for j, x in enumerate(data.functional) if x)
+            seen["zero row"] += any(not any(diff.row(i)) for i in range(diff.rows))
+            seen["rational pivot column, quadratic matrix"] += (
+                matrix.field() is not None and set(map(type, diff.col(q))) == {Fraction}
+            )
+            seen["mixed alpha types"] += len(set(map(type, data.alpha))) == 2
+    cases = [
+        "rank 0", "rank 2+", "NotDiagonalizable", "SingularMatrix", "zero row",
+        "rational pivot column, quadratic matrix", "mixed alpha types",
+    ]
+    assert min(seen[case] for case in cases) >= 20, seen
