@@ -5,10 +5,12 @@ and for a 10-digit prime, and one dot product of dense length-16 vectors
 over Q and over Q(sqrt(5)); of the fraction-free kernel: rank of the H4 Cartan
 matrix and of a dense 16x16 matrix over Q(sqrt(5)), and the determinant of a
 dense 32x32 integer matrix; of input construction: building A60 (one
-determinant per generator) and loading the dense dim-32 representation file
+rank per generator) and loading the dense dim-32 representation file
 of benchmarks/dense_repfile.py; of the whole certifier, verify_theorem on the
-H3 conjugate and on A16, A40 and A60, and with trace=True on A12, whose 4095
-move sequences make it the one caller of shortest_path at scale; of report
+H3 conjugate and on A16, A40 and A60, on A6 with three conjugated extra
+reflections (k = 9 > n = 6, so the basis subset comes from the deletion
+lemma), and with trace=True on A12, whose 4095 move sequences make it the
+one caller of shortest_path at scale; of report
 validation: one theorem document (A3, and B2 with --trace) and one analyze
 document (cond4-fail) against its schema; and of the command line, one cold
 `python -B -m reflext.cli verify A2 --json` process on a copy of the package
@@ -42,6 +44,7 @@ from reflext.catalog import _cartan_rep, entry
 from reflext.linalg import Matrix, dot, rank
 from reflext.reflections import recognize_reflection
 from reflext.repfile import load_repfile
+from reflext.repkit import Representation
 from reflext.reports import (
     analyze_document,
     theorem_document,
@@ -76,6 +79,17 @@ H3_CONJUGATE = _cartan_rep(chain(3, -PHI)).conjugate(
     Matrix.from_rows([[1, 2, 0], [0, 1, -1], [1, 1, 0]])
 )
 A12, A16, A40, A60 = (_cartan_rep(chain(k)) for k in (12, 16, 40, 60))
+
+
+def with_conjugates(rep: Representation, pairs) -> Representation:
+    """rep plus s_i s_j s_i^(-1) for each (i, j): more reflections than the
+    dimension, so verify_theorem picks its basis subset by the deletion lemma."""
+    gens = rep.generators
+    extra = [gens[i] @ gens[j] @ gens[i].inverse() for i, j in pairs]
+    return Representation([*gens, *extra])
+
+
+A6_REDUNDANT = with_conjugates(_cartan_rep(chain(6)), [(0, 1), (2, 3), (4, 5)])
 
 _rng = random.Random(9)
 H4_CARTAN = Matrix.from_rows(chain(4, -PHI))
@@ -151,6 +165,11 @@ def test_check_hypotheses_reducible(benchmark, k):
 )
 def test_verify_theorem(benchmark, rep):
     assert benchmark(verify_theorem, rep).verified
+
+
+def test_verify_theorem_redundant(benchmark):
+    report = benchmark(verify_theorem, A6_REDUNDANT)
+    assert report.verified and len(report.claim3_subset) == 6
 
 
 @pytest.mark.parametrize("rep", [A12], ids=["A12"])

@@ -32,7 +32,6 @@ from .repkit import (
     duality_intertwiner,
     exterior_rep,
     hom_dim,
-    simplicity,
 )
 from .theoremlab import (
     HypothesisReport,
@@ -80,7 +79,6 @@ __all__ = [
     "duality_intertwiner",
     "exterior_rep",
     "hom_dim",
-    "simplicity",
     "HypothesisReport",
     "TheoremReport",
     "check_hypotheses",

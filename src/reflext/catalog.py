@@ -37,22 +37,10 @@ class CatalogEntry(NamedTuple):
     notes: str = ""
 
 
-def _rep(rows_list, labels=None) -> Representation:
-    return Representation([Matrix.from_rows(rows) for rows in rows_list], labels)
-
-
 def infinite_dihedral(a, b) -> Representation:
-    """Two reflections of the infinite dihedral group:
-    s1 = [[-1, a], [0, 1]], s2 = [[1, 0], [b, -1]]."""
-    a = as_scalar(a)
-    b = as_scalar(b)
-    one = Fraction(1)
-    return _rep(
-        [
-            [[-one, a], [0, one]],
-            [[one, 0], [b, -one]],
-        ]
-    )
+    """Two reflections of the infinite dihedral group, from the Cartan matrix
+    [[2, -a], [-b, 2]]: s1 = [[-1, a], [0, 1]], s2 = [[1, 0], [b, -1]]."""
+    return _cartan_rep([[2, -as_scalar(a)], [-as_scalar(b), 2]])
 
 
 def _cartan_rep(cartan: list[list]) -> Representation:
@@ -89,7 +77,7 @@ def _build_entries() -> dict[str, tuple[Callable[[], Representation], Expected, 
     while `entry` builds only the representation it is asked for."""
     specs = {
         "A2": (
-            lambda: _rep([[[-1, 1], [0, 1]], [[1, 0], [1, -1]]]),
+            lambda: _cartan_rep([[2, -1], [-1, 2]]),
             Expected(True),
             "rank-2 Cartan reflection representation, product of generators has order 3",
         ),
@@ -99,12 +87,12 @@ def _build_entries() -> dict[str, tuple[Callable[[], Representation], Expected, 
             "rank-3 Cartan reflection representation of the symmetric group S4",
         ),
         "B2": (
-            lambda: _rep([[[-1, 2], [0, 1]], [[1, 0], [1, -1]]]),
+            lambda: _cartan_rep([[2, -2], [-1, 2]]),
             Expected(True),
             "product of generators has order 4",
         ),
         "G2": (
-            lambda: _rep([[[-1, 1], [0, 1]], [[1, 0], [3, -1]]]),
+            lambda: _cartan_rep([[2, -1], [-3, 2]]),
             Expected(True),
             "product of generators has order 6",
         ),
@@ -114,15 +102,15 @@ def _build_entries() -> dict[str, tuple[Callable[[], Representation], Expected, 
             "order-10 dihedral reflection representation over Q(sqrt(5))",
         ),
         "cond4-fail": (
-            lambda: _rep([[[-1, 1], [0, 1]], [[1, 0], [0, -1]]]),
+            lambda: _cartan_rep([[2, -1], [0, 2]]),
             Expected(False, "condition4"),
             "second generator fixes alpha_1 while the first moves alpha_2",
         ),
         "reducible-direct-sum": (
-            lambda: _rep(
+            lambda: Representation(
                 [
-                    [[-1, 1, 0], [0, 1, 0], [0, 0, 1]],
-                    [[1, 0, 0], [1, -1, 0], [0, 0, 1]],
+                    Matrix.from_rows([[-1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+                    Matrix.from_rows([[1, 0, 0], [1, -1, 0], [0, 0, 1]]),
                 ]
             ),
             Expected(False, "condition3"),

@@ -20,7 +20,7 @@ from .linalg import (
     Subspace,
     Vector,
     kernel,
-    rank,
+    row_rank,
     vector,
     wedge_index_sets,
 )
@@ -138,29 +138,28 @@ def minus_basis_from_any_extension(
     n = refl.dim
     _check_degree(n, d)
     ext = [vector(v) for v in ext_basis]
-    if len(ext) != n - 1 or rank(Matrix.from_rows([list(refl.alpha)] + [list(v) for v in ext])) != n:
+    if len(ext) != n - 1 or row_rank([refl.alpha, *ext], n) != n:
         raise NotABasis("alpha together with the extension must form a basis")
     if d == 0:
         return []
-    return [
-        wedge([refl.alpha] + [ext[i] for i in c])
-        for c in itertools.combinations(range(n - 1), d - 1)
-    ]
+    return _wedges([refl.alpha], ext, d - 1)
 
 
 def extend_to_basis(vectors: Sequence[Vector], n: int) -> list[Vector]:
     """Greedily extend independent vectors to a basis of F^n using standard basis vectors."""
-    rows = [list(v) for v in vectors]
-    base = rank(Matrix.from_rows(rows)) if rows else 0
-    if base != len(rows):
+    if row_rank(vectors, n) != len(vectors):
         raise DependentAlphas("vectors to extend are dependent")
+    return _extend_independent(vectors, n)
+
+
+def _extend_independent(vectors: Sequence[Vector], n: int) -> list[Vector]:
+    """extend_to_basis for vectors already known to be independent."""
     out = list(vectors)
     for j in range(n):
         if len(out) == n:
             break
         e = tuple(Fraction(1) if i == j else Fraction(0) for i in range(n))
-        candidate = [list(v) for v in out] + [list(e)]
-        if rank(Matrix.from_rows(candidate)) == len(out) + 1:
+        if row_rank([*out, e], n) == len(out) + 1:
             out.append(e)
     return out
 
@@ -178,23 +177,26 @@ def minus_intersection(refls: Sequence[ReflectionData], d: int) -> Subspace:
     _check_degree(n, d)
     k = len(refls)
     alphas = [r.alpha for r in refls]
-    if rank(Matrix.from_rows([list(a) for a in alphas])) != k:
+    if row_rank(alphas, n) != k:
         raise DependentAlphas("reflection vectors are linearly dependent")
     ambient = comb(n, d)
     if d < k:
         return Subspace.zero(ambient)
-    extension = extend_to_basis(alphas, n)[k:] if d > k else []
-    vecs = [
-        wedge(list(alphas) + [extension[i] for i in c])
-        for c in itertools.combinations(range(len(extension)), d - k)
-    ]
-    return Subspace.span(vecs, ambient)
+    extension = _extend_independent(alphas, n)[k:] if d > k else []
+    return Subspace.span(_wedges(alphas, extension, d - k), ambient)
 
 
 def exterior_subspace(space: Subspace, d: int) -> Subspace:
     """The d-th exterior power of a subspace, inside the exterior power of the ambient space."""
     n = space.ambient_dim
     _check_degree(n, d)
-    rows = space.basis_vectors()
-    vecs = [wedge([rows[i] for i in c]) for c in itertools.combinations(range(len(rows)), d)]
-    return Subspace.span(vecs, comb(n, d))
+    return Subspace.span(_wedges([], space.basis_vectors(), d), comb(n, d))
+
+
+def _wedges(head: Sequence[Vector], tail: Sequence[Vector], r: int) -> list[Vector]:
+    """head ^ (r of the tail vectors), one wedge per r-subset of the tail in
+    lexicographic order."""
+    return [
+        wedge([*head, *(tail[i] for i in c)])
+        for c in itertools.combinations(range(len(tail)), r)
+    ]

@@ -126,16 +126,14 @@ def combine(row: list, p, q, other: list, d, columns: range, m: int | None) -> N
 
 
 def echelon(
-    rows: list, cols: int, m: int | None, stop_at_free_column: bool = False, cleared: bool = False
+    rows: list, cols: int, m: int | None, cleared: bool = False
 ) -> tuple[int, object, int, int]:
     """Fraction-free row echelon form over Z[sqrt(m)] (Bareiss 1968).
 
     `rows` holds rows of scalars, or with `cleared` rows over Z[sqrt(m)];
     it is reduced in place.  Returns the rank, the last pivot, the sign of
     the row permutation and the product of the row scales: for a square
-    matrix of full rank, sign * pivot / scale is its determinant.  With
-    stop_at_free_column the reduction ends at the first column without a
-    pivot, which settles that a square matrix is singular.
+    matrix of full rank, sign * pivot / scale is its determinant.
 
     After step k every row below the k pivot rows holds (k + 1)-minors of
     the cleared rows, so dividing by the previous pivot is exact.  As in
@@ -163,8 +161,6 @@ def echelon(
             break
         pivot = next((r for r in range(lead, n_rows) if rows[r][col]), None)
         if pivot is None:
-            if stop_at_free_column:
-                break
             continue
         if pivot != lead:
             rows[lead], rows[pivot] = rows[pivot], rows[lead]

@@ -217,17 +217,14 @@ class Matrix:
         return Matrix(self.rows, self.cols + other.cols, out)
 
     def det(self) -> Scalar:
-        """Determinant by the fraction-free kernel: a QuadExt exactly when some
-        entry is one, a Fraction otherwise."""
+        """Determinant after one fraction-free reduction, zero below full rank:
+        a QuadExt exactly when some entry is one, a Fraction otherwise."""
         if self.rows != self.cols:
             raise LengthMismatch("determinant of non-square matrix")
         n = self.rows
         m = field_of(self.entries)
-        rows = [self.row(i) for i in range(n)]
-        rank, pivot, sign, scale = echelon(rows, n, m, stop_at_free_column=True)
-        if rank < n:
-            return to_scalar(0, 1, m)
-        return to_scalar(pivot, sign * scale, m)
+        rank, pivot, sign, scale = echelon([self.row(i) for i in range(n)], n, m)
+        return to_scalar(pivot if rank == n else 0, sign * scale, m)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -301,6 +298,8 @@ def rank(matrix: Matrix) -> int:
 
 def row_rank(rows: Sequence[Sequence[Scalar]], cols: int) -> int:
     """Rank of the matrix with these rows, by the fraction-free kernel."""
+    if any(len(row) != cols for row in rows):
+        raise ValueError("ragged rows")
     m = field_of(itertools.chain.from_iterable(rows))
     return echelon(list(rows), cols, m)[0]
 

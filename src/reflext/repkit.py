@@ -27,6 +27,7 @@ from .linalg import (
     Vector,
     charpoly,
     kernel,
+    rank,
     solve_intertwiner,
     subspace_sum,
     unvec,
@@ -51,7 +52,7 @@ class Representation:
         for g in gens:
             if g.rows != g.cols or g.rows != n:
                 raise LengthMismatch("generators must be square matrices of one size")
-            if not g.det():
+            if rank(g) < n:
                 raise SingularMatrix("generators must be invertible")
         if labels is None:
             labels = tuple(f"s{i + 1}" for i in range(len(gens)))

@@ -49,7 +49,7 @@ from .graphs import (
     is_connected,
     move_chain,
 )
-from .linalg import Matrix, Subspace, Vector, dot, kernel, rank
+from .linalg import Matrix, Subspace, Vector, dot, kernel, row_rank
 from .reflections import ReflectionData, recognize_reflection
 from .repkit import Representation, SimplicityVerdict, is_invariant
 from .scalars import Scalar
@@ -241,8 +241,7 @@ def _base_simplicity(
         and cartan_rank == n
     ):
         return SimplicityVerdict("Simple", 1, method="reflection-criterion")
-    functionals = Matrix.from_rows([list(r.functional) for r in refls])
-    common_kernel = kernel(functionals)
+    common_kernel = kernel(Matrix.from_rows([r.functional for r in refls]))
     witness, method = common_kernel, "reflection-kernel"
     if common_kernel.dim == 0:
         method = "reflection-span"
@@ -260,17 +259,14 @@ def _base_simplicity(
         raise InternalError(f"{method} witness is not invariant")
     return SimplicityVerdict(
         "Reducible",
-        _commutant_dim(refls, moves, functionals, n - common_kernel.dim),
+        _commutant_dim(refls, moves, n, n - common_kernel.dim),
         witness=witness,
         method=method,
     )
 
 
 def _commutant_dim(
-    refls: Sequence[ReflectionData],
-    moves: Sequence[Sequence[bool]],
-    functionals: Matrix,
-    rank_f: int,
+    refls: Sequence[ReflectionData], moves: Sequence[Sequence[bool]], n: int, rank_f: int
 ) -> int:
     """dim End(V) = dim Gamma + (n - rank A)(n - rank F), as in _base_simplicity.
 
@@ -278,27 +274,24 @@ def _commutant_dim(
     and sum_i y_i c_i f_i vanishes on span alpha, so the first relation is
     imposed only when ker F != 0 and the second only when span alpha != V.
     """
-    k, n = functionals.rows, functionals.cols
+    k = len(refls)
     undirected = {j: [i for i in range(k) if moves[i][j] or moves[j][i]] for j in range(k)}
     components: list[set[int]] = []
     for start in range(k):
         if not any(start in c for c in components):
             components.append(set(breadth_first(undirected, start)))
     alphas = [r.alpha for r in refls]
-    dependencies = kernel(Matrix.from_rows([list(a) for a in alphas]).transpose())
-    rank_a = k - dependencies.dim
+    rank_a = row_rank(alphas, n)
     free = (n - rank_a) * (n - rank_f)
     if len(components) == 1:
         return 1 + free
     rows: list[list[Scalar]] = []
     if rank_f < n:
-        rows += _grouped_relations(dependencies, alphas, components)
+        rows += _grouped_relations(_dependencies(alphas), alphas, components)
     if rank_a < n:
-        rows += _grouped_relations(
-            kernel(functionals.transpose()), [r.functional for r in refls], components
-        )
-    bound = rank(Matrix.from_rows(rows)) if rows else 0
-    return len(components) - bound + free
+        functionals = [r.functional for r in refls]
+        rows += _grouped_relations(_dependencies(functionals), functionals, components)
+    return len(components) - row_rank(rows, len(components)) + free
 
 
 def _grouped_relations(
@@ -318,36 +311,32 @@ def connected_basis_subset(alphas: Sequence[Vector], graph: Graph) -> tuple[int,
     Constructive: while the current vectors are dependent, pick a dependency
     with all-nonzero coefficients on its support, apply the deletion lemma to
     the support inside the current subgraph, and drop the returned vertex.
+    Each stack's rank and dependency come from its one dependency kernel.
     """
     n = len(alphas[0])
-    stacked = Matrix.from_rows([list(a) for a in alphas])
-    stacked_rank = rank(stacked)
-    if stacked_rank != n:
+    dependencies = _dependencies(alphas)
+    if len(alphas) - dependencies.dim != n:
         raise NotSpanning("reflection vectors do not span the space")
     if not is_connected(graph):
         raise NotConnected("non-fixing graph must be connected")
     if graph.vertices != tuple(range(1, len(alphas) + 1)):
         raise ValueError("one vertex per vector expected")
 
-    # vertex i is alpha_(i-1), so the first stack is the spanning one above
+    # vertex i is alpha_(i-1), so the first kernel is the spanning one above
     current = list(graph.vertices)
-    while stacked_rank != len(current):
-        dependency = _full_support_dependency(stacked)
+    while dependencies.dim:
+        dependency = dependencies.basis.row(0)
         support = [current[pos] for pos, c in enumerate(dependency) if c]
         subgraph = induced(graph, current)
         drop = deletable_vertex(subgraph, support)
         current.remove(drop)
-        stacked = Matrix.from_rows([list(alphas[i - 1]) for i in current])
-        stacked_rank = rank(stacked)
+        dependencies = _dependencies([alphas[i - 1] for i in current])
     return tuple(current)
 
 
-def _full_support_dependency(stacked: Matrix) -> Vector:
-    """A nonzero kernel vector of the transposed stack: coefficients of a dependency."""
-    dep_space = kernel(stacked.transpose())
-    if dep_space.dim == 0:
-        raise InternalError("dependent vectors without a dependency")
-    return dep_space.basis.row(0)
+def _dependencies(vectors: Sequence[Vector]) -> Subspace:
+    """All a with sum_i a_i v_i = 0: the kernel of the transposed stack."""
+    return kernel(Matrix.from_rows(vectors).transpose())
 
 
 def _characters_separate(refls: Sequence[ReflectionData], n: int) -> bool:
@@ -468,8 +457,7 @@ def verify_theorem(
         subset = connected_basis_subset([r.alpha for r in refls], hyp.graph)
     if not is_connected(induced(hyp.graph, subset)):
         raise InternalError("basis subset of a simple base induces a disconnected graph")
-    alphas_s = Matrix.from_rows([list(refls[i - 1].alpha) for i in subset])
-    if rank(alphas_s) != len(subset):
+    if row_rank([refls[i - 1].alpha for i in subset], n) != len(subset):
         raise InternalError("connected basis subset is not independent")
 
     degree_list = sorted(set(degrees)) if degrees is not None else list(range(n + 1))

@@ -6,9 +6,17 @@ from math import comb
 
 import pytest
 
-from reflext.errors import InternalError, NotDiagonalizable, NotRankOne, SingularMatrix
+from reflext.errors import (
+    InternalError,
+    NotConnected,
+    NotDiagonalizable,
+    NotRankOne,
+    NotSpanning,
+    SingularMatrix,
+)
 from reflext.exterior import compound
-from reflext.linalg import Matrix, Subspace, intersect_all, kernel, row_rank
+from reflext.graphs import deletable_vertex, induced, is_connected
+from reflext.linalg import Matrix, Subspace, intersect_all, kernel, rank, row_rank
 from reflext.reflections import ReflectionData
 from reflext.scalars import _quad, field_tag, inv
 
@@ -82,6 +90,31 @@ def recognize_reflection_bareiss(matrix):
     if 1 + naive_dot(functional, alpha) != eigenvalue:
         raise InternalError("alpha is not an eigenvector for the reflection eigenvalue")
     return ReflectionData(matrix, alpha, eigenvalue, functional)
+
+
+def connected_basis_subset_oracle(alphas, graph):
+    """Oracle for theoremlab.connected_basis_subset: a rank and, while the
+    stack is dependent, a separate dependency kernel at every step."""
+    n = len(alphas[0])
+    stacked = Matrix.from_rows([list(a) for a in alphas])
+    stacked_rank = rank(stacked)
+    if stacked_rank != n:
+        raise NotSpanning("reflection vectors do not span the space")
+    if not is_connected(graph):
+        raise NotConnected("non-fixing graph must be connected")
+    if graph.vertices != tuple(range(1, len(alphas) + 1)):
+        raise ValueError("one vertex per vector expected")
+    current = list(graph.vertices)
+    while stacked_rank != len(current):
+        dep_space = kernel(stacked.transpose())
+        if dep_space.dim == 0:
+            raise InternalError("dependent vectors without a dependency")
+        dependency = dep_space.basis.row(0)
+        support = [current[pos] for pos, c in enumerate(dependency) if c]
+        current.remove(deletable_vertex(induced(graph, current), support))
+        stacked = Matrix.from_rows([list(alphas[i - 1]) for i in current])
+        stacked_rank = rank(stacked)
+    return tuple(current)
 
 
 def shortest_path_oracle(graph, source, target):

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import reflext
-from reflext import linalg, repkit
+from reflext import fractionfree, linalg, repkit
 from reflext.catalog import _cartan_rep, entry, list_entries
 from reflext.exterior import compound, reflection_compound_trace, wedge
 from reflext.linalg import Matrix, Subspace, kernel
@@ -134,6 +134,10 @@ def test_one_certification_entry_point_without_private_knobs():
     assert offenders == []
     # the generic oracle has no knobs: no premise, no word length
     assert list(inspect.signature(repkit.simplicity).parameters) == ["rep"]
+    # a rank is a rank: the elimination has no early exit for determinants
+    assert list(inspect.signature(fractionfree.echelon).parameters) == [
+        "rows", "cols", "m", "cleared"
+    ]
     assert "semisimplicity_premise" not in repkit.SimplicityVerdict._fields
 
 

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from reflext.catalog import entry
 from reflext.repfile import representation_to_document
@@ -41,6 +42,22 @@ def _loaded_after(statement):
 def test_import_loads_neither_sympy_nor_jsonschema():
     assert _loaded_after("import reflext") == [False, False]
     assert _loaded_after("import reflext.cli") == [False, False]
+
+
+def test_no_runtime_dependency_and_simplicity_outside_the_namespace():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+    assert any(d.startswith("sympy") for d in project["optional-dependencies"]["test"])
+    # the generic oracle stays in repkit; the type of HypothesisReport.v_simple is public
+    code = (
+        "import json, reflext, reflext.repkit\n"
+        "print(json.dumps(['simplicity' in reflext.__all__, hasattr(reflext, 'simplicity'),\n"
+        "    'SimplicityVerdict' in reflext.__all__, callable(reflext.repkit.simplicity)]))"
+    )
+    result = _run([], code)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [False, False, True, True]
 
 
 def test_import_builds_no_catalog_entry():

@@ -117,6 +117,17 @@ def test_det_equals_fraction_elimination(m):
         assert det == old_det(matrix), matrix
         # the field of the entries decides the type, whatever the value
         assert field_tag(det) == matrix.field()
+    # singular by construction: a product through a middle of dimension k < n
+    for trial in range(100):
+        n = rng.randint(1, 7)
+        k = rng.randint(0, n - 1)
+        bits = 200 if trial % 10 == 0 else 4
+        left = Matrix(n, k, [scalar(rng, m, bits) for _ in range(n * k)])
+        right = Matrix(k, n, [scalar(rng, m, bits) for _ in range(k * n)])
+        matrix = left @ right if k else Matrix.zero(n, n)
+        det = matrix.det()
+        assert det == 0 and old_det(matrix) == 0, matrix
+        assert field_tag(det) == matrix.field()
 
 
 def test_det_of_empty_matrix_is_one():

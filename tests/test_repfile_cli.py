@@ -87,6 +87,33 @@ def test_repfile_rejects_bad_documents():
             representation_from_document(bad)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"field": "Q", "dim": 1, "generators": [{"matrix": [["0"]]}]},
+        {
+            "field": {"quadratic": 5},
+            "dim": 2,
+            "generators": [{"matrix": [["1+1*sqrt(5)", "2"], ["2", "-1+1*sqrt(5)"]]}],
+        },
+        {
+            "field": "Q",
+            "dim": 3,
+            "generators": [{"matrix": [["1", "2", "3"], ["2", "4", "6"], ["0", "1", "1"]]}],
+        },
+    ],
+    ids=["zero-over-Q", "singular-over-sqrt5", "rank-2-at-dim-3"],
+)
+def test_cli_singular_generator_exits_two(runner, tmp_path, doc):
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    for command in (["verify", str(path), "--json"], ["analyze", str(path)]):
+        result = runner.invoke(main, command)
+        assert result.exit_code == 2
+        assert result.output == ""
+        assert result.stderr == "error: invalid representation: generators must be invertible\n"
+
+
 def test_cli_verify_a3_exit_zero(runner):
     result = runner.invoke(main, ["verify", "A3"])
     assert result.exit_code == 0

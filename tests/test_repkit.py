@@ -5,10 +5,11 @@ from math import comb
 import pytest
 
 from reflext.catalog import entry, list_entries
-from reflext.errors import BadDegree, LengthMismatch
+from reflext.errors import BadDegree, LengthMismatch, SingularMatrix
 from reflext.exterior import compound, eigen_split, exterior_subspace
 from reflext.linalg import Matrix, intersect_all, kernel
 from reflext.reflections import recognize_reflection
+from reflext.scalars import QuadExt
 from reflext.repkit import (
     Representation,
     det_twist,
@@ -36,6 +37,22 @@ def test_exterior_rep_degree_zero_and_top():
     assert exterior_rep(A2, 1).generators == A2.generators
     with pytest.raises(BadDegree):
         exterior_rep(A2, 3)
+
+
+# singular generators: det (1 + sqrt 5)(-1 + sqrt 5) - 2 * 2 = 0 over Q(sqrt 5),
+# and rank 2 at dim 3 (the second row is twice the first)
+SINGULAR_SQRT5 = [["1+1*sqrt(5)", "2"], ["2", "-1+1*sqrt(5)"]]
+RANK_TWO_DIM_THREE = [["1", "2", "3"], ["2", "4", "6"], ["0", "1", "1"]]
+
+
+def test_singular_generators_are_rejected_with_one_message():
+    for rows in (SINGULAR_SQRT5, RANK_TWO_DIM_THREE):
+        g = Matrix.from_rows(rows)
+        for gens in ([g], [Matrix.identity(g.rows), g]):
+            with pytest.raises(SingularMatrix) as info:
+                Representation(gens)
+            assert str(info.value) == "generators must be invertible"
+    assert Matrix.from_rows(SINGULAR_SQRT5).det() == QuadExt(0, 0, 5)
 
 
 def test_dual_of_orthogonal_rep_is_itself():

@@ -1,13 +1,16 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
 from reflext.catalog import entry, infinite_dihedral
-from reflext.errors import NotSpanning
+from reflext.errors import NotSpanning, ReflextError
 from reflext.graphs import Graph, induced, is_connected
 from reflext.linalg import Matrix, Subspace, rank
 from reflext.reflections import recognize_reflection
 from reflext.repkit import Representation
+from reflext.scalars import QuadExt
 from reflext.theoremlab import check_hypotheses, connected_basis_subset, verify_theorem
 
 A2 = entry("A2").representation
@@ -96,6 +99,65 @@ def test_connected_basis_subset_not_spanning():
     graph = Graph.on_range(2, [(1, 2)])
     with pytest.raises(NotSpanning):
         connected_basis_subset([(1, 0), (2, 0)], graph)
+
+
+def _seeded_family(rng, n, k, m):
+    """k > n vectors spanning F^n: n independent ones, then random vectors and
+    combinations of one to three of the vectors so far, in random order; over
+    Q(sqrt m) when m is given."""
+
+    def scalar():
+        a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        if m is None or rng.random() < 0.3:
+            return a
+        return QuadExt(a, Fraction(rng.randint(-2, 2), rng.randint(1, 2)), m)
+
+    vectors = []
+    while rank(Matrix(len(vectors), n, [x for v in vectors for x in v])) < n:
+        vectors = [tuple(scalar() for _ in range(n)) for _ in range(n)]
+    while len(vectors) < k:
+        if rng.random() < 0.5:
+            vectors.append(tuple(scalar() for _ in range(n)))
+            continue
+        parts = rng.sample(vectors, rng.randint(1, min(3, len(vectors))))
+        coefficients = [scalar() or Fraction(1) for _ in parts]
+        vectors.append(tuple(sum(c * v[t] for c, v in zip(coefficients, parts)) for t in range(n)))
+    rng.shuffle(vectors)
+    return vectors
+
+
+def _seeded_connected_graph(rng, k, density):
+    edges = {(rng.randint(1, v - 1), v) for v in range(2, k + 1)}  # a spanning tree
+    edges |= {e for e in itertools.combinations(range(1, k + 1), 2) if rng.random() < density}
+    return Graph.on_range(k, edges)
+
+
+def _outcome(fn, alphas, graph):
+    try:
+        return fn(alphas, graph)
+    except (ReflextError, ValueError) as exc:  # the type and message are the outcome
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("m", [None, 5], ids=["Q", "sqrt5"])
+def test_connected_basis_subset_matches_oracle_on_redundant_families(m):
+    # one dependency kernel per step reads the same rank and dependency as the
+    # oracle's separate rank and kernel, k > n on every input
+    from conftest import connected_basis_subset_oracle
+
+    rng = random.Random(1515 if m is None else 1515 + m)
+    results = 0
+    for trial in range(120):
+        n = rng.randint(1, 4)
+        k = rng.randint(n + 1, n + 4)
+        alphas = _seeded_family(rng, n, k, m)
+        graph = _seeded_connected_graph(rng, k, rng.choice([0.0, 0.4, 0.7, 1.0]))
+        if trial % 20 == 19:
+            graph = Graph.on_range(k)  # disconnected
+        expected = _outcome(connected_basis_subset_oracle, alphas, graph)
+        assert _outcome(connected_basis_subset, alphas, graph) == expected, (alphas, graph)
+        results += type(expected[0]) is int
+    assert results >= 50
 
 
 def test_verify_theorem_a3():
