@@ -4,10 +4,11 @@ hypothesis checks on simple bases (up to A60) and on reducible affine bases
 and for a 10-digit prime, and one dot product of dense length-16 vectors
 over Q and over Q(sqrt(5)); of the fraction-free kernel: rank of the H4 Cartan
 matrix and of a dense 16x16 matrix over Q(sqrt(5)), and the determinant of a
-dense 32x32 integer matrix; of input construction: building A60 (one
+dense 32x32 integer matrix; of the null space of a rank-8 rational 20x40
+matrix; of input construction: building A60 (one
 rank per generator) and loading the dense dim-32 representation file
 of benchmarks/dense_repfile.py; of the whole certifier, verify_theorem on the
-H3 conjugate and on A16, A40 and A60, on A6 with three conjugated extra
+H3 conjugate and on F4, A16, A40 and A60, on A6 with three conjugated extra
 reflections (k = 9 > n = 6, so the basis subset comes from the deletion
 lemma), and with trace=True on A12, whose 4095 move sequences make it the
 one caller of shortest_path at scale; of report
@@ -41,7 +42,7 @@ import pytest
 
 from dense_repfile import dense_document
 from reflext.catalog import _cartan_rep, entry
-from reflext.linalg import Matrix, dot, rank
+from reflext.linalg import Matrix, dot, kernel, rank
 from reflext.reflections import recognize_reflection
 from reflext.repfile import load_repfile
 from reflext.repkit import Representation
@@ -79,6 +80,7 @@ H3_CONJUGATE = _cartan_rep(chain(3, -PHI)).conjugate(
     Matrix.from_rows([[1, 2, 0], [0, 1, -1], [1, 1, 0]])
 )
 A12, A16, A40, A60 = (_cartan_rep(chain(k)) for k in (12, 16, 40, 60))
+F4 = _cartan_rep([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
 
 
 def with_conjugates(rep: Representation, pairs) -> Representation:
@@ -113,6 +115,13 @@ DOT_SQRT5_16 = [
     for _ in range(2)
 ]
 
+_kernel_rng = random.Random(16)  # its own stream, so the inputs above stay as they were
+RANK8_20X40 = Matrix(
+    20, 8, [Fraction(_kernel_rng.randint(-9, 9), _kernel_rng.randint(1, 9)) for _ in range(160)]
+) @ Matrix(
+    8, 40, [Fraction(_kernel_rng.randint(-9, 9), _kernel_rng.randint(1, 9)) for _ in range(320)]
+)
+
 
 @pytest.mark.parametrize("u, v", [DOT_Q16, DOT_SQRT5_16], ids=["dense16-Q", "dense16-sqrt5"])
 def test_dot(benchmark, u, v):
@@ -128,6 +137,10 @@ def test_rank(benchmark, matrix):
 
 def test_det(benchmark):
     assert benchmark(DENSE32.det) != 0
+
+
+def test_kernel(benchmark):
+    assert benchmark(kernel, RANK8_20X40).dim == 32
 
 
 def test_build_a60(benchmark):
@@ -161,7 +174,7 @@ def test_check_hypotheses_reducible(benchmark, k):
 
 
 @pytest.mark.parametrize(
-    "rep", [H3_CONJUGATE, A16, A40, A60], ids=["H3-conjugate", "A16", "A40", "A60"]
+    "rep", [H3_CONJUGATE, F4, A16, A40, A60], ids=["H3-conjugate", "F4", "A16", "A40", "A60"]
 )
 def test_verify_theorem(benchmark, rep):
     assert benchmark(verify_theorem, rep).verified

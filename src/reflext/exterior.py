@@ -49,18 +49,6 @@ def compound(matrix: Matrix, d: int) -> Matrix:
     return Matrix(size, size, [col[j] for j in range(size) for col in columns])
 
 
-def reflection_compound_trace(refl: ReflectionData, d: int) -> Scalar:
-    """Trace of the d-th compound of a reflection, without forming it.
-
-    The eigenvalues are 1 (n - 1 times) and lambda, so the trace is their d-th
-    elementary symmetric function C(n-1, d) + lambda * C(n-1, d-1).
-    """
-    n = refl.dim
-    _check_degree(n, d)
-    moving = refl.eigenvalue * comb(n - 1, d - 1) if d else Fraction(0)
-    return Fraction(comb(n - 1, d)) + moving
-
-
 def wedge(vectors: Sequence[Sequence]) -> Vector:
     """Coordinates of v_1 ^ ... ^ v_d on the lexicographic wedge basis.
 

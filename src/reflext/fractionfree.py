@@ -23,19 +23,24 @@ _ZERO = Fraction(0)
 
 
 def pairing_pattern(
-    left: Sequence[Sequence[Scalar]], right: Sequence[Sequence[Scalar]]
+    left: Sequence[Sequence], right: Sequence[Sequence], m: int | None = None, cleared: bool = False
 ) -> tuple[list[list[bool]], int]:
     """Zero pattern and rank of the matrix P_ij = left_i . right_j.
 
     Both come from G_ij = l_i . r_j over Z[sqrt(m)], where l_i and r_j are
-    the vectors with denominators cleared: G is P with row i scaled by the
-    positive integer that cleared left_i and column j by the one that cleared
-    right_j, so it has P's zero pattern and rank.  Each product runs over
-    the coordinates where both factors are nonzero.
+    the vectors scaled by nonzero elements of Z[sqrt(m)] into Z[sqrt(m)]: G
+    is P with row i and column j so scaled, so it has P's zero pattern and
+    rank.  Scalar vectors are cleared here, by the lcm of their
+    denominators, and m is read off them; with `cleared` the vectors are
+    already over Z[sqrt(m)].  Each product runs over the coordinates where
+    both factors are nonzero.
     """
-    m = field_of(chain.from_iterable([*left, *right]))
-    lefts = [clear(v, m)[0] for v in left]
-    rights = [clear(v, m)[0] for v in right]
+    if cleared:
+        lefts, rights = left, right
+    else:
+        m = field_of(chain.from_iterable([*left, *right]))
+        lefts = [clear(v, m)[0] for v in left]
+        rights = [clear(v, m)[0] for v in right]
     supports = [[t for t, x in enumerate(r) if x] for r in rights]
     gram = []
     for l_vec in lefts:

@@ -260,16 +260,25 @@ class Matrix:
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, int]:
-    """Canonical reduced row echelon form and rank.
+    """Canonical reduced row echelon form and rank."""
+    rows = matrix.row_list()
+    rk = len(_gauss_jordan(rows, matrix.cols))
+    return Matrix(matrix.rows, matrix.cols, [e for row in rows for e in row]), rk
+
+
+def _gauss_jordan(rows: list[list[Scalar]], n_cols: int) -> list[int]:
+    """Reduce the rows in place to canonical RREF; the pivot columns, in order.
 
     Pivots are 1 with zeros above and below; zero rows sink to the bottom.
     Scaling and clearing touch only the nonzero entries of the pivot row,
     which all lie at or right of the pivot: earlier pivots cleared the rest.
     """
-    rows = matrix.row_list()
-    n_rows, n_cols = matrix.rows, matrix.cols
-    lead = 0
+    n_rows = len(rows)
+    pivots: list[int] = []
     for col in range(n_cols):
+        lead = len(pivots)
+        if lead == n_rows:
+            break
         pivot = next((r for r in range(lead, n_rows) if rows[r][col]), None)
         if pivot is None:
             continue
@@ -285,10 +294,8 @@ def rref(matrix: Matrix) -> tuple[Matrix, int]:
                 factor = row[col]
                 for j in support:
                     row[j] = row[j] - factor * pivot_row[j]
-        lead += 1
-        if lead == n_rows:
-            break
-    return Matrix(n_rows, n_cols, [e for row in rows for e in row]), lead
+        pivots.append(col)
+    return pivots
 
 
 def rank(matrix: Matrix) -> int:
@@ -356,25 +363,32 @@ class Subspace(NamedTuple):
 
 
 def kernel(matrix: Matrix) -> Subspace:
-    """Exact null space {x : M x = 0} as a canonical Subspace of F^cols."""
-    reduced, rk = rref(matrix)
+    """Exact null space {x : M x = 0} as a canonical Subspace of F^cols.
+
+    One Gauss-Jordan pass, on M with its columns reversed.  With R that
+    RREF, each free column g gives the null vector with 1 at g, -R[r, g] at
+    each pivot column p_r < g and 0 at the other free columns.  Reversed
+    back, its leading entry is that 1, and it is zero at the leading entry
+    of every other such vector, so taken in decreasing g they are already
+    the canonical RREF basis of ker M.
+    """
     n = matrix.cols
-    pivots = []
-    col = 0
-    for r in range(rk):
-        while not reduced[r, col]:
-            col += 1
-        pivots.append(col)
-        col += 1
-    free = [j for j in range(n) if j not in pivots]
-    basis_rows = []
-    for f in free:
+    rows = [list(reversed(matrix.row(i))) for i in range(matrix.rows)]
+    pivots = _gauss_jordan(rows, n)
+    pivot_set = set(pivots)
+    entries: list[Scalar] = []
+    for g in reversed(range(n)):
+        if g in pivot_set:
+            continue
         v: list[Scalar] = [_ZERO] * n
-        v[f] = _ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r, f]
-        basis_rows.append(v)
-    return Subspace.span(basis_rows, n)
+        v[n - 1 - g] = _ONE
+        for row, p in zip(rows, pivots):
+            if p > g:
+                break
+            if row[g]:
+                v[n - 1 - p] = -row[g]
+        entries.extend(v)
+    return Subspace(n, Matrix(n - len(pivots), n, entries))
 
 
 def image(matrix: Matrix) -> Subspace:

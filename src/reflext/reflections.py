@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import InternalError, NotDiagonalizable, NotRankOne, SingularMatrix
 from .fractionfree import clear
@@ -22,14 +23,28 @@ _ONE = Fraction(1)
 
 class ReflectionData:
     """Canonical data (matrix, alpha, lambda, functional) of a reflection; the
-    fixed hyperplane ker f is built at its first read.  Equality and hashing
-    use the four data and ignore the cached hyperplane."""
+    fixed hyperplane ker f is built at its first read.  Equality, hashing and
+    repr use the four data and ignore the cached hyperplane and `cleared`.
 
-    def __init__(self, matrix: Matrix, alpha: Vector, eigenvalue: Scalar, functional: Vector):
+    recognize_reflection also keeps `cleared` = (m, f~, alpha~): f and alpha
+    scaled by nonzero elements of Z[sqrt(m)] into Z[sqrt(m)], in the entries
+    of reflext.fractionfree (ints over Q, pairs over Q(sqrt(m)), the int 0
+    for zero), so later ranks and patterns need no second clearing.
+    """
+
+    def __init__(
+        self,
+        matrix: Matrix,
+        alpha: Vector,
+        eigenvalue: Scalar,
+        functional: Vector,
+        cleared: tuple | None = None,
+    ):
         self.matrix = matrix
         self.alpha = alpha
         self.eigenvalue = eigenvalue
         self.functional = functional
+        self.cleared = cleared
 
     def _key(self) -> tuple:
         return (self.matrix, self.alpha, self.eigenvalue, self.functional)
@@ -80,15 +95,18 @@ def recognize_reflection(matrix: Matrix) -> ReflectionData:
     n = matrix.rows
     diff = [list(matrix.row(i)) for i in range(n)]
     for i in range(n):
-        diff[i][i] = diff[i][i] - _ONE
+        x = diff[i][i]
+        # a QuadExt loses 1 from its rational part alone
+        diff[i][i] = _quad(x.a - _ONE, x.b, x.m) if type(x) is QuadExt else x - _ONE
     m = matrix.field()
     p = next((i for i in range(n) if any(diff[i])), None)
-    alpha = None if p is None else _moving_line(diff, p, m)
-    if alpha is None:
+    line = None if p is None else _moving_line(diff, p, m)
+    if line is None:
         rank = row_rank(diff, n)
         if rank == 1:
             raise InternalError("rank-one matrix failed the minor test")
         raise NotRankOne(f"rank(M - I) = {rank}, expected 1")
+    alpha, cleared_f, cleared_alpha = line
     # f is row p of D, lifted into Q(sqrt(m)) when alpha_p = 1 is a QuadExt
     lift = type(alpha[p]) is QuadExt
     functional = tuple(_quad(x, _ZERO, m) if lift and type(x) is Fraction else x for x in diff[p])
@@ -100,12 +118,12 @@ def recognize_reflection(matrix: Matrix) -> ReflectionData:
     # M alpha == lambda alpha: M alpha = (1 + f(alpha)) alpha, as M - I == alpha f^T
     if 1 + dot(functional, alpha) != eigenvalue:
         raise InternalError("alpha is not an eigenvector for the reflection eigenvalue")
-    return ReflectionData(matrix, alpha, eigenvalue, functional)
+    return ReflectionData(matrix, alpha, eigenvalue, functional, (m, cleared_f, cleared_alpha))
 
 
-def _moving_line(diff: list[list[Scalar]], p: int, m: int | None) -> Vector | None:
-    """alpha = column q of D over D_pq, q the first nonzero column of row p;
-    None when D has rank above one.
+def _moving_line(diff: list[list[Scalar]], p: int, m: int | None) -> tuple | None:
+    """(alpha, f~, alpha~), with alpha column q of D over D_pq, q the first
+    nonzero column of row p; None when D has rank above one.
 
     Row i is cleared to r_i = c_i D_i over Z[sqrt(m)], c_i the lcm of its
     denominators, so the minor through (p, q) is r_pq r_ij - r_iq r_pj over
@@ -113,6 +131,10 @@ def _moving_line(diff: list[list[Scalar]], p: int, m: int | None) -> Vector | No
     it is zero, and is not cleared.  Each alpha_i = r_iq c_p / (r_pq c_i) is
     normalized once, over Q(sqrt(m)) through the norm of r_pq; it is a
     QuadExt exactly when D_pq or D_iq is one, as D_iq / D_pq would be.
+
+    The integers are kept: f~ = r_p = c_p f, and alpha~_i = r_iq (L / c_i)
+    with L the lcm of the c_i, which is alpha times r_pq (L / c_p), a nonzero
+    element of Z[sqrt(m)] as c_p divides L.
     """
     pivot_row, c_p = clear(diff[p], m)
     q = next(j for j, x in enumerate(pivot_row) if x)
@@ -122,6 +144,7 @@ def _moving_line(diff: list[list[Scalar]], p: int, m: int | None) -> Vector | No
         u, v = r_pq
         norm = u * u - m * v * v
     alpha = []
+    moving = []  # (i, r_iq, c_i) for each row with D_iq != 0
     for i, row in enumerate(diff):
         quad = quad_pivot or type(row[q]) is QuadExt
         if not row[q]:
@@ -131,6 +154,7 @@ def _moving_line(diff: list[list[Scalar]], p: int, m: int | None) -> Vector | No
             continue
         r_i, c_i = (pivot_row, c_p) if i == p else clear(row, m)
         r_iq = r_i[q]
+        moving.append((i, r_iq, c_i))
         if m is None:
             if any(r_pq * x != r_iq * y for x, y in zip(r_i, pivot_row)):
                 return None
@@ -142,7 +166,12 @@ def _moving_line(diff: list[list[Scalar]], p: int, m: int | None) -> Vector | No
         den = norm * c_i
         x = Fraction((a * u - m * b * v) * c_p, den)
         alpha.append(_quad(x, Fraction((b * u - a * v) * c_p, den), m) if quad else x)
-    return tuple(alpha)
+    common = lcm(*[c_i for _, _, c_i in moving])
+    cleared_alpha: list = [0] * len(diff)
+    for i, r_iq, c_i in moving:
+        k = common // c_i
+        cleared_alpha[i] = r_iq * k if m is None else (r_iq[0] * k, r_iq[1] * k)
+    return tuple(alpha), tuple(pivot_row), tuple(cleared_alpha)
 
 
 def _times(x, y, m: int) -> tuple[int, int]:

@@ -92,9 +92,23 @@ class Representation:
 
 
 def exterior_rep(rep: Representation, d: int) -> Representation:
-    """Generators replaced by their d-th compounds; dimension C(n, d)."""
+    """Generators replaced by their d-th compounds; dimension C(n, d).
+
+    det C_d(g) = det(g)^C(n-1, d-1), so the compounds of the invertible
+    generators are invertible and are not ranked again.
+    """
     _check_degree(rep.dim, d)
-    return Representation([compound(g, d) for g in rep.generators], rep.labels)
+    return _invertible_rep([compound(g, d) for g in rep.generators], rep.labels)
+
+
+def _invertible_rep(generators: Sequence[Matrix], labels: tuple[str, ...]) -> Representation:
+    """A Representation of square generators of one size, known to be
+    invertible, with one label each: built without Representation's checks."""
+    rep = object.__new__(Representation)
+    rep.dim = generators[0].rows
+    rep.generators = tuple(generators)
+    rep.labels = labels
+    return rep
 
 
 def dual_rep(rep: Representation) -> Representation:

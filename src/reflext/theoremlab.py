@@ -38,8 +38,8 @@ from .errors import (
     NotSpanning,
     SingularMatrix,
 )
-from .exterior import _check_degree, reflection_compound_trace
-from .fractionfree import pairing_pattern
+from .exterior import _check_degree
+from .fractionfree import echelon, pairing_pattern
 from .graphs import (
     Graph,
     apply_move,
@@ -52,7 +52,7 @@ from .graphs import (
 from .linalg import Matrix, Subspace, Vector, dot, kernel, row_rank
 from .reflections import ReflectionData, recognize_reflection
 from .repkit import Representation, SimplicityVerdict, is_invariant
-from .scalars import Scalar
+from .scalars import Scalar, merge_tags
 
 
 class HypothesisReport(NamedTuple):
@@ -157,8 +157,10 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
         )
 
     k = len(rep.generators)
-    # the Cartan matrix C_ij = f_i(alpha_j): its zero pattern and its rank
-    support, cartan_rank = pairing_pattern([r.functional for r in refls], [r.alpha for r in refls])
+    # the Cartan matrix C_ij = f_i(alpha_j): its zero pattern and its rank,
+    # from the integer forms recognition cleared
+    m, functionals, alphas = _cleared_forms(refls)
+    support, cartan_rank = pairing_pattern(functionals, alphas, m, cleared=True)
     # moves[i][j]: s_i moves alpha_j; the one relation behind conditions 3 and 4
     moves = [[i != j and support[i][j] for j in range(k)] for i in range(k)]
     violations: list[tuple[int, int]] = []
@@ -339,12 +341,41 @@ def _dependencies(vectors: Sequence[Vector]) -> Subspace:
     return kernel(Matrix.from_rows(vectors).transpose())
 
 
+def _cleared_forms(refls: Sequence[ReflectionData]) -> tuple[int | None, list[list], list[list]]:
+    """The radicand m and the f~_i and alpha~_i that recognition cleared,
+    over one Z[sqrt(m)]: a rational generator's ints are lifted to pairs
+    (x, 0) in a Q(sqrt(m)) representation.  The rows are fresh lists, so
+    an elimination may reduce them in place."""
+    m = None
+    for r in refls:
+        m = merge_tags(m, r.cleared[0])
+
+    def lift(own_m: int | None, v) -> list:
+        if own_m == m:
+            return list(v)
+        return [(x, 0) if x else 0 for x in v]
+
+    return (
+        m,
+        [lift(r.cleared[0], r.cleared[1]) for r in refls],
+        [lift(r.cleared[0], r.cleared[2]) for r in refls],
+    )
+
+
 def _characters_separate(refls: Sequence[ReflectionData], n: int) -> bool:
-    """Every two degrees of equal dimension differ in the trace of some generator."""
+    """Every two degrees of equal dimension differ in the trace of some generator.
+
+    C(n, a) = C(n, b) with a < b forces b = n - a, and as tr(wedge^d s) =
+    C(n-1, d) + lambda C(n-1, d-1) for a reflection s with eigenvalue
+    lambda, tr(wedge^a s) - tr(wedge^(n-a) s) = (1 - lambda)(C(n-1, a) -
+    C(n-1, a-1)), with C(n-1, -1) = 0.  A product in a field is nonzero
+    exactly when both factors are.
+    """
+    moving = any(r.eigenvalue != 1 for r in refls)
     return all(
-        any(reflection_compound_trace(r, a) != reflection_compound_trace(r, b) for r in refls)
-        for a, b in itertools.combinations(range(n + 1), 2)
-        if comb(n, a) == comb(n, b)
+        moving and comb(n - 1, a) != (comb(n - 1, a - 1) if a else 0)
+        for a in range(n + 1)
+        if 2 * a < n
     )
 
 
@@ -457,7 +488,8 @@ def verify_theorem(
         subset = connected_basis_subset([r.alpha for r in refls], hyp.graph)
     if not is_connected(induced(hyp.graph, subset)):
         raise InternalError("basis subset of a simple base induces a disconnected graph")
-    if row_rank([refls[i - 1].alpha for i in subset], n) != len(subset):
+    m, _, alphas = _cleared_forms([refls[i - 1] for i in subset])
+    if echelon(alphas, n, m, cleared=True)[0] != len(subset):
         raise InternalError("connected basis subset is not independent")
 
     degree_list = sorted(set(degrees)) if degrees is not None else list(range(n + 1))

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import itertools
 from collections import deque
 from fractions import Fraction
 from math import comb
@@ -16,7 +17,7 @@ from reflext.errors import (
 )
 from reflext.exterior import compound
 from reflext.graphs import deletable_vertex, induced, is_connected
-from reflext.linalg import Matrix, Subspace, intersect_all, kernel, rank, row_rank
+from reflext.linalg import Matrix, Subspace, intersect_all, kernel, rank, rref, row_rank
 from reflext.reflections import ReflectionData
 from reflext.scalars import _quad, field_tag, inv
 
@@ -50,6 +51,49 @@ def minus_intersection_bruteforce(refls, d):
         for r in refls
     ]
     return intersect_all(spaces, ambient)
+
+
+def kernel_two_pass(matrix):
+    """Oracle for linalg.kernel: the RREF of M, one null vector per free
+    column, and a second RREF of those vectors through Subspace.span."""
+    reduced, rk = rref(matrix)
+    n = matrix.cols
+    pivots = []
+    col = 0
+    for r in range(rk):
+        while not reduced[r, col]:
+            col += 1
+        pivots.append(col)
+        col += 1
+    basis_rows = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r, f]
+        basis_rows.append(v)
+    return Subspace.span(basis_rows, n)
+
+
+def reflection_compound_trace(refl, d):
+    """Trace of the d-th compound of a reflection, without forming it.
+
+    The eigenvalues are 1 (n - 1 times) and lambda, so the trace is their d-th
+    elementary symmetric function C(n-1, d) + lambda * C(n-1, d-1).
+    """
+    n = refl.dim
+    moving = refl.eigenvalue * comb(n - 1, d - 1) if d else Fraction(0)
+    return Fraction(comb(n - 1, d)) + moving
+
+
+def characters_separate_oracle(refls, n):
+    """Oracle for theoremlab._characters_separate: compare the traces of
+    every two degrees of equal dimension, generator by generator."""
+    return all(
+        any(reflection_compound_trace(r, a) != reflection_compound_trace(r, b) for r in refls)
+        for a, b in itertools.combinations(range(n + 1), 2)
+        if comb(n, a) == comb(n, b)
+    )
 
 
 def naive_dot(u, v):

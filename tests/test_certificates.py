@@ -6,9 +6,11 @@ simplicity / hom_dim / compound machinery serves as the oracle here.
 """
 
 import ast
+import importlib
 import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -18,16 +20,22 @@ import pytest
 import reflext
 from reflext import fractionfree, linalg, repkit
 from reflext.catalog import _cartan_rep, entry, list_entries
-from reflext.exterior import compound, reflection_compound_trace, wedge
+from reflext.exterior import compound, wedge
 from reflext.linalg import Matrix, Subspace, kernel
-from reflext.reflections import is_reflection, recognize_reflection
+from reflext.reflections import ReflectionData, is_reflection, recognize_reflection
 from reflext.repkit import Representation, exterior_rep, hom_dim, simplicity
 from reflext.scalars import QuadExt
-from reflext.theoremlab import check_hypotheses, verify_theorem
+from reflext.theoremlab import _characters_separate, check_hypotheses, verify_theorem
 
-from conftest import minus_intersection_bruteforce, random_invertible
+from conftest import (
+    characters_separate_oracle,
+    minus_intersection_bruteforce,
+    random_invertible,
+    reflection_compound_trace,
+)
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "reflext"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "reflext"
 
 
 def _reflection_rep(rows, p=None):
@@ -178,6 +186,38 @@ def test_trace_formula_matches_compound_on_catalog():
             refl = recognize_reflection(g)
             for d in range(g.rows + 1):
                 assert reflection_compound_trace(refl, d) == compound(g, d).trace(), (name, d)
+
+
+def _benchmark_inputs(seed):
+    """The seeded ladder, growth and sweep representations of perfbench."""
+    if str(ROOT) not in sys.path:
+        sys.path.append(str(ROOT))
+    inputs = importlib.import_module("perfbench.inputs")
+    return [c.rep for build in (inputs.ladder, inputs.growth, inputs.sweep) for c in build(seed)]
+
+
+def test_closed_form_character_separation_matches_trace_oracle():
+    reps = [entry(name).representation for name in list_entries()] + _benchmark_inputs(7)
+    checked = 0
+    for rep in reps:
+        refls = [r for r in check_hypotheses(rep).reflections if r is not None]
+        if refls:
+            got = _characters_separate(refls, rep.dim)
+            assert got is characters_separate_oracle(refls, rep.dim) is True
+            checked += 1
+    assert checked >= 250
+    # unipotent transvections I + e_0 e_(n-1)^T (lambda = 1): no trace tells a from n - a
+    for n in range(1, 7):
+        alpha = tuple(Fraction(int(i == 0)) for i in range(n))
+        functional = tuple(Fraction(int(i == n - 1 and n > 1)) for i in range(n))
+        matrix = Matrix.identity(n) + Matrix(n, 1, alpha) @ Matrix(1, n, functional)
+        transvections = [ReflectionData(matrix, alpha, Fraction(1), functional)] * 2
+        assert _characters_separate(transvections, n) is False
+        assert characters_separate_oracle(transvections, n) is False
+        mirror = Matrix(n, 1, alpha) @ Matrix(1, n, alpha).scale(2)
+        reflection = recognize_reflection(Matrix.identity(n) - mirror)
+        assert _characters_separate([*transvections, reflection], n) is True
+        assert characters_separate_oracle([*transvections, reflection], n) is True
 
 
 def test_derived_certificates_match_generic_on_catalog():

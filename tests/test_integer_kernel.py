@@ -15,10 +15,11 @@ import pytest
 
 from reflext import fractionfree
 from reflext.errors import FieldMismatch, InternalError, NotRankOne
-from reflext.fractionfree import pairing_pattern
+from reflext.fractionfree import clear, echelon, pairing_pattern, to_scalar
 from reflext.linalg import Matrix, rank, row_rank, rref
 from reflext.reflections import reflection_from_parts, recognize_reflection
 from reflext.scalars import QuadExt, field_tag, inv
+from reflext.theoremlab import _cleared_forms
 
 P10 = 1000000007
 FIELDS = [None, 5, P10]
@@ -240,3 +241,45 @@ def test_reflection_data_and_rank_two_perturbations(m):
     with pytest.raises(NotRankOne) as info:
         recognize_reflection(Matrix.identity(3))
     assert str(info.value) == "rank(M - I) = 0, expected 1"
+
+
+def _recognized(rng, n, m):
+    """A recognized reflection I + alpha f^T over Q or Q(sqrt m)."""
+    while True:
+        alpha = [scalar(rng, m, zero_share=0.4) for _ in range(n)]
+        f = [scalar(rng, m, zero_share=0.4) for _ in range(n)]
+        lam = 1 + sum((a * b for a, b in zip(f, alpha)), Fraction(0))
+        if any(alpha) and any(f) and lam not in (0, 1):
+            return recognize_reflection(reflection_from_parts(alpha, f))
+
+
+@pytest.mark.parametrize("kind", ["Q", "sqrt5", "Q-in-sqrt5"])
+def test_stored_integer_forms_give_the_scalar_pattern_and_ranks(kind):
+    """Recognition's f~ and alpha~ are multiples of f and alpha, and the
+    Cartan pattern, its rank and the alpha_S rank read off them equal those
+    of the scalar vectors; a rational generator is lifted into Q(sqrt 5)."""
+    rng = random.Random({"Q": 1611, "sqrt5": 1612, "Q-in-sqrt5": 1613}[kind])
+    lifted = 0
+    for _ in range(400):
+        n, k = rng.randint(1, 5), rng.randint(1, 6)
+        fields = [
+            None if kind == "Q" or (kind != "sqrt5" and rng.random() < 0.5) else 5
+            for _ in range(k)
+        ]
+        refls = [_recognized(rng, n, m) for m in fields]
+        for r in refls:
+            m, f_cleared, alpha_cleared = r.cleared
+            assert m == r.matrix.field()
+            assert list(f_cleared) == clear(r.functional, m)[0]
+            p = next(i for i, x in enumerate(r.alpha) if x)
+            scale = to_scalar(alpha_cleared[p], 1, m)
+            assert scale
+            assert [to_scalar(x, 1, m) for x in alpha_cleared] == [scale * a for a in r.alpha]
+        m, functionals, alphas = _cleared_forms(refls)
+        lifted += m is not None and None in {r.cleared[0] for r in refls}
+        got = pairing_pattern(functionals, alphas, m, cleared=True)
+        assert got == pairing_pattern([r.functional for r in refls], [r.alpha for r in refls])
+        subset = rng.sample(refls, rng.randint(1, k))
+        m_s, _, alphas_s = _cleared_forms(subset)
+        assert echelon(alphas_s, n, m_s, cleared=True)[0] == row_rank([r.alpha for r in subset], n)
+    assert kind != "Q-in-sqrt5" or lifted >= 100

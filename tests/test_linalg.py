@@ -26,7 +26,7 @@ from reflext.linalg import (
 )
 from reflext.scalars import QuadExt
 
-from conftest import naive_dot, random_matrix
+from conftest import kernel_two_pass, naive_dot, random_matrix
 
 A2_GENS = [Matrix.from_rows([[-1, 1], [0, 1]]), Matrix.from_rows([[1, 0], [1, -1]])]
 
@@ -220,3 +220,40 @@ def test_dot_edge_cases():
             dot(u, v)
         with pytest.raises(FieldMismatch):
             naive_dot(u, v)
+
+
+def _kernel_input(rng, m):
+    """A seeded matrix, rank-deficient through a thinner middle factor; over
+    Q(sqrt m) some entries stay Fractions.  Shapes include 0 x n and n x 0."""
+    rows, cols = rng.randint(0, 6), rng.randint(0, 7)
+
+    def entry():
+        if rng.random() < 0.35:
+            return Fraction(0)
+        x = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+        return QuadExt(x, Fraction(rng.randint(-3, 3), rng.randint(1, 4)), m) if m else x
+
+    if rows and cols and rng.random() < 0.5:
+        middle = rng.randint(0, min(rows, cols))
+        left = Matrix(rows, middle, [entry() for _ in range(rows * middle)])
+        right = Matrix(middle, cols, [entry() for _ in range(middle * cols)])
+        return left @ right if middle else Matrix.zero(rows, cols)
+    return Matrix(rows, cols, [entry() for _ in range(rows * cols)])
+
+
+@pytest.mark.parametrize("m", [None, 5], ids=["Q", "sqrt5"])
+def test_kernel_matches_two_pass_oracle(m):
+    rng = random.Random(1601 if m is None else 1605)
+    deficient = zero = empty = 0
+    for _ in range(600):
+        matrix = _kernel_input(rng, m)
+        got = kernel(matrix)
+        expected = kernel_two_pass(matrix)
+        assert got == expected, matrix
+        assert repr(got.basis) == repr(expected.basis)
+        assert all(not x for v in got.basis_vectors() for x in matrix.apply(v))
+        rk = rank(matrix)
+        deficient += 0 < rk < min(matrix.rows, matrix.cols)
+        zero += matrix.rows * matrix.cols > 0 and matrix.is_zero()
+        empty += matrix.rows == 0 or matrix.cols == 0
+    assert min(deficient, zero, empty) >= 20, (deficient, zero, empty)
