@@ -12,7 +12,6 @@ entries alike.  Every value handed back is a Fraction or a QuadExt.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -23,29 +22,21 @@ _ZERO = Fraction(0)
 
 
 def pairing_pattern(
-    left: Sequence[Sequence], right: Sequence[Sequence], m: int | None = None, cleared: bool = False
+    left: Sequence[Sequence], right: Sequence[Sequence], m: int | None
 ) -> tuple[list[list[bool]], int]:
     """Zero pattern and rank of the matrix P_ij = left_i . right_j.
 
-    Both come from G_ij = l_i . r_j over Z[sqrt(m)], where l_i and r_j are
-    the vectors scaled by nonzero elements of Z[sqrt(m)] into Z[sqrt(m)]: G
-    is P with row i and column j so scaled, so it has P's zero pattern and
-    rank.  Scalar vectors are cleared here, by the lcm of their
-    denominators, and m is read off them; with `cleared` the vectors are
-    already over Z[sqrt(m)].  Each product runs over the coordinates where
-    both factors are nonzero.
+    The vectors are over Z[sqrt(m)]: scalar vectors scaled by nonzero
+    elements of Z[sqrt(m)], as recognition keeps each f and alpha.  The
+    products G_ij = l_i . r_j form P with row i and column j so scaled, so
+    G has P's zero pattern and rank.  Each product runs over the coordinates
+    where both factors are nonzero.
     """
-    if cleared:
-        lefts, rights = left, right
-    else:
-        m = field_of(chain.from_iterable([*left, *right]))
-        lefts = [clear(v, m)[0] for v in left]
-        rights = [clear(v, m)[0] for v in right]
-    supports = [[t for t, x in enumerate(r) if x] for r in rights]
+    supports = [[t for t, x in enumerate(r) if x] for r in right]
     gram = []
-    for l_vec in lefts:
+    for l_vec in left:
         row = []
-        for r_vec, support in zip(rights, supports):
+        for r_vec, support in zip(right, supports):
             pairs = [(l_vec[t], r_vec[t]) for t in support if l_vec[t]]
             if m is None:
                 row.append(sum(a * b for a, b in pairs))
@@ -55,7 +46,7 @@ def pairing_pattern(
             row.append((u, v) if u or v else 0)
         gram.append(row)
     pattern = [[bool(x) for x in row] for row in gram]
-    return pattern, echelon(gram, len(rights), m, cleared=True)[0]
+    return pattern, echelon(gram, len(right), m, cleared=True)[0]
 
 
 def field_of(entries: Iterable[Scalar]) -> int | None:

@@ -95,9 +95,7 @@ def recognize_reflection(matrix: Matrix) -> ReflectionData:
     n = matrix.rows
     diff = [list(matrix.row(i)) for i in range(n)]
     for i in range(n):
-        x = diff[i][i]
-        # a QuadExt loses 1 from its rational part alone
-        diff[i][i] = _quad(x.a - _ONE, x.b, x.m) if type(x) is QuadExt else x - _ONE
+        diff[i][i] = diff[i][i] - _ONE
     m = matrix.field()
     p = next((i for i in range(n) if any(diff[i])), None)
     line = None if p is None else _moving_line(diff, p, m)

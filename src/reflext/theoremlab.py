@@ -160,7 +160,7 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
     # the Cartan matrix C_ij = f_i(alpha_j): its zero pattern and its rank,
     # from the integer forms recognition cleared
     m, functionals, alphas = _cleared_forms(refls)
-    support, cartan_rank = pairing_pattern(functionals, alphas, m, cleared=True)
+    support, cartan_rank = pairing_pattern(functionals, alphas, m)
     # moves[i][j]: s_i moves alpha_j; the one relation behind conditions 3 and 4
     moves = [[i != j and support[i][j] for j in range(k)] for i in range(k)]
     violations: list[tuple[int, int]] = []

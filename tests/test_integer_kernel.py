@@ -15,8 +15,8 @@ import pytest
 
 from reflext import fractionfree
 from reflext.errors import FieldMismatch, InternalError, NotRankOne
-from reflext.fractionfree import clear, echelon, pairing_pattern, to_scalar
-from reflext.linalg import Matrix, rank, row_rank, rref
+from reflext.fractionfree import clear, echelon, field_of, pairing_pattern, to_scalar
+from reflext.linalg import Matrix, dot, rank, row_rank, rref
 from reflext.reflections import reflection_from_parts, recognize_reflection
 from reflext.scalars import QuadExt, field_tag, inv
 from reflext.theoremlab import _cleared_forms
@@ -143,7 +143,7 @@ def test_mixed_radicands_raise_field_mismatch():
     with pytest.raises(FieldMismatch):
         mixed.det()
     with pytest.raises(FieldMismatch):
-        pairing_pattern([[QuadExt(1, 1, 2)]], [[QuadExt(1, 1, 3)]])
+        field_of([QuadExt(1, 1, 2), QuadExt(1, 1, 3)])
 
 
 def test_inexact_division_is_an_internal_error():
@@ -193,7 +193,10 @@ def test_pairing_pattern_matches_the_scalar_products(m):
         left = [[scalar(rng, m, zero_share=0.5) for _ in range(n)] for _ in range(k)]
         right = [[scalar(rng, m, zero_share=0.5) for _ in range(n)] for _ in range(k)]
         products = [[sum((a * b for a, b in zip(f, v)), Fraction(0)) for v in right] for f in left]
-        support, rk = pairing_pattern(left, right)
+        field = field_of([x for v in left + right for x in v])
+        support, rk = pairing_pattern(
+            [clear(v, field)[0] for v in left], [clear(v, field)[0] for v in right], field
+        )
         assert support == [[bool(x) for x in row] for row in products]
         assert rk == rref(Matrix.from_rows(products))[1]
 
@@ -257,7 +260,8 @@ def _recognized(rng, n, m):
 def test_stored_integer_forms_give_the_scalar_pattern_and_ranks(kind):
     """Recognition's f~ and alpha~ are multiples of f and alpha, and the
     Cartan pattern, its rank and the alpha_S rank read off them equal those
-    of the scalar vectors; a rational generator is lifted into Q(sqrt 5)."""
+    of the scalar vectors (by `dot` and `row_rank`, which share no loop with
+    `pairing_pattern`); a rational generator is lifted into Q(sqrt 5)."""
     rng = random.Random({"Q": 1611, "sqrt5": 1612, "Q-in-sqrt5": 1613}[kind])
     lifted = 0
     for _ in range(400):
@@ -277,8 +281,10 @@ def test_stored_integer_forms_give_the_scalar_pattern_and_ranks(kind):
             assert [to_scalar(x, 1, m) for x in alpha_cleared] == [scale * a for a in r.alpha]
         m, functionals, alphas = _cleared_forms(refls)
         lifted += m is not None and None in {r.cleared[0] for r in refls}
-        got = pairing_pattern(functionals, alphas, m, cleared=True)
-        assert got == pairing_pattern([r.functional for r in refls], [r.alpha for r in refls])
+        support, cartan_rank = pairing_pattern(functionals, alphas, m)
+        cartan = [[dot(r.functional, s.alpha) for s in refls] for r in refls]
+        assert support == [[bool(x) for x in row] for row in cartan]
+        assert cartan_rank == row_rank(cartan, k)
         subset = rng.sample(refls, rng.randint(1, k))
         m_s, _, alphas_s = _cleared_forms(subset)
         assert echelon(alphas_s, n, m_s, cleared=True)[0] == row_rank([r.alpha for r in subset], n)
