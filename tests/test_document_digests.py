@@ -7,7 +7,11 @@ digest; a change that means to alter the documents must re-pin them.
 """
 
 import hashlib
+import importlib
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,3 +161,31 @@ def test_documents_match_their_pinned_digests(name):
         _digest(analyze_document(rep, check_hypotheses(rep), name)),
     )
     assert got == DIGESTS[name]
+
+
+def _sweep_cases(seed, kinds):
+    """The seeded perfbench sweep inputs of the given kinds, in sweep order."""
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.append(root)
+    inputs = importlib.import_module("perfbench.inputs")
+    return [c for c in inputs.sweep(seed) if re.match(rf"r\d-({'|'.join(kinds)})\W", c.id)]
+
+
+# one sha256 over the theorem and analyze documents of the 64 seed-7 sweep
+# inputs that fail condition 3 or 4, several of them conjugated: the catalog
+# above has no conjugated reducible witness
+REDUCIBLE_SWEEP_DIGEST = "5868e6e37bceb86be5344fae3f41d46ba0cd47ba8ebf38e20f12e880d5a49d62"
+
+
+def test_reducible_sweep_documents_match_their_pinned_digest():
+    cases = _sweep_cases(7, ("singular", "asymmetric"))
+    assert len(cases) == 64
+    digest = hashlib.sha256()
+    for case in cases:
+        rep = case.rep
+        theorem = theorem_document(verify_theorem(rep), rep, case.id)
+        digest.update(json.dumps(theorem, indent=2).encode())
+        analyze = analyze_document(rep, check_hypotheses(rep), case.id)
+        digest.update(json.dumps(analyze, indent=2).encode())
+    assert digest.hexdigest() == REDUCIBLE_SWEEP_DIGEST
