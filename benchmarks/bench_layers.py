@@ -1,21 +1,23 @@
 """Micro-benchmarks of the hypothesis layer: reflection recognition, the
 hypothesis checks on simple bases (up to A60) and on reducible affine bases
-(where the base commutant is counted), one Q(sqrt(m)) multiply for m = 5
-and for a 10-digit prime, and one dot product of dense length-16 vectors
-over Q and over Q(sqrt(5)); of the fraction-free kernel: rank of the H4 Cartan
-matrix and of a dense 16x16 matrix over Q(sqrt(5)), and the determinant of a
-dense 32x32 integer matrix; of the null space of a rank-8 rational 20x40
-matrix; of input construction: building A60 (one
-rank per generator) and loading the dense dim-32 representation file
-of benchmarks/dense_repfile.py; of the whole certifier, verify_theorem on the
-H3 conjugate and on F4, A16, A40 and A60, on A6 with three conjugated extra
-reflections (k = 9 > n = 6, so the basis subset comes from the deletion
-lemma), and with trace=True on A12, whose 4095 move sequences make it the
-one caller of shortest_path at scale; of report
-validation: one theorem document (A3, and B2 with --trace) and one analyze
-document (cond4-fail) against its schema; and of the command line, one cold
-`python -B -m reflext.cli verify A2 --json` process on a copy of the package
-without bytecode, so every round compiles `reflext` from source.
+up to affine A29 (where the witness and the base commutant are counted),
+one Q(sqrt(m)) multiply for m = 5 and for a 10-digit prime, and one dot
+product of dense length-16 vectors over Q and over Q(sqrt(5)); of the
+fraction-free kernel: rank of the H4 Cartan matrix and of a dense 16x16
+matrix over Q(sqrt(5)), and the determinant of a dense 32x32 integer matrix;
+of the null space of a rank-8 rational 20x40 matrix; of input construction:
+building A60 (one rank per generator) and loading the dense dim-32
+representation file of benchmarks/dense_repfile.py; of the whole certifier,
+verify_theorem on the H3 conjugate and on F4, A16, A40 and A60, on A6 with
+three conjugated extra reflections (k = 9 > n = 6, so the basis subset
+comes from the deletion lemma), on every reflection of F4, D6 and H4
+(k = 24, 30, 60: one dependency kernel per deletion), and with trace=True
+on A12, whose 4095 move sequences make it the one caller of shortest_path
+at scale; of report validation: one theorem document (A3, and B2 with
+--trace) and one analyze document (cond4-fail) against its schema; and of
+the command line, one cold `python -B -m reflext.cli verify A2 --json`
+process on a copy of the package without bytecode, so every round compiles
+`reflext` from source.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_layers.py --benchmark-json=BENCH_<label>.json
 
@@ -26,7 +28,9 @@ with -k "not (verify_theorem and (A40 or A60))".
 The tier-1 suite does not collect this file (testpaths is tests/), and the
 file name does not match pytest's test_*.py pattern; it runs when named.
 The committed BENCH_*.json files keep pytest-benchmark's statistics and drop
-its per-round samples (``stats.data``).
+its per-round samples (``stats.data``).  From BENCH_pr17 on, each side runs
+twice, alternating with the other side, and its file is the second run with
+both runs' medians in each benchmark's ``extra_info``.
 """
 
 import json
@@ -83,6 +87,23 @@ A12, A16, A40, A60 = (_cartan_rep(chain(k)) for k in (12, 16, 40, 60))
 F4 = _cartan_rep([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
 
 
+def all_reflections(rep: Representation) -> Representation:
+    """Every reflection of the group rep generates, in the order the closure
+    of its generators under conjugation by them first reaches it: more
+    reflections than the dimension, k >> n, as the ROADMAP's k > n item
+    measures them."""
+    gens = list(rep.generators)
+    seen = set(gens)
+    pairs = [(s, s.inverse()) for s in gens]
+    for g in gens:  # gens grows while it is walked
+        for s, s_inverse in pairs:
+            conjugate = s @ g @ s_inverse
+            if conjugate not in seen:
+                seen.add(conjugate)
+                gens.append(conjugate)
+    return Representation(gens)
+
+
 def with_conjugates(rep: Representation, pairs) -> Representation:
     """rep plus s_i s_j s_i^(-1) for each (i, j): more reflections than the
     dimension, so verify_theorem picks its basis subset by the deletion lemma."""
@@ -92,6 +113,15 @@ def with_conjugates(rep: Representation, pairs) -> Representation:
 
 
 A6_REDUNDANT = with_conjugates(_cartan_rep(chain(6)), [(0, 1), (2, 3), (4, 5)])
+D6 = chain(6)  # the path 1 - 2 - 3 - 4 - 5 with 6 joined to 4
+D6[4][5] = D6[5][4] = 0
+D6[3][5] = D6[5][3] = -1
+# k = 24, 30 and 60 reflections; the basis subsets are the ones verify_theorem picked before
+ALL_REFLECTIONS = {
+    "F4": (all_reflections(F4), (21, 22, 23, 24)),
+    "D6": (all_reflections(_cartan_rep(D6)), (22, 25, 27, 28, 29, 30)),
+    "H4": (all_reflections(H4), (57, 58, 59, 60)),
+}
 
 _rng = random.Random(9)
 H4_CARTAN = Matrix.from_rows(chain(4, -PHI))
@@ -167,7 +197,9 @@ def test_check_hypotheses(benchmark, rep):
     assert hyp.condition4_holds and hyp.v_simple.is_simple
 
 
-@pytest.mark.parametrize("k", [4, 6, 10], ids=["affine-A3", "affine-A5", "affine-A9"])
+@pytest.mark.parametrize(
+    "k", [4, 6, 10, 30], ids=["affine-A3", "affine-A5", "affine-A9", "affine-A29"]
+)
 def test_check_hypotheses_reducible(benchmark, k):
     hyp = benchmark(check_hypotheses, _cartan_rep(cycle(k)))
     assert hyp.v_simple.status == "Reducible" and hyp.v_simple.commutant_dim == 1
@@ -183,6 +215,13 @@ def test_verify_theorem(benchmark, rep):
 def test_verify_theorem_redundant(benchmark):
     report = benchmark(verify_theorem, A6_REDUNDANT)
     assert report.verified and len(report.claim3_subset) == 6
+
+
+@pytest.mark.parametrize("name", sorted(ALL_REFLECTIONS))
+def test_verify_theorem_all_reflections(benchmark, name):
+    rep, subset = ALL_REFLECTIONS[name]
+    report = benchmark(verify_theorem, rep)
+    assert report.verified and report.claim3_subset == subset
 
 
 @pytest.mark.parametrize("rep", [A12], ids=["A12"])

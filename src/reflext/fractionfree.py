@@ -1,5 +1,6 @@
 """Fraction-free elimination over Z[sqrt(m)]: the kernel behind linalg's
-rank and det, the rank-one test of a reflection and the Cartan-matrix checks.
+rank and det, the rank-one test of a reflection, the Cartan-matrix checks
+and the canonical bases of a reducible base's witness and dependencies.
 
 A row of scalars is multiplied by the lcm of its denominators, which puts it
 in Z[sqrt(m)] (Z over Q), and rows are reduced by Bareiss elimination on
@@ -19,6 +20,7 @@ from .errors import InternalError
 from .scalars import QuadExt, Scalar, _quad, merge_tags
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def pairing_pattern(
@@ -188,3 +190,95 @@ def echelon(
         pivots.append(p)
         lead += 1
     return lead, pivots[-1], sign, scale
+
+
+def gauss_jordan(rows: list, cols: int, m: int | None) -> list[int]:
+    """Fraction-free reduced row echelon form over Z[sqrt(m)]: the pivot columns.
+
+    `rows` holds rows over Z[sqrt(m)] and is reduced in place.  Afterwards
+    row r has its pivot in column pivots[r], is zero left of it and in every
+    other pivot column, and the rows below the rank are zero, so row r
+    divided by its own pivot is row r of the canonical RREF.
+
+    Each step is echelon's, applied to the earlier pivot rows as well
+    (fraction-free Gauss-Jordan): were every row updated at every step, each
+    would hold (k + 1)-minors of the input after step k, so every division
+    is exact, and each pivot row the pivot of step k at its pivot.  As in
+    echelon, a row whose entry in the pivot column is zero, above the pivot
+    or below it, is left untouched; its level keeps the missing factor
+    implicit, its next update divides by the pivot of its own level, and so
+    its own pivot is that of its level.
+    """
+    n_rows = len(rows)
+    level = [0] * n_rows
+    steps = [1 if m is None else (1, 0)]  # steps[k] is the pivot of step k
+    pivots: list[int] = []
+    for col in range(cols):
+        lead = len(pivots)
+        if lead == n_rows:
+            break
+        pivot = next((r for r in range(lead, n_rows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[lead], rows[pivot] = rows[pivot], rows[lead]
+        level[lead], level[pivot] = level[pivot], level[lead]
+        pivot_row = rows[lead]
+        if level[lead] != lead:
+            combine(pivot_row, steps[lead], 0, pivot_row, steps[level[lead]], range(col, cols), m)
+        p = pivot_row[col]
+        for r in range(n_rows):
+            row = rows[r]
+            if r != lead and row[col]:
+                # an earlier pivot row is nonzero from its own pivot on
+                start = pivots[r] if r < lead else col
+                combine(row, p, row[col], pivot_row, steps[level[r]], range(start, cols), m)
+                level[r] = lead + 1
+        level[lead] = lead + 1
+        steps.append(p)
+        pivots.append(col)
+    return pivots
+
+
+def row_space(rows: Sequence[Sequence], cols: int, m: int | None) -> list[list[Scalar]]:
+    """The canonical RREF basis of the span of rows over Z[sqrt(m)]."""
+    rows = [list(row) for row in rows]
+    pivots = gauss_jordan(rows, cols, m)
+    return [
+        [_quotient(x, row[p], m) if x else _ZERO for x in row] for row, p in zip(rows, pivots)
+    ]
+
+
+def null_space(rows: Sequence[Sequence], cols: int, m: int | None) -> list[list[Scalar]]:
+    """The canonical RREF basis of {x : M x = 0} for M with rows over Z[sqrt(m)].
+
+    As linalg.kernel: with R the reduction of M with its columns reversed,
+    each free column g gives the null vector with 1 at g and -R[r, g] / R[r,
+    p_r] at each pivot column p_r < g, and reversed back and taken in
+    decreasing g these vectors are the canonical basis.
+    """
+    reduced = [list(reversed(row)) for row in rows]
+    pivots = gauss_jordan(reduced, cols, m)
+    pivot_set = set(pivots)
+    basis = []
+    for g in reversed(range(cols)):
+        if g in pivot_set:
+            continue
+        v: list[Scalar] = [_ZERO] * cols
+        v[cols - 1 - g] = _ONE
+        for row, p in zip(reduced, pivots):
+            if p > g:
+                break
+            if row[g]:
+                v[cols - 1 - p] = -_quotient(row[g], row[p], m)
+        basis.append(v)
+    return basis
+
+
+def _quotient(z, d, m: int | None) -> Scalar:
+    """The scalar z / d for z and a nonzero d in Z[sqrt(m)]: z times the
+    conjugate of d, over the norm of d."""
+    if m is None:
+        return Fraction(z, d)
+    a, b = z or (0, 0)
+    c, e = d
+    return to_scalar((a * c - m * b * e, b * c - a * e), c * c - m * e * e, m)

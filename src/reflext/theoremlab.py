@@ -39,7 +39,15 @@ from .errors import (
     SingularMatrix,
 )
 from .exterior import _check_degree
-from .fractionfree import echelon, pairing_pattern
+from .fractionfree import (
+    clear,
+    echelon,
+    field_of,
+    null_space,
+    pairing_pattern,
+    row_space,
+    to_scalar,
+)
 from .graphs import (
     Graph,
     apply_move,
@@ -181,7 +189,7 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
             )
 
     graph = Graph.on_range(k, edges) if not violations else None
-    v_simple = _base_simplicity(rep, refls, moves, cartan_rank)
+    v_simple = _base_simplicity(rep.dim, refls, moves, cartan_rank, (m, functionals, alphas))
     return HypothesisReport(
         reflections=tuple(refls),
         condition1_failures=(),
@@ -193,10 +201,11 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
 
 
 def _base_simplicity(
-    rep: Representation,
+    n: int,
     refls: Sequence[ReflectionData],
     moves: Sequence[Sequence[bool]],
     cartan_rank: int,
+    forms: tuple,
 ) -> SimplicityVerdict:
     """Condition 3 decided exactly for reflections s_i = I + alpha_i f_i^T.
 
@@ -215,7 +224,10 @@ def _base_simplicity(
     all of S: for i not in R, f_i vanishes on span alpha_R = V, but f_i != 0.
 
     Otherwise V is reducible, and the first proper subspace among the common
-    kernel and the reachable spans is the witness.
+    kernel and the reachable spans is the witness.  Both are read off the
+    fraction-free Gauss-Jordan reduction of the cleared forms (m, f~, alpha~),
+    which scale each f_i and alpha_i by a nonzero constant, and the witness
+    is checked again on the forms by _is_invariant.
 
     End(V) is read off the same structure, with no n^2-unknown solve.
     T s_i = s_i T says (T alpha_i) f_i^T = alpha_i (f_i^T T), and as alpha_i,
@@ -232,7 +244,6 @@ def _base_simplicity(
     with one unknown per component in Gamma; when the alphas are a basis it
     is the number of components.  In the simple case it is 1.
     """
-    n = rep.dim
     k = len(refls)
     # s_i moves alpha_j: an arrow j -> i, searched forwards and backwards
     moved = {j: [i for i in range(k) if moves[i][j]] for j in range(k)}
@@ -243,66 +254,85 @@ def _base_simplicity(
         and cartan_rank == n
     ):
         return SimplicityVerdict("Simple", 1, method="reflection-criterion")
-    common_kernel = kernel(Matrix.from_rows([r.functional for r in refls]))
+    m, functionals, alphas = forms
+    common_kernel = null_space(functionals, n, m)
     witness, method = common_kernel, "reflection-kernel"
-    if common_kernel.dim == 0:
+    if not common_kernel:
         method = "reflection-span"
-        spans: dict[frozenset[int], Subspace] = {}
+        spans: dict[frozenset[int], list] = {}
         for start in range(k):
             reached = frozenset(breadth_first(moved, start))
             if reached not in spans:
-                spans[reached] = Subspace.span([refls[i].alpha for i in reached], n)
-            if spans[reached].dim < n:
+                spans[reached] = row_space([alphas[i] for i in reached], n, m)
+            if len(spans[reached]) < n:
                 witness = spans[reached]
                 break
         else:
             raise InternalError("every reachable span is V, yet rank C < n or moves disconnect")
-    if not is_invariant(rep, witness):
+    witness_space = Subspace(n, Matrix(len(witness), n, [x for v in witness for x in v]))
+    if not _is_invariant(witness_space, refls):
         raise InternalError(f"{method} witness is not invariant")
     return SimplicityVerdict(
         "Reducible",
-        _commutant_dim(refls, moves, n, n - common_kernel.dim),
-        witness=witness,
+        _commutant_dim(moves, n, n - len(common_kernel), forms),
+        witness=witness_space,
         method=method,
     )
 
 
-def _commutant_dim(
-    refls: Sequence[ReflectionData], moves: Sequence[Sequence[bool]], n: int, rank_f: int
-) -> int:
+def _is_invariant(space: Subspace, refls: Sequence[ReflectionData]) -> bool:
+    """True iff every s_i = I + alpha_i f_i^T maps the subspace into itself.
+
+    s_i(w) - w = f_i(w) alpha_i, so s_i W is in W iff f_i vanishes on a
+    basis of W or alpha_i lies in W.
+    """
+    basis = space.basis_vectors()
+    return all(
+        not any(dot(r.functional, w) for w in basis) or space.contains(r.alpha) for r in refls
+    )
+
+
+def _commutant_dim(moves: Sequence[Sequence[bool]], n: int, rank_f: int, forms: tuple) -> int:
     """dim End(V) = dim Gamma + (n - rank A)(n - rank F), as in _base_simplicity.
 
     For c constant on components, sum_i a_i c_i alpha_i always lies in ker F
     and sum_i y_i c_i f_i vanishes on span alpha, so the first relation is
     imposed only when ker F != 0 and the second only when span alpha != V.
+    The relations are those of the cleared forms: scaling each alpha_i (or
+    f_i) by a nonzero constant scales a_i (or y_i) inversely and leaves
+    every sum_i a_i c_i alpha_i unchanged.
     """
-    k = len(refls)
+    m, functionals, alphas = forms
+    k = len(moves)
     undirected = {j: [i for i in range(k) if moves[i][j] or moves[j][i]] for j in range(k)}
     components: list[set[int]] = []
     for start in range(k):
         if not any(start in c for c in components):
             components.append(set(breadth_first(undirected, start)))
-    alphas = [r.alpha for r in refls]
-    rank_a = row_rank(alphas, n)
+    alpha_relations = _dependencies(alphas, m)
+    rank_a = k - len(alpha_relations)
     free = (n - rank_a) * (n - rank_f)
     if len(components) == 1:
         return 1 + free
     rows: list[list[Scalar]] = []
     if rank_f < n:
-        rows += _grouped_relations(_dependencies(alphas), alphas, components)
+        rows += _grouped_relations(alpha_relations, alphas, components, m)
     if rank_a < n:
-        functionals = [r.functional for r in refls]
-        rows += _grouped_relations(_dependencies(functionals), functionals, components)
+        rows += _grouped_relations(_dependencies(functionals, m), functionals, components, m)
     return len(components) - row_rank(rows, len(components)) + free
 
 
 def _grouped_relations(
-    relations: Subspace, vectors: Sequence[Vector], components: Sequence[set[int]]
+    relations: Sequence[Sequence[Scalar]],
+    vectors: Sequence[Sequence],
+    components: Sequence[set[int]],
+    m: int | None,
 ) -> list[list[Scalar]]:
-    """sum_i r_i c_i v_i = 0 for each relation r, as rows in the one value of c per component."""
+    """sum_i r_i c_i v_i = 0 for each relation r, as rows in the one value of c
+    per component; the vectors are over Z[sqrt(m)]."""
     return [
-        [dot([r[i] for i in c], [vectors[i][t] for i in c]) for c in components]
-        for r in relations.basis_vectors()
+        [dot([r[i] for i in c], [to_scalar(vectors[i][t], 1, m) for i in c]) for c in components]
+        for r in relations
         for t in range(len(vectors[0]))
     ]
 
@@ -313,11 +343,17 @@ def connected_basis_subset(alphas: Sequence[Vector], graph: Graph) -> tuple[int,
     Constructive: while the current vectors are dependent, pick a dependency
     with all-nonzero coefficients on its support, apply the deletion lemma to
     the support inside the current subgraph, and drop the returned vertex.
-    Each stack's rank and dependency come from its one dependency kernel.
+    The vectors are cleared of denominators once; each stack's rank and
+    dependency come from its one dependency kernel, whose support is that of
+    the scalar vectors' own, since clearing scales each vector.
     """
     n = len(alphas[0])
-    dependencies = _dependencies(alphas)
-    if len(alphas) - dependencies.dim != n:
+    if any(len(a) != n for a in alphas):
+        raise ValueError("ragged rows")
+    m = field_of(x for a in alphas for x in a)
+    cleared = [clear(a, m)[0] for a in alphas]
+    dependencies = _dependencies(cleared, m)
+    if len(alphas) - len(dependencies) != n:
         raise NotSpanning("reflection vectors do not span the space")
     if not is_connected(graph):
         raise NotConnected("non-fixing graph must be connected")
@@ -326,19 +362,19 @@ def connected_basis_subset(alphas: Sequence[Vector], graph: Graph) -> tuple[int,
 
     # vertex i is alpha_(i-1), so the first kernel is the spanning one above
     current = list(graph.vertices)
-    while dependencies.dim:
-        dependency = dependencies.basis.row(0)
-        support = [current[pos] for pos, c in enumerate(dependency) if c]
+    while dependencies:
+        support = [current[pos] for pos, c in enumerate(dependencies[0]) if c]
         subgraph = induced(graph, current)
         drop = deletable_vertex(subgraph, support)
         current.remove(drop)
-        dependencies = _dependencies([alphas[i - 1] for i in current])
+        dependencies = _dependencies([cleared[i - 1] for i in current], m)
     return tuple(current)
 
 
-def _dependencies(vectors: Sequence[Vector]) -> Subspace:
-    """All a with sum_i a_i v_i = 0: the kernel of the transposed stack."""
-    return kernel(Matrix.from_rows(vectors).transpose())
+def _dependencies(vectors: Sequence[Sequence], m: int | None) -> list[list[Scalar]]:
+    """The canonical basis of all a with sum_i a_i v_i = 0, for vectors over
+    Z[sqrt(m)]: the null space of the transposed stack."""
+    return null_space([list(column) for column in zip(*vectors)], len(vectors), m)
 
 
 def _cleared_forms(refls: Sequence[ReflectionData]) -> tuple[int | None, list[list], list[list]]:

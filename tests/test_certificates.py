@@ -23,9 +23,14 @@ from reflext.catalog import _cartan_rep, entry, list_entries
 from reflext.exterior import compound, wedge
 from reflext.linalg import Matrix, Subspace, kernel
 from reflext.reflections import ReflectionData, is_reflection, recognize_reflection
-from reflext.repkit import Representation, exterior_rep, hom_dim, simplicity
+from reflext.repkit import Representation, exterior_rep, hom_dim, is_invariant, simplicity
 from reflext.scalars import QuadExt
-from reflext.theoremlab import _characters_separate, check_hypotheses, verify_theorem
+from reflext.theoremlab import (
+    _characters_separate,
+    _is_invariant,
+    check_hypotheses,
+    verify_theorem,
+)
 
 from conftest import (
     characters_separate_oracle,
@@ -218,6 +223,39 @@ def test_closed_form_character_separation_matches_trace_oracle():
         reflection = recognize_reflection(Matrix.identity(n) - mirror)
         assert _characters_separate([*transvections, reflection], n) is True
         assert characters_separate_oracle([*transvections, reflection], n) is True
+
+
+def test_invariance_on_the_forms_agrees_with_the_generator_check():
+    # s_i W in W iff f_i vanishes on W or alpha_i lies in W: the witness
+    # re-check on the forms against every generator matrix on every basis
+    # vector, on each reducible witness, that witness plus one vector, and a
+    # random line per input
+    if str(ROOT) not in sys.path:
+        sys.path.append(str(ROOT))
+    sweep = importlib.import_module("perfbench.inputs").sweep(7)
+    reps = [entry(name).representation for name in list_entries()] + [c.rep for c in sweep]
+    rng = random.Random(1717)
+    methods = {"reflection-kernel": 0, "reflection-span": 0}
+    rejected = 0
+    for rep in reps:
+        hyp = check_hypotheses(rep)
+        if not hyp.condition1_ok:
+            continue
+        n = rep.dim
+        refls = list(hyp.reflections)
+        spaces = [Subspace.span([[Fraction(rng.randint(-3, 3)) for _ in range(n)]], n)]
+        if not hyp.v_simple.is_simple:
+            witness = hyp.v_simple.witness
+            methods[hyp.v_simple.method] += 1
+            assert _is_invariant(witness, refls) is is_invariant(rep, witness) is True
+            extra = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+            spaces.append(Subspace.span([*witness.basis_vectors(), extra], n))
+        for space in spaces:
+            got = _is_invariant(space, refls)
+            assert got is is_invariant(rep, space), (rep, space.basis)
+            rejected += not got
+    assert min(methods.values()) >= 10, methods
+    assert rejected >= 150
 
 
 def test_derived_certificates_match_generic_on_catalog():

@@ -16,10 +16,12 @@ import pytest
 from reflext import fractionfree
 from reflext.errors import FieldMismatch, InternalError, NotRankOne
 from reflext.fractionfree import clear, echelon, field_of, pairing_pattern, to_scalar
-from reflext.linalg import Matrix, dot, rank, row_rank, rref
+from reflext.linalg import Matrix, Subspace, dot, kernel, rank, row_rank, rref
 from reflext.reflections import reflection_from_parts, recognize_reflection
 from reflext.scalars import QuadExt, field_tag, inv
 from reflext.theoremlab import _cleared_forms
+
+from conftest import kernel_two_pass
 
 P10 = 1000000007
 FIELDS = [None, 5, P10]
@@ -289,3 +291,42 @@ def test_stored_integer_forms_give_the_scalar_pattern_and_ranks(kind):
         m_s, _, alphas_s = _cleared_forms(subset)
         assert echelon(alphas_s, n, m_s, cleared=True)[0] == row_rank([r.alpha for r in subset], n)
     assert kind != "Q-in-sqrt5" or lifted >= 100
+
+
+@pytest.mark.parametrize("m", FIELDS, ids=["Q", "sqrt5", "sqrt-10-digit-prime"])
+def test_gauss_jordan_bases_match_the_scalar_oracles(m):
+    # the fraction-free reduction's canonical bases equal linalg's and the
+    # two-pass kernel's; zero entries leave rows above and below a pivot at
+    # an older level, so their next update divides by that level's pivot
+    rng = random.Random(1701 if m is None else m + 1701)
+    deficient = zero = empty = plain = 0
+    for trial in range(400):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 7)
+        if trial % 8 == 7:
+            # plain ints, cleared as they are
+            entries = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(rows * cols)]
+            matrix = Matrix(rows, cols, entries)
+            cleared = [entries[r * cols : (r + 1) * cols] for r in range(rows)]
+            field = None
+            plain += 1
+        else:
+            matrix = seeded_matrix(rng, m, rows, cols)
+            field = matrix.field()
+            cleared = [clear(matrix.row(r), field)[0] for r in range(rows)]
+        before = [list(row) for row in cleared]
+        null_basis = fractionfree.null_space(cleared, cols, field)
+        expected = kernel(matrix)
+        assert Matrix(len(null_basis), cols, [x for v in null_basis for x in v]) == expected.basis
+        assert expected == kernel_two_pass(matrix), matrix
+        row_basis = fractionfree.row_space(cleared, cols, field)
+        span = Subspace.span([matrix.row(r) for r in range(rows)], cols)
+        assert Matrix(len(row_basis), cols, [x for v in row_basis for x in v]) == span.basis
+        assert all(type(x) in (Fraction, QuadExt) for v in null_basis + row_basis for x in v)
+        assert cleared == before  # both read copies
+        pivots = fractionfree.gauss_jordan(cleared, cols, field)
+        assert len(pivots) == len(row_basis) == cols - len(null_basis)
+        rk = len(pivots)
+        deficient += 0 < rk < min(rows, cols)
+        zero += rows * cols > 0 and matrix.is_zero()
+        empty += rows == 0 or cols == 0
+    assert min(deficient, zero, empty, plain) >= 20, (deficient, zero, empty, plain)

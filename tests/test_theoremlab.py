@@ -101,6 +101,12 @@ def test_connected_basis_subset_not_spanning():
         connected_basis_subset([(1, 0), (2, 0)], graph)
 
 
+def test_connected_basis_subset_ragged_vectors():
+    graph = Graph.on_range(3, [(1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="ragged rows"):
+        connected_basis_subset([(1, 0), (0, 1), (1,)], graph)
+
+
 def _seeded_family(rng, n, k, m):
     """k > n vectors spanning F^n: n independent ones, then random vectors and
     combinations of one to three of the vectors so far, in random order; over
