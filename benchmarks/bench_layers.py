@@ -1,4 +1,6 @@
-"""Micro-benchmarks of the hypothesis layer: reflection recognition, the
+"""Micro-benchmarks of the hypothesis layer: reflection recognition (a
+generator of A5, of the H3 conjugate and of A60, and a dense 16x16
+reflection whose alpha and f have 99-digit rational entries), the
 hypothesis checks on simple bases (up to A60) and on reducible affine bases
 up to affine A29 (where the witness and the base commutant are counted),
 one Q(sqrt(m)) multiply for m = 5 and for a 10-digit prime, and one dot
@@ -47,7 +49,7 @@ import pytest
 from dense_repfile import dense_document
 from reflext.catalog import _cartan_rep, entry
 from reflext.linalg import Matrix, dot, kernel, rank
-from reflext.reflections import recognize_reflection
+from reflext.reflections import recognize_reflection, reflection_from_parts
 from reflext.repfile import load_repfile
 from reflext.repkit import Representation
 from reflext.reports import (
@@ -153,6 +155,19 @@ RANK8_20X40 = Matrix(
 )
 
 
+_dense_rng = random.Random(18)  # its own stream, so the inputs above stay as they were
+
+
+def _digits99() -> Fraction:
+    return Fraction(_dense_rng.randint(10**98, 10**99 - 1), _dense_rng.randint(10**98, 10**99 - 1))
+
+
+# I + alpha f^T with positive entries a/q, a and q of 99 digits: lambda = 1 + f(alpha) > 1
+DENSE16_REFLECTION = reflection_from_parts(
+    [_digits99() for _ in range(16)], [_digits99() for _ in range(16)]
+)
+
+
 @pytest.mark.parametrize("u, v", [DOT_Q16, DOT_SQRT5_16], ids=["dense16-Q", "dense16-sqrt5"])
 def test_dot(benchmark, u, v):
     assert benchmark(dot, u, v) == sum((a * b for a, b in zip(u, v)), Fraction(0))
@@ -184,7 +199,9 @@ def test_load_dense_repfile(benchmark, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "generator", [A5.generators[2], H3_CONJUGATE.generators[1]], ids=["A5", "H3-conjugate"]
+    "generator",
+    [A5.generators[2], H3_CONJUGATE.generators[1], A60.generators[30], DENSE16_REFLECTION],
+    ids=["A5", "H3-conjugate", "A60", "dense16-99-digit"],
 )
 def test_recognize_reflection(benchmark, generator):
     data = benchmark(recognize_reflection, generator)

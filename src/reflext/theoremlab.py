@@ -309,14 +309,13 @@ def _commutant_dim(moves: Sequence[Sequence[bool]], n: int, rank_f: int, forms: 
     for start in range(k):
         if not any(start in c for c in components):
             components.append(set(breadth_first(undirected, start)))
-    alpha_relations = _dependencies(alphas, m)
-    rank_a = k - len(alpha_relations)
+    rank_a = echelon([list(a) for a in alphas], n, m, cleared=True)[0]
     free = (n - rank_a) * (n - rank_f)
     if len(components) == 1:
         return 1 + free
     rows: list[list[Scalar]] = []
     if rank_f < n:
-        rows += _grouped_relations(alpha_relations, alphas, components, m)
+        rows += _grouped_relations(_dependencies(alphas, m), alphas, components, m)
     if rank_a < n:
         rows += _grouped_relations(_dependencies(functionals, m), functionals, components, m)
     return len(components) - row_rank(rows, len(components)) + free

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reflext.errors import NotDiagonalizable, NotRankOne, SingularMatrix
+from reflext.fractionfree import clear, to_scalar
 from reflext.graphs import Graph
 from reflext.linalg import Matrix, Subspace, dot, image, kernel, rank
 from reflext.reflections import (
@@ -227,10 +228,14 @@ def _with_f_alpha(rng, m, n, value):
 def recognition_corpus(seed, count):
     """(kind, matrix) pairs: reflections (some with a rational pivot column
     in a quadratic matrix), lambda in {0, 1}, rank 0, perturbed rank-one
-    matrices of rank at least 2 and dense random ones."""
+    matrices of rank at least 2 and dense random ones; sparse Cartan-type
+    generators up to n = 12, unit rows and one moving row; and rational
+    reflections over Q(sqrt m) whose unit rows have the diagonal
+    QuadExt(1, 0, m), so lambda is a QuadExt that no moving row shows."""
     rng = random.Random(seed)
     kinds = [
-        "rank1", "rank1", "rational column", "lambda0", "lambda1", "rank0", "perturbed", "dense"
+        "rank1", "rank1", "rational column", "lambda0", "lambda1", "rank0", "perturbed", "dense",
+        "sparse cartan", "quadratic unit diagonal",
     ]
     for t in range(count):
         m = (None, 5, 1000000007)[t % 3]
@@ -245,6 +250,26 @@ def recognition_corpus(seed, count):
         elif kind in ("lambda0", "lambda1"):
             alpha, f = _with_f_alpha(rng, m, n, -1 if kind == "lambda0" else 0)
             yield kind, _outer_plus_identity(alpha, f)
+        elif kind == "sparse cartan":  # s = I + e_i f^T
+            n = rng.randint(2, 12)
+            i = rng.randrange(n)
+            f = [_scalar(rng, m) for _ in range(n)]
+            f[i] = _scalar(rng, m, zero_share=0)
+            entries = [Fraction(int(r == c)) for r in range(n) for c in range(n)]
+            entries[i * n : (i + 1) * n] = [x + (c == i) for c, x in enumerate(f)]
+            yield kind, Matrix(n, n, entries)
+        elif kind == "quadratic unit diagonal":
+            m = m or 5
+            n = rng.randint(2, 5)
+            alpha = [_scalar(rng, None) for _ in range(n)]
+            moving, fixed = rng.sample(range(n), 2)
+            alpha[moving], alpha[fixed] = Fraction(rng.randint(1, 5)), Fraction(0)
+            f = [_scalar(rng, None) for _ in range(n)]
+            entries = list(_outer_plus_identity(alpha, f).entries)
+            for j in range(n):
+                if not alpha[j]:
+                    entries[j * n + j] = QuadExt(1, 0, m)
+            yield kind, Matrix(n, n, entries)
         else:
             alpha = [_scalar(rng, m) for _ in range(n)]
             f = [_scalar(rng, m) for _ in range(n)]
@@ -266,7 +291,16 @@ def _outcome(recognize, matrix):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _in_ring(z, m):
+    """Whether z is an element of Z[sqrt(m)] as reflext.fractionfree writes it."""
+    if m is None or z == 0:
+        return type(z) is int
+    return type(z) is tuple and len(z) == 2 and set(map(type, z)) == {int}
+
+
 def test_recognition_matches_bareiss_oracle():
+    """Reprs equal the oracle's, and the cleared forms are f~ = clear(f, m)
+    and a nonzero multiple of alpha over Z[sqrt(m)] (reprs leave them out)."""
     seen = Counter()
     for kind, matrix in recognition_corpus(20261019, 3000):
         got = _outcome(recognize_reflection, matrix)
@@ -277,15 +311,30 @@ def test_recognition_matches_bareiss_oracle():
             seen[got.split(":")[0]] += 1  # lambda = 1 or lambda = 0
         else:
             data = recognize_reflection(matrix)
+            m, f_cleared, alpha_cleared = data.cleared
+            assert m == matrix.field()
+            assert list(f_cleared) == clear(data.functional, m)[0], (kind, matrix)
+            p = next(i for i, x in enumerate(data.alpha) if x)
+            scale = alpha_cleared[p]  # alpha_p = 1
+            assert scale and all(_in_ring(x, m) for x in alpha_cleared), (kind, matrix)
+            assert [to_scalar(x, 1, m) for x in alpha_cleared] == [
+                to_scalar(scale, 1, m) * a for a in data.alpha
+            ], (kind, matrix)
             diff = matrix - Matrix.identity(matrix.rows)
             q = next(j for j, x in enumerate(data.functional) if x)
-            seen["zero row"] += any(not any(diff.row(i)) for i in range(diff.rows))
+            moving = [i for i in range(diff.rows) if any(diff.row(i))]
+            seen["zero row"] += len(moving) < diff.rows
             seen["rational pivot column, quadratic matrix"] += (
                 matrix.field() is not None and set(map(type, diff.col(q))) == {Fraction}
             )
             seen["mixed alpha types"] += len(set(map(type, data.alpha))) == 2
+            seen["sparse, n > 5"] += kind == "sparse cartan" and matrix.rows > 5
+            seen["QuadExt lambda off the moving rows"] += type(data.eigenvalue) is QuadExt and all(
+                type(matrix[i, i]) is Fraction for i in moving
+            )
     cases = [
         "rank 0", "rank 2+", "NotDiagonalizable", "SingularMatrix", "zero row",
-        "rational pivot column, quadratic matrix", "mixed alpha types",
+        "rational pivot column, quadratic matrix", "mixed alpha types", "sparse, n > 5",
+        "QuadExt lambda off the moving rows",
     ]
     assert min(seen[case] for case in cases) >= 20, seen
