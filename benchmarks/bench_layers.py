@@ -7,7 +7,9 @@ one Q(sqrt(m)) multiply for m = 5 and for a 10-digit prime, and one dot
 product of dense length-16 vectors over Q and over Q(sqrt(5)); of the
 fraction-free kernel: rank of the H4 Cartan matrix and of a dense 16x16
 matrix over Q(sqrt(5)), and the determinant of a dense 32x32 integer matrix;
-of the null space of a rank-8 rational 20x40 matrix; of input construction:
+of the null space of a rank-8 rational 20x40 matrix, the inverse of a dense
+rational 8x8 matrix and the Hom system of A6:3 with itself (400 unknowns,
+the MAX_HOM_DIM limit of `reflext hom`); of input construction:
 building A60 (one rank per generator) and loading the dense dim-32
 representation file of benchmarks/dense_repfile.py; of the whole certifier,
 verify_theorem on the H3 conjugate and on F4, A16, A40 and A60, on A6 with
@@ -51,7 +53,7 @@ from reflext.catalog import _cartan_rep, entry
 from reflext.linalg import Matrix, dot, kernel, rank
 from reflext.reflections import recognize_reflection, reflection_from_parts
 from reflext.repfile import load_repfile
-from reflext.repkit import Representation
+from reflext.repkit import Representation, exterior_rep, hom_dim
 from reflext.reports import (
     analyze_document,
     theorem_document,
@@ -167,6 +169,12 @@ DENSE16_REFLECTION = reflection_from_parts(
     [_digits99() for _ in range(16)], [_digits99() for _ in range(16)]
 )
 
+_inverse_rng = random.Random(19)  # its own stream, so the inputs above stay as they were
+DENSE8_Q = Matrix(
+    8, 8, [Fraction(_inverse_rng.randint(-9, 9), _inverse_rng.randint(1, 9)) for _ in range(64)]
+)
+A6_WEDGE3 = exterior_rep(_cartan_rep(chain(6)), 3)
+
 
 @pytest.mark.parametrize("u, v", [DOT_Q16, DOT_SQRT5_16], ids=["dense16-Q", "dense16-sqrt5"])
 def test_dot(benchmark, u, v):
@@ -186,6 +194,15 @@ def test_det(benchmark):
 
 def test_kernel(benchmark):
     assert benchmark(kernel, RANK8_20X40).dim == 32
+
+
+def test_inverse(benchmark):
+    assert DENSE8_Q @ benchmark(DENSE8_Q.inverse) == Matrix.identity(8)
+
+
+@pytest.mark.parametrize("rep", [A6_WEDGE3], ids=["A6:3"])
+def test_hom_dim(benchmark, rep):
+    assert benchmark(hom_dim, rep, rep) == 1
 
 
 def test_build_a60(benchmark):

@@ -36,7 +36,7 @@ EXIT_CERTIFICATION = 4
 # --json on a 2-vCPU Xeon VM, Python 3.11.7.
 MAX_TRACE_DIM = 12  # verify --trace emits 2**n - 1 move sequences: 4095 at A12, 5-8 s for 44 MB
 MAX_EXTERIOR_DIM = 70  # exterior --d forms C(n, d)-square compounds: 0.6 s at A8, d = 4
-MAX_HOM_DIM = 20  # hom solves (left dim)(right dim) unknowns: 400, 0.7 s at A6:3 A6:3
+MAX_HOM_DIM = 20  # hom solves (left dim)(right dim) unknowns: 400, 0.25-0.45 s at A6:3 A6:3
 
 
 def _load_target(target: str) -> tuple[Representation, str]:

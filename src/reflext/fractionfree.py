@@ -1,6 +1,8 @@
 """Fraction-free elimination over Z[sqrt(m)]: the kernel behind linalg's
-rank and det, the rank-one test of a reflection, the Cartan-matrix checks
-and the canonical bases of a reducible base's witness and dependencies.
+rank, det, rref, kernel and Hom system, the rank-one test of a reflection,
+the Cartan-matrix checks and the canonical bases of a reducible base's
+witness and dependencies.  `gauss_jordan` is the package's one canonical
+RREF.
 
 A row of scalars is multiplied by the lcm of its denominators, which puts it
 in Z[sqrt(m)] (Z over Q), and rows are reduced by Bareiss elimination on
@@ -89,6 +91,15 @@ def to_scalar(z, den: int, m: int | None) -> Scalar:
     return _quad(Fraction(a, den), Fraction(b, den), m)
 
 
+def difference(x, y, m: int | None):
+    """x - y in Z[sqrt(m)]."""
+    if m is None:
+        return x - y
+    a, b = x or (0, 0)
+    c, e = y or (0, 0)
+    return (a - c, b - e) if a != c or b != e else 0
+
+
 def combine(row: list, p, q, other: list, d, columns: range, m: int | None) -> None:
     """row[j] = (p row[j] - q other[j]) / d in Z[sqrt(m)] for j in columns.
 
@@ -134,12 +145,12 @@ def echelon(
     matrix of full rank, sign * pivot / scale is its determinant.
 
     After step k every row below the k pivot rows holds (k + 1)-minors of
-    the cleared rows, so dividing by the previous pivot is exact.  As in
-    rref, a row whose entry in the pivot column is zero is left untouched.
-    Bareiss would multiply it by p_k / p_(k-1); its level (the last step
-    that touched it) keeps that factor implicit, so its next update divides
-    by the pivot of its own level instead, and a pivot row catches up before
-    it is used.
+    the cleared rows, so dividing by the previous pivot is exact.  A row
+    whose entry in the pivot column is zero is left untouched.  Bareiss
+    would multiply it by p_k / p_(k-1); its level (the last step that
+    touched it) keeps that factor implicit, so its next update divides by
+    the pivot of its own level instead, and a pivot row catches up before it
+    is used.
 
     A row is cleared of denominators when a step first reads it, so a zero
     row costs only zero tests.  A pivot row that eliminates nothing is read
@@ -251,10 +262,12 @@ def row_space(rows: Sequence[Sequence], cols: int, m: int | None) -> list[list[S
 def null_space(rows: Sequence[Sequence], cols: int, m: int | None) -> list[list[Scalar]]:
     """The canonical RREF basis of {x : M x = 0} for M with rows over Z[sqrt(m)].
 
-    As linalg.kernel: with R the reduction of M with its columns reversed,
+    One reduction, of M with its columns reversed.  With R that reduction,
     each free column g gives the null vector with 1 at g and -R[r, g] / R[r,
-    p_r] at each pivot column p_r < g, and reversed back and taken in
-    decreasing g these vectors are the canonical basis.
+    p_r] at each pivot column p_r < g and 0 at the other free columns.
+    Reversed back, its leading entry is that 1, and it is zero at the leading
+    entry of every other such vector, so taken in decreasing g they are
+    already the canonical RREF basis.
     """
     reduced = [list(reversed(row)) for row in rows]
     pivots = gauss_jordan(reduced, cols, m)

@@ -4,8 +4,10 @@ Matrices are immutable, stored row-major as tuples of exact scalars.  A
 Subspace is identified with its canonical reduced-row-echelon basis (zero rows
 dropped), so subspace equality is literal matrix equality.
 
-Ranks and determinants run on the fraction-free kernel of
-`reflext.fractionfree` instead.
+Every canonical basis (rref, kernel, Subspace.span, the intertwiner
+solver) and every rank and determinant comes from the fraction-free kernel
+of `reflext.fractionfree`: the rows are cleared into Z[sqrt(m)], and RREF
+bases are read off its one Gauss-Jordan reduction.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AmbientMismatch, EmptyGeneratorList, LengthMismatch, SingularMatrix
-from .fractionfree import echelon, field_of, to_scalar
-from .scalars import QuadExt, Scalar, _quad, as_scalar, inv, merge_tags
+from .fractionfree import clear, difference, echelon, field_of, null_space, row_space, to_scalar
+from .scalars import QuadExt, Scalar, _quad, as_scalar, merge_tags
 
 Vector = tuple[Scalar, ...]
 
@@ -261,41 +263,16 @@ class Matrix:
 
 def rref(matrix: Matrix) -> tuple[Matrix, int]:
     """Canonical reduced row echelon form and rank."""
-    rows = matrix.row_list()
-    rk = len(_gauss_jordan(rows, matrix.cols))
-    return Matrix(matrix.rows, matrix.cols, [e for row in rows for e in row]), rk
+    m = matrix.field()
+    basis = row_space(_cleared(matrix.row_list(), m), matrix.cols, m)
+    zeros = [_ZERO] * ((matrix.rows - len(basis)) * matrix.cols)
+    return Matrix(matrix.rows, matrix.cols, [e for row in basis for e in row] + zeros), len(basis)
 
 
-def _gauss_jordan(rows: list[list[Scalar]], n_cols: int) -> list[int]:
-    """Reduce the rows in place to canonical RREF; the pivot columns, in order.
-
-    Pivots are 1 with zeros above and below; zero rows sink to the bottom.
-    Scaling and clearing touch only the nonzero entries of the pivot row,
-    which all lie at or right of the pivot: earlier pivots cleared the rest.
-    """
-    n_rows = len(rows)
-    pivots: list[int] = []
-    for col in range(n_cols):
-        lead = len(pivots)
-        if lead == n_rows:
-            break
-        pivot = next((r for r in range(lead, n_rows) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[lead], rows[pivot] = rows[pivot], rows[lead]
-        pivot_row = rows[lead]
-        support = [j for j in range(col, n_cols) if pivot_row[j]]
-        piv_inv = inv(pivot_row[col])
-        for j in support:
-            pivot_row[j] = piv_inv * pivot_row[j]
-        for r in range(n_rows):
-            row = rows[r]
-            if r != lead and row[col]:
-                factor = row[col]
-                for j in support:
-                    row[j] = row[j] - factor * pivot_row[j]
-        pivots.append(col)
-    return pivots
+def _cleared(rows: Iterable[Sequence[Scalar]], m: int | None) -> list[list]:
+    """Each row over Z[sqrt(m)], times the lcm of its denominators: scaling a
+    row keeps the row space and the null space."""
+    return [clear(row, m)[0] for row in rows]
 
 
 def rank(matrix: Matrix) -> int:
@@ -324,8 +301,9 @@ class Subspace(NamedTuple):
             return cls(ambient_dim, Matrix(0, ambient_dim, []))
         if any(len(r) != ambient_dim for r in rows):
             raise AmbientMismatch("spanning vector of wrong length")
-        reduced, rk = rref(Matrix.from_rows(rows))
-        return cls(ambient_dim, reduced.submatrix(range(rk), range(ambient_dim)))
+        m = field_of(itertools.chain.from_iterable(rows))
+        basis = row_space(_cleared(rows, m), ambient_dim, m)
+        return cls(ambient_dim, Matrix(len(basis), ambient_dim, [e for v in basis for e in v]))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -363,32 +341,10 @@ class Subspace(NamedTuple):
 
 
 def kernel(matrix: Matrix) -> Subspace:
-    """Exact null space {x : M x = 0} as a canonical Subspace of F^cols.
-
-    One Gauss-Jordan pass, on M with its columns reversed.  With R that
-    RREF, each free column g gives the null vector with 1 at g, -R[r, g] at
-    each pivot column p_r < g and 0 at the other free columns.  Reversed
-    back, its leading entry is that 1, and it is zero at the leading entry
-    of every other such vector, so taken in decreasing g they are already
-    the canonical RREF basis of ker M.
-    """
-    n = matrix.cols
-    rows = [list(reversed(matrix.row(i))) for i in range(matrix.rows)]
-    pivots = _gauss_jordan(rows, n)
-    pivot_set = set(pivots)
-    entries: list[Scalar] = []
-    for g in reversed(range(n)):
-        if g in pivot_set:
-            continue
-        v: list[Scalar] = [_ZERO] * n
-        v[n - 1 - g] = _ONE
-        for row, p in zip(rows, pivots):
-            if p > g:
-                break
-            if row[g]:
-                v[n - 1 - p] = -row[g]
-        entries.extend(v)
-    return Subspace(n, Matrix(n - len(pivots), n, entries))
+    """Exact null space {x : M x = 0} as a canonical Subspace of F^cols."""
+    m = matrix.field()
+    basis = null_space(_cleared(matrix.row_list(), m), matrix.cols, m)
+    return Subspace(matrix.cols, Matrix(len(basis), matrix.cols, [e for v in basis for e in v]))
 
 
 def image(matrix: Matrix) -> Subspace:
@@ -431,7 +387,9 @@ def solve_intertwiner(
     """All X with X @ L_i == R_i @ X, as a subspace of the row-major vec(X) space.
 
     X is shaped (right dim) x (left dim); the result's dimension is
-    dim Hom(left module, right module).
+    dim Hom(left module, right module).  The system is built over
+    Z[sqrt(m)]: each pair (L, R) is cleared over one common denominator,
+    which scales its equations and keeps the kernel.
     """
     if not gens_left or not gens_right:
         raise EmptyGeneratorList("intertwiner system needs at least one generator pair")
@@ -446,23 +404,24 @@ def solve_intertwiner(
         if g.rows != g.cols or g.rows != n_r:
             raise LengthMismatch("right generators must be square and same-sized")
 
+    m = field_of(e for g in (*gens_left, *gens_right) for e in g.entries)
     unknowns = n_r * n_l
-
-    def idx(a: int, c: int) -> int:
-        return a * n_l + c
-
     equations = []
     for left, right in zip(gens_left, gens_right):
+        cleared, _ = clear(left.entries + right.entries, m)
+        lt = [cleared[b : n_l * n_l : n_l] for b in range(n_l)]  # rows of L~^T
+        r = cleared[n_l * n_l :]
+        neg_r = [difference(0, x, m) for x in r]
         for a in range(n_r):
             for b in range(n_l):
-                row: list[Scalar] = [_ZERO] * unknowns
-                # (X L)[a,b] - (R X)[a,b] = 0
-                for c in range(n_l):
-                    row[idx(a, c)] = row[idx(a, c)] + left[c, b]
-                for c in range(n_r):
-                    row[idx(c, b)] = row[idx(c, b)] - right[a, c]
+                # (X L)[a, b] - (R X)[a, b] = 0: L~^T row b in block a, -R~ row a at stride n_l
+                row = [0] * unknowns
+                row[a * n_l : (a + 1) * n_l] = lt[b]
+                row[b :: n_l] = neg_r[a * n_r : (a + 1) * n_r]
+                row[a * n_l + b] = difference(lt[b][b], r[a * n_r + a], m)
                 equations.append(row)
-    return kernel(Matrix.from_rows(equations) if equations else Matrix(0, unknowns, []))
+    basis = null_space(equations, unknowns, m)
+    return Subspace(unknowns, Matrix(len(basis), unknowns, [e for v in basis for e in v]))
 
 
 def unvec(flat: Sequence[Scalar], rows: int, cols: int) -> Matrix:

@@ -15,8 +15,8 @@ from typing import Sequence
 
 from .errors import InternalError, NotDiagonalizable, NotRankOne, SingularMatrix
 from .fractionfree import clear
-from .linalg import Matrix, Subspace, Vector, dot, row_rank, vector
-from .scalars import QuadExt, Scalar, _quad, inv
+from .linalg import Matrix, Subspace, Vector, dot, kernel, row_rank, vector
+from .scalars import QuadExt, Scalar, _quad
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -69,7 +69,7 @@ class ReflectionData:
 
     @cached_property
     def hyperplane(self) -> Subspace:
-        return _kernel_of_functional(self.functional)
+        return kernel(Matrix(1, self.dim, self.functional))
 
     def apply(self, v) -> Vector:
         return self.matrix.apply(v)
@@ -224,23 +224,6 @@ def _times(x, y, m: int) -> tuple[int, int]:
     a, b = x or (0, 0)
     c, d = y or (0, 0)
     return a * c + m * b * d, a * d + b * c
-
-
-def _kernel_of_functional(functional: Vector) -> Subspace:
-    """ker f in canonical RREF: with l the last index where f is nonzero, the
-    rows e_j - (f_j / f_l) e_l for j != l, in increasing j."""
-    n = len(functional)
-    last = max(j for j in range(n) if functional[j])
-    ratio = inv(functional[last])
-    rows = []
-    for j in range(n):
-        if j != last:
-            row = [_ZERO] * n
-            row[j] = _ONE
-            if functional[j]:
-                row[last] = -(functional[j] * ratio)
-            rows.extend(row)
-    return Subspace(n, Matrix(n - 1, n, rows))
 
 
 def is_reflection(matrix: Matrix) -> bool:

@@ -57,9 +57,9 @@ from .graphs import (
     is_connected,
     move_chain,
 )
-from .linalg import Matrix, Subspace, Vector, dot, kernel, row_rank
+from .linalg import Matrix, Subspace, Vector, dot, row_rank
 from .reflections import ReflectionData, recognize_reflection
-from .repkit import Representation, SimplicityVerdict, is_invariant
+from .repkit import Representation, SimplicityVerdict
 from .scalars import Scalar, merge_tags
 
 

@@ -17,7 +17,7 @@ from reflext.errors import (
 )
 from reflext.exterior import compound
 from reflext.graphs import deletable_vertex, induced, is_connected
-from reflext.linalg import Matrix, Subspace, intersect_all, kernel, rank, rref, row_rank
+from reflext.linalg import Matrix, Subspace, intersect_all, kernel, rank, row_rank
 from reflext.reflections import ReflectionData
 from reflext.scalars import _quad, field_tag, inv
 
@@ -53,10 +53,47 @@ def minus_intersection_bruteforce(refls, d):
     return intersect_all(spaces, ambient)
 
 
+def gauss_jordan_oracle(rows, n_cols):
+    """Oracle for fractionfree.gauss_jordan: Gauss-Jordan on the scalars.
+
+    Reduces the rows in place to canonical RREF, pivots 1 with zeros above
+    and below and zero rows at the bottom; returns the pivot columns.
+    """
+    n_rows = len(rows)
+    pivots = []
+    for col in range(n_cols):
+        lead = len(pivots)
+        if lead == n_rows:
+            break
+        pivot = next((r for r in range(lead, n_rows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[lead], rows[pivot] = rows[pivot], rows[lead]
+        pivot_row = rows[lead]
+        piv_inv = inv(pivot_row[col])
+        for j in range(col, n_cols):
+            pivot_row[j] = piv_inv * pivot_row[j]
+        for r in range(n_rows):
+            row = rows[r]
+            if r != lead and row[col]:
+                factor = row[col]
+                for j in range(col, n_cols):
+                    row[j] = row[j] - factor * pivot_row[j]
+        pivots.append(col)
+    return pivots
+
+
+def rref_oracle(matrix):
+    """Oracle for linalg.rref: the canonical RREF and rank by gauss_jordan_oracle."""
+    rows = matrix.row_list()
+    rk = len(gauss_jordan_oracle(rows, matrix.cols))
+    return Matrix(matrix.rows, matrix.cols, [e for row in rows for e in row]), rk
+
+
 def kernel_two_pass(matrix):
-    """Oracle for linalg.kernel: the RREF of M, one null vector per free
-    column, and a second RREF of those vectors through Subspace.span."""
-    reduced, rk = rref(matrix)
+    """Oracle for linalg.kernel: the scalar RREF of M, one null vector per
+    free column, and a second scalar RREF of those vectors."""
+    reduced, rk = rref_oracle(matrix)
     n = matrix.cols
     pivots = []
     col = 0
@@ -72,7 +109,8 @@ def kernel_two_pass(matrix):
         for r, p in enumerate(pivots):
             v[p] = -reduced[r, f]
         basis_rows.append(v)
-    return Subspace.span(basis_rows, n)
+    basis, dim = rref_oracle(Matrix(len(basis_rows), n, [x for v in basis_rows for x in v]))
+    return Subspace(n, basis.submatrix(range(dim), range(n)))
 
 
 def reflection_compound_trace(refl, d):

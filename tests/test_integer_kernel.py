@@ -1,11 +1,12 @@
 """The fraction-free kernel behind rank, det, the rank-one test and the Cartan rank.
 
-Oracles: `rref` (still the only path to canonical subspaces) for ranks, and
-the Fraction/QuadExt Gaussian elimination that `Matrix.det` used before the
-kernel, kept here, for determinants.  The seeded matrices are over Q, Q(sqrt 5)
-and Q(sqrt p) for the 10-digit prime p = 1000000007; they are rectangular,
-rank-deficient (products through a thinner middle), have zero rows and
-columns, 200-bit entries, and mix Fraction with QuadExt entries.
+Oracles: the scalar Gauss-Jordan of `conftest.rref_oracle` for ranks and
+canonical bases, and the Fraction/QuadExt Gaussian elimination that
+`Matrix.det` used before the kernel, kept here, for determinants.  The
+seeded matrices are over Q, Q(sqrt 5) and Q(sqrt p) for the 10-digit prime
+p = 1000000007; they are rectangular, rank-deficient (products through a
+thinner middle), have zero rows and columns, 200-bit entries, and mix
+Fraction with QuadExt entries.
 """
 
 import random
@@ -21,7 +22,7 @@ from reflext.reflections import reflection_from_parts, recognize_reflection
 from reflext.scalars import QuadExt, field_tag, inv
 from reflext.theoremlab import _cleared_forms
 
-from conftest import kernel_two_pass
+from conftest import kernel_two_pass, rref_oracle
 
 P10 = 1000000007
 FIELDS = [None, 5, P10]
@@ -88,8 +89,9 @@ def test_rank_equals_rref_rank(m):
     for _ in range(400):
         rows, cols = rng.randint(0, 7), rng.randint(0, 7)
         matrix = seeded_matrix(rng, m, rows, cols)
-        assert rank(matrix) == rref(matrix)[1], matrix
-        assert row_rank([matrix.row(i) for i in range(rows)], cols) == rref(matrix)[1]
+        expected = rref_oracle(matrix)[1]
+        assert rank(matrix) == rref(matrix)[1] == expected, matrix
+        assert row_rank([matrix.row(i) for i in range(rows)], cols) == expected
 
 
 @pytest.mark.parametrize("m", FIELDS, ids=["Q", "sqrt5", "sqrt-10-digit-prime"])
@@ -98,7 +100,7 @@ def test_rank_with_200_bit_entries(m):
     for _ in range(25):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         matrix = seeded_matrix(rng, m, rows, cols, bits=200)
-        assert rank(matrix) == rref(matrix)[1]
+        assert rank(matrix) == rref(matrix)[1] == rref_oracle(matrix)[1]
 
 
 def test_rank_of_empty_and_zero_matrices():
@@ -200,7 +202,7 @@ def test_pairing_pattern_matches_the_scalar_products(m):
             [clear(v, field)[0] for v in left], [clear(v, field)[0] for v in right], field
         )
         assert support == [[bool(x) for x in row] for row in products]
-        assert rk == rref(Matrix.from_rows(products))[1]
+        assert rk == rref_oracle(Matrix.from_rows(products))[1]
 
 
 def old_reflection_data(matrix):
@@ -295,9 +297,10 @@ def test_stored_integer_forms_give_the_scalar_pattern_and_ranks(kind):
 
 @pytest.mark.parametrize("m", FIELDS, ids=["Q", "sqrt5", "sqrt-10-digit-prime"])
 def test_gauss_jordan_bases_match_the_scalar_oracles(m):
-    # the fraction-free reduction's canonical bases equal linalg's and the
-    # two-pass kernel's; zero entries leave rows above and below a pivot at
-    # an older level, so their next update divides by that level's pivot
+    # the fraction-free reduction's canonical bases, and linalg's read off
+    # it, equal the scalar Gauss-Jordan oracle's; zero entries leave rows
+    # above and below a pivot at an older level, so their next update
+    # divides by that level's pivot
     rng = random.Random(1701 if m is None else m + 1701)
     deficient = zero = empty = plain = 0
     for trial in range(400):
@@ -319,8 +322,11 @@ def test_gauss_jordan_bases_match_the_scalar_oracles(m):
         assert Matrix(len(null_basis), cols, [x for v in null_basis for x in v]) == expected.basis
         assert expected == kernel_two_pass(matrix), matrix
         row_basis = fractionfree.row_space(cleared, cols, field)
-        span = Subspace.span([matrix.row(r) for r in range(rows)], cols)
-        assert Matrix(len(row_basis), cols, [x for v in row_basis for x in v]) == span.basis
+        reduced, rk = rref_oracle(matrix)
+        oracle_basis = reduced.submatrix(range(rk), range(cols))
+        assert Matrix(len(row_basis), cols, [x for v in row_basis for x in v]) == oracle_basis
+        assert Subspace.span([matrix.row(r) for r in range(rows)], cols).basis == oracle_basis
+        assert rref(matrix) == (reduced, rk)
         assert all(type(x) in (Fraction, QuadExt) for v in null_basis + row_basis for x in v)
         assert cleared == before  # both read copies
         pivots = fractionfree.gauss_jordan(cleared, cols, field)

@@ -257,3 +257,94 @@ def test_kernel_matches_two_pass_oracle(m):
         zero += matrix.rows * matrix.cols > 0 and matrix.is_zero()
         empty += matrix.rows == 0 or matrix.cols == 0
     assert min(deficient, zero, empty) >= 20, (deficient, zero, empty)
+
+
+def _kronecker_system(gens_left, gens_right):
+    """The Hom system of solve_intertwiner built on the scalars, one equation
+    (X L)[a, b] - (R X)[a, b] = 0 per pair and entry, unknown X[a, c] at a n_l + c."""
+    n_l, n_r = gens_left[0].rows, gens_right[0].rows
+    equations = []
+    for left, right in zip(gens_left, gens_right):
+        for a in range(n_r):
+            for b in range(n_l):
+                row = [Fraction(0)] * (n_r * n_l)
+                for c in range(n_l):
+                    row[a * n_l + c] = row[a * n_l + c] + left[c, b]
+                for c in range(n_r):
+                    row[c * n_l + b] = row[c * n_l + b] - right[a, c]
+                equations.append(row)
+    return Matrix(len(equations), n_r * n_l, [x for row in equations for x in row])
+
+
+def _denominators(matrices):
+    parts = [(x.a, x.b) if type(x) is QuadExt else (x,) for g in matrices for x in g.entries]
+    return {Fraction(p).denominator for pair in parts for p in pair}
+
+
+@pytest.mark.parametrize("m", [None, 5], ids=["Q", "sqrt5"])
+def test_intertwiner_matches_the_scalar_kronecker_system(m):
+    # the left side's entries have denominators 2 and 3, the conjugating
+    # matrix 5 and 7, so the two sides of an equation clear differently
+    rng = random.Random(1901 if m is None else 1905)
+
+    def entry(dens):
+        if rng.random() < 0.3:
+            return Fraction(0)
+        x = Fraction(rng.randint(-3, 3), rng.choice(dens))
+        return QuadExt(x, Fraction(rng.randint(-2, 2), rng.choice(dens)), m) if m else x
+
+    def square(n, dens):
+        return Matrix(n, n, [entry(dens) for _ in range(n * n)])
+
+    def invertible(n):
+        while True:
+            q = square(n, (5, 7))
+            if q.det():
+                return q
+
+    def block(a, b):
+        n, k = a.rows, b.rows
+        return Matrix(n + k, n + k, [
+            (a[i, j] if i < n and j < n else b[i - n, j - n] if i >= n and j >= n else 0)
+            for i in range(n + k) for j in range(n + k)
+        ])
+
+    zero = nonzero = split = 0
+    for trial in range(150):
+        n, k, count = rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 3)
+        gens = [square(n, (1, 2, 3)) for _ in range(count)]
+        if trial % 3 == 0:
+            others = [square(n + k, (1, 5, 7)) for _ in range(count)]
+        else:
+            # the conjugate of gens (+) S: Hom contains the embedding Q [I; 0]
+            q = invertible(n + k)
+            others = [q @ block(g, square(k, (1, 2))) @ q.inverse() for g in gens]
+        left, right = (gens, others) if trial % 2 else (others, gens)
+        space = solve_intertwiner(left, right)
+        expected = kernel_two_pass(_kronecker_system(left, right))
+        assert space == expected and repr(space.basis) == repr(expected.basis)
+        for v in space.basis_vectors():
+            x = unvec(v, right[0].rows, left[0].rows)
+            assert all(x @ l == r @ x for l, r in zip(left, right))
+        zero += space.dim == 0
+        nonzero += space.dim > 0
+        split += _denominators(left) != _denominators(right)
+    assert min(zero, nonzero) >= 20 and split >= 100, (zero, nonzero, split)
+
+
+def test_mixed_radicands_raise_field_mismatch():
+    mixed = Matrix.from_rows([[QuadExt(1, 1, 5), 1], [2, QuadExt(0, 1, 2)]])
+    with pytest.raises(FieldMismatch):
+        rref(mixed)
+    with pytest.raises(FieldMismatch):
+        kernel(mixed)
+    with pytest.raises(FieldMismatch):
+        Subspace.span([mixed.row(0), mixed.row(1)], 2)
+    with pytest.raises(FieldMismatch):
+        solve_intertwiner([mixed], [mixed])
+    sqrt5 = Matrix.from_rows([[QuadExt(1, 1, 5)]])
+    sqrt2 = Matrix.from_rows([[QuadExt(0, 1, 2)]])
+    with pytest.raises(FieldMismatch):
+        solve_intertwiner([sqrt5], [sqrt2])
+    with pytest.raises(FieldMismatch):
+        solve_intertwiner([sqrt5, Matrix.identity(1)], [Matrix.identity(1), sqrt2])
