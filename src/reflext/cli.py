@@ -15,11 +15,10 @@ from math import comb
 
 from . import catalog as catalog_mod
 from .errors import BadDegree, ParseError, ReflextError, UnknownEntry
-from .repfile import load_repfile, representation_to_document
+from .repfile import load_repfile, matrix_doc, representation_to_document
 from .repkit import Representation, exterior_rep, hom_dim
 from .reports import (
     analyze_document,
-    matrix_doc,
     render_analyze_text,
     render_theorem_text,
     theorem_document,

@@ -24,26 +24,33 @@ from .errors import (
 class Graph:
     """Undirected graph on explicit integer vertex labels; no loops, no multi-edges.
 
-    Two graphs are equal when their vertices and edges are."""
+    A graph is its vertices and the neighbors of each vertex in increasing
+    order; the edge set is derived from them.  Two graphs are equal when
+    their vertices and edges are."""
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Sequence[int]] = ()):
-        vs = tuple(sorted(set(vertices)))
-        vset = set(vs)
-        normalized = set()
+        adj: dict[int, set[int]] = {v: set() for v in sorted(set(vertices))}
         for e in edges:
             a, b = e
             if a == b:
                 raise ValueError(f"loop at vertex {a}")
-            if a not in vset or b not in vset:
+            if a not in adj or b not in adj:
                 raise ValueError(f"edge {e} uses unknown vertex")
-            normalized.add((min(a, b), max(a, b)))
-        self.vertices: tuple[int, ...] = vs
-        self.edges: frozenset[tuple[int, int]] = frozenset(normalized)
+            adj[a].add(b)
+            adj[b].add(a)
+        self.vertices: tuple[int, ...] = tuple(adj)
+        self._adjacency: dict[int, tuple[int, ...]] = {
+            v: tuple(sorted(ns)) for v, ns in adj.items()
+        }
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((a, b) for a, ns in self._adjacency.items() for b in ns if a < b)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (self.vertices, self.edges) == (other.vertices, other.edges)
+        return self._adjacency == other._adjacency
 
     def __hash__(self):
         return hash((self.vertices, self.edges))
@@ -69,15 +76,6 @@ class Graph:
         """Neighbor sets of every vertex."""
         return {v: frozenset(ns) for v, ns in self._adjacency.items()}
 
-    @cached_property
-    def _adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Neighbors of every vertex in increasing order, built once per graph."""
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
-
 
 class MoveStep(NamedTuple):
     """One move: vertex `removed` leaves the subset, neighbor `added` enters, along `edge`."""
@@ -91,11 +89,17 @@ class MoveStep(NamedTuple):
 
 
 def induced(graph: Graph, subset: Iterable[int]) -> Graph:
-    """Subgraph spanned by the subset, keeping original labels."""
+    """Subgraph spanned by the subset, keeping original labels: the parent's
+    adjacency restricted to it, whose edges the parent has checked."""
     sub = set(subset)
-    if not sub <= set(graph.vertices):
+    if not sub <= graph._adjacency.keys():
         raise ValueError("subset contains unknown vertices")
-    return Graph(sub, [e for e in graph.edges if e[0] in sub and e[1] in sub])
+    sub_graph = object.__new__(Graph)
+    sub_graph.vertices = tuple(sorted(sub))
+    sub_graph._adjacency = {
+        v: tuple(w for w in graph._adjacency[v] if w in sub) for v in sub_graph.vertices
+    }
+    return sub_graph
 
 
 def breadth_first(

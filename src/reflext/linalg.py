@@ -297,17 +297,14 @@ class Subspace(NamedTuple):
     @classmethod
     def span(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
         rows = [vector(v) for v in vectors]
-        if not rows:
-            return cls(ambient_dim, Matrix(0, ambient_dim, []))
         if any(len(r) != ambient_dim for r in rows):
             raise AmbientMismatch("spanning vector of wrong length")
         m = field_of(itertools.chain.from_iterable(rows))
-        basis = row_space(_cleared(rows, m), ambient_dim, m)
-        return cls(ambient_dim, Matrix(len(basis), ambient_dim, [e for v in basis for e in v]))
+        return _canonical_subspace(row_space(_cleared(rows, m), ambient_dim, m), ambient_dim)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix(0, ambient_dim, []))
+        return _canonical_subspace([], ambient_dim)
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
@@ -340,11 +337,16 @@ class Subspace(NamedTuple):
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim})"
 
 
+def _canonical_subspace(basis: Sequence[Sequence[Scalar]], ambient_dim: int) -> Subspace:
+    """The Subspace of F^ambient_dim whose canonical RREF basis is these rows."""
+    return Subspace(ambient_dim, Matrix(len(basis), ambient_dim, [e for v in basis for e in v]))
+
+
 def kernel(matrix: Matrix) -> Subspace:
     """Exact null space {x : M x = 0} as a canonical Subspace of F^cols."""
     m = matrix.field()
     basis = null_space(_cleared(matrix.row_list(), m), matrix.cols, m)
-    return Subspace(matrix.cols, Matrix(len(basis), matrix.cols, [e for v in basis for e in v]))
+    return _canonical_subspace(basis, matrix.cols)
 
 
 def image(matrix: Matrix) -> Subspace:
@@ -420,8 +422,7 @@ def solve_intertwiner(
                 row[b :: n_l] = neg_r[a * n_r : (a + 1) * n_r]
                 row[a * n_l + b] = difference(lt[b][b], r[a * n_r + a], m)
                 equations.append(row)
-    basis = null_space(equations, unknowns, m)
-    return Subspace(unknowns, Matrix(len(basis), unknowns, [e for v in basis for e in v]))
+    return _canonical_subspace(null_space(equations, unknowns, m), unknowns)
 
 
 def unvec(flat: Sequence[Scalar], rows: int, cols: int) -> Matrix:

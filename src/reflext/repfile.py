@@ -1,5 +1,8 @@
 """Representation files: JSON documents with exact scalar strings.
 
+The wire format is read here and written by `field_doc`, `vector_doc` and
+`matrix_doc`, for representation files and report documents alike.
+
     {
       "field": "Q"                      (or {"quadratic": 5}),
       "dim": 2,
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any
+from typing import Any, Optional
 
 from .errors import (
     EmptyGeneratorList,
@@ -25,19 +28,23 @@ from .errors import (
 )
 from .linalg import Matrix
 from .repkit import Representation
-from .reports import field_doc, matrix_doc
-from .scalars import parse_scalar_in, validate_radicand
+from .scalars import parse_scalar_in, render_scalar, validate_radicand
 
 # dense worst case at the limit: 64 generators I + alpha f^T with entries of
 # alpha and f in 1..3 (benchmarks/dense_repfile.py) take 5.5 s in
 # `reflext verify --json` (2.1 s at dim 48, 0.9 s at 32; 2-vCPU VM, Python
 # 3.11.7), half of it one fraction-free det per generator
 MAX_DIM = 64
+# more generators are refused before any entry is parsed: claim 3 grows as
+# about k^3 on a dense graph.  64 copies of [["-1"]] (a complete graph) take
+# 0.2 s in `reflext verify --json`, 200 took 5.5 s and printed 1 MB (same
+# VM), and the MAX_DIM worst cases above were measured with 64 generators
+MAX_GENERATORS = 64
 # an entry with a longer numerator or denominator is refused before it is
 # parsed; with generator entries of this many digits (dense_repfile.py
 # --digits 100) the dense case takes 33 s at dim 64 and 2.1 s at dim 32
 MAX_ENTRY_DIGITS = 100
-_NUMBER = re.compile(r"(?<![\d(])\d+")  # a numerator or denominator, not a radicand
+_NUMBER = re.compile(r"(?<![\d(])\d+", re.ASCII)  # a numerator or denominator, not a radicand
 
 
 def parse_field(spec: Any) -> int | None:
@@ -49,6 +56,18 @@ def parse_field(spec: Any) -> int | None:
         except ParseError as exc:
             raise ParseError(str(exc)) from None
     raise ParseError(f"field must be \"Q\" or {{\"quadratic\": m}}, got {spec!r}")
+
+
+def field_doc(m: Optional[int]):
+    return "Q" if m is None else {"quadratic": m}
+
+
+def vector_doc(v) -> list[str]:
+    return [render_scalar(x) for x in v]
+
+
+def matrix_doc(m: Matrix) -> list[list[str]]:
+    return [vector_doc(m.row(i)) for i in range(m.rows)]
 
 
 def representation_from_document(doc: Any) -> Representation:
@@ -66,6 +85,8 @@ def representation_from_document(doc: Any) -> Representation:
     gens = doc["generators"]
     if not isinstance(gens, list) or not gens:
         raise ParseError("generators must be a nonempty list")
+    if len(gens) > MAX_GENERATORS:
+        raise ParseError(f"{len(gens)} generators, above the limit {MAX_GENERATORS}")
     matrices = []
     labels = []
     for idx, g in enumerate(gens, start=1):

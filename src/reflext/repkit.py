@@ -33,8 +33,7 @@ from .linalg import (
     unvec,
     wedge_index_sets,
 )
-from .polys import roots_in_field
-from .scalars import Scalar
+from .scalars import QuadExt, Scalar
 
 
 class Representation:
@@ -83,11 +82,13 @@ class Representation:
 
     def conjugate(self, p: Matrix) -> "Representation":
         p_inv = p.inverse()
-        return Representation([p @ g @ p_inv for g in self.generators], self.labels)
+        return _invertible_rep([p @ g @ p_inv for g in self.generators], self.labels)
 
     def permute(self, order: Sequence[int]) -> "Representation":
-        return Representation(
-            [self.generators[i] for i in order], [self.labels[i] for i in order]
+        if not order:
+            raise EmptyGeneratorList("a representation needs at least one generator")
+        return _invertible_rep(
+            [self.generators[i] for i in order], tuple(self.labels[i] for i in order)
         )
 
 
@@ -103,7 +104,11 @@ def exterior_rep(rep: Representation, d: int) -> Representation:
 
 def _invertible_rep(generators: Sequence[Matrix], labels: tuple[str, ...]) -> Representation:
     """A Representation of square generators of one size, known to be
-    invertible, with one label each: built without Representation's checks."""
+    invertible, with one label each: built without Representation's checks.
+
+    Every derived representation is built here: a conjugate, reordering,
+    inverse transpose, nonzero multiple or compound of an invertible matrix
+    is invertible, so its generators are not ranked again."""
     rep = object.__new__(Representation)
     rep.dim = generators[0].rows
     rep.generators = tuple(generators)
@@ -113,14 +118,14 @@ def _invertible_rep(generators: Sequence[Matrix], labels: tuple[str, ...]) -> Re
 
 def dual_rep(rep: Representation) -> Representation:
     """Inverse-transpose generators."""
-    return Representation([g.inverse().transpose() for g in rep.generators], rep.labels)
+    return _invertible_rep([g.inverse().transpose() for g in rep.generators], rep.labels)
 
 
 def det_twist(rep: Representation, det_source: Representation) -> Representation:
     """Multiply each generator by the determinant of the corresponding det_source generator."""
     if len(rep.generators) != len(det_source.generators):
         raise LengthMismatch("det twist needs matching generator lists")
-    return Representation(
+    return _invertible_rep(
         [g.scale(h.det()) for g, h in zip(rep.generators, det_source.generators)],
         rep.labels,
     )
@@ -159,17 +164,6 @@ def duality_intertwiner(rep: Representation, d: int) -> Matrix:
             else:
                 entries.append(_complement_sign(k_set, j_set))
     return Matrix(comb(n, d), comb(n, n - d), entries)
-
-
-def duality_holds(rep: Representation, d: int) -> bool:
-    """Exact generator-by-generator check of the duality intertwining identity."""
-    phi = duality_intertwiner(rep, d)
-    for g in rep.generators:
-        left = phi @ compound(g, rep.dim - d)
-        right = compound(g, d).inverse().transpose().scale(g.det()) @ phi
-        if left != right:
-            return False
-    return True
 
 
 class SimplicityVerdict(NamedTuple):
@@ -228,12 +222,61 @@ def _witness_from_commutant(rep: Representation, commutant: Subspace) -> Optiona
         diag = x[0, 0]
         if x == Matrix.identity(n).scale(diag):
             continue
-        for mu in roots_in_field(charpoly(x), field_m):
+        for mu in _roots_in_field(charpoly(x), field_m):
             ker = kernel(x - Matrix.identity(n).scale(mu))
             if 0 < ker.dim < n:
                 if not is_invariant(rep, ker):
                     raise InternalError("kernel of a commutant element is not invariant")
                 return ker
+    return None
+
+
+def _roots_in_field(coeffs: Sequence[Scalar], m: int | None) -> list[Scalar]:
+    """Distinct roots, inside Q (m None) or Q(sqrt(m)), of sum coeffs[i] * x^(n-i).
+
+    sympy factors the polynomial over the field; roots outside it cannot
+    seed exact eigenvector searches and are dropped.  sympy is imported
+    here, so the certification pipeline and the command line never load it.
+    """
+    import sympy
+
+    x = sympy.symbols("x")
+    n = len(coeffs) - 1
+    expr = sympy.Integer(0)
+    for i, c in enumerate(coeffs):
+        if isinstance(c, QuadExt):
+            term = sympy.Rational(c.a) + sympy.Rational(c.b) * sympy.sqrt(c.m)
+        else:
+            term = sympy.Rational(c)
+        expr += term * x ** (n - i)
+    if m is None:
+        poly = sympy.Poly(expr, x, domain="QQ")
+    else:
+        poly = sympy.Poly(expr, x, extension=sympy.sqrt(m))
+    roots: list[Scalar] = []
+    for factor, _mult in poly.factor_list()[1]:
+        if factor.degree() != 1:
+            continue
+        c1, c0 = factor.all_coeffs()
+        root = _from_sympy(-sympy.sympify(c0) / sympy.sympify(c1), m)
+        if root is not None and root not in roots:
+            roots.append(root)
+    return roots
+
+
+def _from_sympy(expr, m: int | None) -> Scalar | None:
+    """A sympy number as a Scalar in Q (m is None) or Q(sqrt(m)); None if outside."""
+    import sympy
+
+    e = sympy.expand(sympy.radsimp(sympy.nsimplify(expr)))
+    if e.is_Rational:
+        return Fraction(int(e.p), int(e.q))
+    if m is None:
+        return None
+    b = e.coeff(sympy.sqrt(m))
+    a = sympy.expand(e - b * sympy.sqrt(m))
+    if a.is_Rational and b.is_Rational:
+        return QuadExt(Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q)), m)
     return None
 
 
@@ -295,7 +338,7 @@ def simplicity(rep: Representation) -> SimplicityVerdict:
 
     field_m = rep.field()
     for word in _word_matrices(rep, 4):
-        for mu in roots_in_field(charpoly(word), field_m):
+        for mu in _roots_in_field(charpoly(word), field_m):
             shifted = word - Matrix.identity(n).scale(mu)
             ker = kernel(shifted)
             if ker.dim == n:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .linalg import Matrix, Subspace
+from .linalg import Subspace
 from .reflections import ReflectionData
+from .repfile import field_doc, matrix_doc, vector_doc
 from .repkit import Representation, SimplicityVerdict
 from .scalars import render_scalar
 from .theoremlab import ClaimFiveTrace, HypothesisReport, TheoremReport
@@ -219,18 +220,6 @@ def validate_analyze_document(doc: dict) -> None:
     validate(doc, ANALYZE_SCHEMA)
 
 
-def field_doc(m: Optional[int]):
-    return "Q" if m is None else {"quadratic": m}
-
-
-def vector_doc(v) -> list[str]:
-    return [render_scalar(x) for x in v]
-
-
-def matrix_doc(m: Matrix) -> list[list[str]]:
-    return [vector_doc(m.row(i)) for i in range(m.rows)]
-
-
 def subspace_doc(s: Optional[Subspace]):
     if s is None:
         return None
@@ -399,7 +388,9 @@ def analyze_document(rep: Representation, hyp: HypothesisReport, source: str) ->
     return doc
 
 
-def _matrix_lines(rows: list[list[str]], indent: str = "    ") -> list[str]:
+def _matrix_lines(rows: list[list[str]]) -> list[str]:
+    """A basis as aligned text rows, indented under its heading line."""
+    indent = "      "
     if not rows:
         return [indent + "(zero subspace)"]
     widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
@@ -421,7 +412,7 @@ def render_analyze_text(doc: dict) -> str:
             f"eigenvalue = {r['eigenvalue']}"
         )
         lines.append("    hyperplane basis:")
-        lines.extend(_matrix_lines(r["hyperplane"]["basis"], "      "))
+        lines.extend(_matrix_lines(r["hyperplane"]["basis"]))
     c4 = doc["condition4"]
     if c4 is not None:
         if c4["holds"]:
@@ -493,7 +484,7 @@ def render_theorem_text(doc: dict) -> str:
         lines.append(f"    reason: {concl['reason']}")
     if concl["witness_subspace"] is not None:
         lines.append("    witness subspace basis:")
-        lines.extend(_matrix_lines(concl["witness_subspace"]["basis"], "      "))
+        lines.extend(_matrix_lines(concl["witness_subspace"]["basis"]))
     if concl["witness_pairs"]:
         lines.append(f"    witness pairs: {concl['witness_pairs']}")
     for remark in hyp.get("remarks", []):

@@ -12,6 +12,8 @@ Text grammar (bit-exact, used by the CLI wire format):
 
     rational    :=  "p" | "p/q"          (p integer, q positive integer)
     quadratic   :=  rational ("+"|"-") rational "*sqrt(" m ")"
+
+Digits are the ASCII digits 0-9 only; other Unicode digits are refused.
 """
 
 from __future__ import annotations
@@ -193,22 +195,14 @@ def _quad(a: Fraction, b: Fraction, m: int) -> QuadExt:
     return x
 
 
-def as_scalar(value, m: int | None = None) -> Scalar:
-    """Coerce an int/Fraction/QuadExt/scalar-string to a Scalar.
-
-    With ``m`` given, plain rationals are lifted into Q(sqrt(m)).
-    """
-    if m is None and type(value) is Fraction:
+def as_scalar(value) -> Scalar:
+    """Coerce an int/Fraction/QuadExt/scalar-string to a Scalar."""
+    if type(value) is Fraction or isinstance(value, QuadExt):
         return value
     if isinstance(value, str):
-        value = parse_scalar(value)
-    if isinstance(value, QuadExt):
-        if m is not None and value.m != m:
-            raise FieldMismatch(f"scalar lives in Q(sqrt({value.m})), not Q(sqrt({m}))")
-        return value
+        return parse_scalar(value)
     if isinstance(value, (int, Fraction)):
-        r = Fraction(value)
-        return QuadExt(r, 0, m) if m is not None else r
+        return Fraction(value)
     raise TypeError(f"not a scalar: {value!r}")
 
 
@@ -238,7 +232,7 @@ def merge_tags(t1: int | None, t2: int | None) -> int | None:
 
 
 _RAT = r"-?\d+(?:/\d+)?"
-_SCALAR_RE = re.compile(rf"^({_RAT})(?:([+-])({_RAT})\*sqrt\((\d+)\))?$")
+_SCALAR_RE = re.compile(rf"^({_RAT})(?:([+-])({_RAT})\*sqrt\((\d+)\))?$", re.ASCII)
 
 
 def _scalar_parts(text: str) -> tuple[Fraction, Fraction, int | None]:

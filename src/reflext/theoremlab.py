@@ -57,7 +57,7 @@ from .graphs import (
     is_connected,
     move_chain,
 )
-from .linalg import Matrix, Subspace, Vector, dot, row_rank
+from .linalg import Subspace, Vector, _canonical_subspace, dot, row_rank
 from .reflections import ReflectionData, recognize_reflection
 from .repkit import Representation, SimplicityVerdict
 from .scalars import Scalar, merge_tags
@@ -269,7 +269,7 @@ def _base_simplicity(
                 break
         else:
             raise InternalError("every reachable span is V, yet rank C < n or moves disconnect")
-    witness_space = Subspace(n, Matrix(len(witness), n, [x for v in witness for x in v]))
+    witness_space = _canonical_subspace(witness, n)
     if not _is_invariant(witness_space, refls):
         raise InternalError(f"{method} witness is not invariant")
     return SimplicityVerdict(

@@ -19,6 +19,7 @@ from reflext.exterior import compound
 from reflext.graphs import deletable_vertex, induced, is_connected
 from reflext.linalg import Matrix, Subspace, intersect_all, kernel, rank, row_rank
 from reflext.reflections import ReflectionData
+from reflext.repkit import duality_intertwiner
 from reflext.scalars import _quad, field_tag, inv
 
 
@@ -132,6 +133,18 @@ def characters_separate_oracle(refls, n):
         for a, b in itertools.combinations(range(n + 1), 2)
         if comb(n, a) == comb(n, b)
     )
+
+
+def duality_holds(rep, d):
+    """Exact generator-by-generator check of the duality intertwining identity
+    phi @ compound(g, n-d) == det(g) * compound(g, d)^{-T} @ phi."""
+    phi = duality_intertwiner(rep, d)
+    for g in rep.generators:
+        left = phi @ compound(g, rep.dim - d)
+        right = compound(g, d).inverse().transpose().scale(g.det()) @ phi
+        if left != right:
+            return False
+    return True
 
 
 def naive_dot(u, v):

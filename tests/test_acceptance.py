@@ -36,13 +36,13 @@ from reflext.reflections import recognize_reflection
 from reflext.repkit import (
     det_twist,
     dual_rep,
-    duality_holds,
     exterior_rep,
     hom_dim,
 )
 from reflext.theoremlab import verify_theorem
 
 from conftest import (
+    duality_holds,
     minus_intersection_bruteforce,
     random_invertible,
     random_matrix,

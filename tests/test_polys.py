@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from reflext.linalg import Matrix, charpoly
-from reflext.polys import roots_in_field
+from reflext.repkit import _roots_in_field as roots_in_field
 from reflext.scalars import QuadExt
 
 

@@ -519,6 +519,46 @@ def test_repfile_entry_digit_limit_admits_the_limit():
         representation_from_document(doc)
 
 
+def test_repfile_generator_limit(runner, tmp_path, monkeypatch):
+    def copies(k):
+        path = tmp_path / f"copies{k}.json"
+        doc = {"field": "Q", "dim": 1, "generators": [{"matrix": [["-1"]]}] * k}
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    at_limit = runner.invoke(main, ["verify", copies(repfile.MAX_GENERATORS), "--json"])
+    assert at_limit.exit_code == 0
+    assert json.loads(at_limit.output)["generator_count"] == repfile.MAX_GENERATORS
+    # one more is refused before any entry is parsed
+    monkeypatch.setattr(repfile, "Representation", _refuse)
+    monkeypatch.setattr(repfile, "parse_scalar_in", _refuse)
+    for command in ("verify", "analyze"):
+        result = runner.invoke(main, [command, copies(repfile.MAX_GENERATORS + 1)])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            f"error: {repfile.MAX_GENERATORS + 1} generators, "
+            f"above the limit {repfile.MAX_GENERATORS}\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("Q", "-\u0661"), ("Q", "-\u0661/\u0662"), ("Q", "\uff11\uff12"),
+     ({"quadratic": 5}, "1+1*sqrt(\u0665)"), ({"quadratic": 5}, "\u0661+1*sqrt(5)")],
+    ids=["arabic-indic", "arabic-indic-fraction", "fullwidth", "radicand", "quadratic-head"],
+)
+def test_cli_verify_non_ascii_digits_exit_two(runner, tmp_path, field, value):
+    with pytest.raises(ParseError, match="not a scalar"):
+        scalars.parse_scalar(value)
+    doc = {"field": field, "dim": 1, "generators": [{"matrix": [[value]]}]}
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "analyze"):
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error:")
+
+
 @pytest.mark.parametrize(
     "args",
     [

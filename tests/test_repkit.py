@@ -5,7 +5,8 @@ from math import comb
 import pytest
 
 from reflext.catalog import entry, list_entries
-from reflext.errors import BadDegree, LengthMismatch, SingularMatrix
+from reflext import repkit
+from reflext.errors import BadDegree, EmptyGeneratorList, LengthMismatch, SingularMatrix
 from reflext.exterior import compound, eigen_split, exterior_subspace
 from reflext.linalg import Matrix, intersect_all, kernel
 from reflext.reflections import recognize_reflection
@@ -14,13 +15,14 @@ from reflext.repkit import (
     Representation,
     det_twist,
     dual_rep,
-    duality_holds,
     duality_intertwiner,
     exterior_rep,
     hom_dim,
     simplicity,
     spin,
 )
+
+from conftest import duality_holds
 
 A2 = entry("A2").representation
 
@@ -53,6 +55,32 @@ def test_singular_generators_are_rejected_with_one_message():
                 Representation(gens)
             assert str(info.value) == "generators must be invertible"
     assert Matrix.from_rows(SINGULAR_SQRT5).det() == QuadExt(0, 0, 5)
+
+
+def test_derived_representations_are_not_ranked_again(monkeypatch):
+    # conjugates, reorderings, inverse transposes and nonzero multiples of
+    # invertible generators are invertible, so no constructor ranks them
+    expected = {
+        "conjugate": A2.conjugate(Matrix.from_rows([[1, 1], [0, 1]])),
+        "permute": A2.permute([1, 0]),
+        "dual": dual_rep(A2),
+        "det_twist": det_twist(A2, A2),
+    }
+
+    def refuse(*args):
+        raise AssertionError("rank called")
+
+    monkeypatch.setattr(repkit, "rank", refuse)
+    derived = {
+        "conjugate": A2.conjugate(Matrix.from_rows([[1, 1], [0, 1]])),
+        "permute": A2.permute([1, 0]),
+        "dual": dual_rep(A2),
+        "det_twist": det_twist(A2, A2),
+    }
+    assert derived == expected
+    assert derived["permute"].labels == ("s2", "s1")
+    with pytest.raises(EmptyGeneratorList):
+        A2.permute(())
 
 
 def test_dual_of_orthogonal_rep_is_itself():
