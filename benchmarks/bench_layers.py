@@ -1,7 +1,10 @@
 """Micro-benchmarks of the hypothesis layer: reflection recognition (a
 generator of A5, of the H3 conjugate and of A60, and a dense 16x16
-reflection whose alpha and f have 99-digit rational entries), the
-hypothesis checks on simple bases (up to A60) and on reducible affine bases
+reflection whose alpha and f have 99-digit rational entries), alone and
+with alpha, f and lambda read, which recognition derives at their first
+read, the hypothesis checks on simple bases (up to A60 and the dense
+dim-32 representation file of benchmarks/dense_repfile.py --digits 100)
+and on reducible affine bases
 up to affine A29 (where the witness and the base commutant are counted),
 one Q(sqrt(m)) multiply for m = 5 and for a 10-digit prime, and one dot
 product of dense length-16 vectors over Q and over Q(sqrt(5)); of the
@@ -52,7 +55,7 @@ from dense_repfile import dense_document
 from reflext.catalog import _cartan_rep, entry
 from reflext.linalg import Matrix, dot, kernel, rank
 from reflext.reflections import recognize_reflection, reflection_from_parts
-from reflext.repfile import load_repfile
+from reflext.repfile import load_repfile, representation_from_document
 from reflext.repkit import Representation, exterior_rep, hom_dim
 from reflext.reports import (
     analyze_document,
@@ -169,6 +172,8 @@ DENSE16_REFLECTION = reflection_from_parts(
     [_digits99() for _ in range(16)], [_digits99() for _ in range(16)]
 )
 
+DENSE32_DIGITS100 = representation_from_document(dense_document(32, 0, 100))
+
 _inverse_rng = random.Random(19)  # its own stream, so the inputs above stay as they were
 DENSE8_Q = Matrix(
     8, 8, [Fraction(_inverse_rng.randint(-9, 9), _inverse_rng.randint(1, 9)) for _ in range(64)]
@@ -215,17 +220,34 @@ def test_load_dense_repfile(benchmark, tmp_path):
     assert benchmark(load_repfile, str(path)).dim == 32
 
 
-@pytest.mark.parametrize(
+RECOGNITION_RUNGS = pytest.mark.parametrize(
     "generator",
     [A5.generators[2], H3_CONJUGATE.generators[1], A60.generators[30], DENSE16_REFLECTION],
     ids=["A5", "H3-conjugate", "A60", "dense16-99-digit"],
 )
+
+
+@RECOGNITION_RUNGS
 def test_recognize_reflection(benchmark, generator):
     data = benchmark(recognize_reflection, generator)
     assert data.matrix == generator
 
 
-@pytest.mark.parametrize("rep", [A5, H4, A60], ids=["A5", "H4", "A60"])
+def recognize_and_read(generator: Matrix) -> tuple:
+    data = recognize_reflection(generator)
+    return data.alpha, data.functional, data.eigenvalue
+
+
+@RECOGNITION_RUNGS
+def test_recognize_and_read(benchmark, generator):
+    alpha, functional, eigenvalue = benchmark(recognize_and_read, generator)
+    assert reflection_from_parts(alpha, functional) == generator
+    assert eigenvalue == 1 + dot(functional, alpha)
+
+
+@pytest.mark.parametrize(
+    "rep", [A5, H4, A60, DENSE32_DIGITS100], ids=["A5", "H4", "A60", "dense32-100-digit"]
+)
 def test_check_hypotheses(benchmark, rep):
     hyp = benchmark(check_hypotheses, rep)
     assert hyp.condition4_holds and hyp.v_simple.is_simple

@@ -31,26 +31,37 @@ def pairing_pattern(
     """Zero pattern and rank of the matrix P_ij = left_i . right_j.
 
     The vectors are over Z[sqrt(m)]: scalar vectors scaled by nonzero
-    elements of Z[sqrt(m)], as recognition keeps each f and alpha.  The
+    scalars into Z[sqrt(m)], as theoremlab keeps each f and alpha.  The
     products G_ij = l_i . r_j form P with row i and column j so scaled, so
-    G has P's zero pattern and rank.  Each product runs over the coordinates
-    where both factors are nonzero.
+    G has P's zero pattern and rank.  Each product runs over the support of
+    its right factor.
     """
     supports = [[t for t, x in enumerate(r) if x] for r in right]
-    gram = []
-    for l_vec in left:
-        row = []
-        for r_vec, support in zip(right, supports):
-            pairs = [(l_vec[t], r_vec[t]) for t in support if l_vec[t]]
-            if m is None:
-                row.append(sum(a * b for a, b in pairs))
-                continue
-            u = sum(a * c + m * b * e for (a, b), (c, e) in pairs)
-            v = sum(a * e + b * c for (a, b), (c, e) in pairs)
-            row.append((u, v) if u or v else 0)
-        gram.append(row)
+    gram = [
+        [inner(l_vec, r_vec, m, support) for r_vec, support in zip(right, supports)]
+        for l_vec in left
+    ]
     pattern = [[bool(x) for x in row] for row in gram]
     return pattern, echelon(gram, len(right), m, cleared=True)[0]
+
+
+def inner(left: Sequence, right: Sequence, m: int | None, support: Iterable[int] | None = None):
+    """left . right in Z[sqrt(m)] for vectors over Z[sqrt(m)], summed over
+    the support of right: the coordinates t with right_t != 0, or `support`
+    when a caller already holds them."""
+    if support is None:
+        support = [t for t, x in enumerate(right) if x]
+    if m is None:
+        return sum([left[t] * right[t] for t in support])
+    u = v = 0
+    for t in support:
+        x = left[t]
+        if x:
+            a, b = x
+            c, e = right[t]
+            u += a * c + m * b * e
+            v += a * e + b * c
+    return (u, v) if u or v else 0
 
 
 def field_of(entries: Iterable[Scalar]) -> int | None:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InternalError, NotDiagonalizable, NotRankOne, SingularMatrix
-from .fractionfree import clear
+from .fractionfree import clear, inner
 from .linalg import Matrix, Subspace, Vector, dot, kernel, row_rank, vector
 from .scalars import QuadExt, Scalar, _quad
 
@@ -23,29 +23,37 @@ _ONE = Fraction(1)
 
 
 class ReflectionData:
-    """Canonical data (matrix, alpha, lambda, functional) of a reflection; the
-    fixed hyperplane ker f is built at its first read.  Equality, hashing and
-    repr use the four data and ignore the cached hyperplane and `cleared`.
+    """Canonical data (matrix, alpha, lambda, functional) of a reflection.
+    Equality, hashing and repr use the four data and ignore the cached
+    hyperplane, `cleared` and `shift`.
 
-    recognize_reflection also keeps `cleared` = (m, f~, alpha~): f and alpha
-    scaled by nonzero elements of Z[sqrt(m)] into Z[sqrt(m)], in the entries
-    of reflext.fractionfree (ints over Q, pairs over Q(sqrt(m)), the int 0
-    for zero), so later ranks and patterns need no second clearing.
+    recognize_reflection certifies a reflection on integers and keeps them:
+    `cleared` = (m, f~, alpha~), f and alpha scaled by nonzero elements of
+    Z[sqrt(m)] into Z[sqrt(m)], in the entries of reflext.fractionfree (ints
+    over Q, pairs over Q(sqrt(m)), the int 0 for zero), and `shift` = (S, L),
+    S in Z[sqrt(m)] and L a positive int with lambda - 1 = f(alpha) = S / L.
+    alpha, f and lambda are derived from them at their first read, so a
+    caller that reads only the integers builds no scalar; the fixed
+    hyperplane ker f is built at its first read as well.  Constructed
+    explicitly, the data are the scalars given, `cleared` is None and
+    `shift` is derived from lambda at its first read.
     """
 
-    def __init__(
-        self,
-        matrix: Matrix,
-        alpha: Vector,
-        eigenvalue: Scalar,
-        functional: Vector,
-        cleared: tuple | None = None,
-    ):
+    def __init__(self, matrix: Matrix, alpha: Vector, eigenvalue: Scalar, functional: Vector):
         self.matrix = matrix
         self.alpha = alpha
         self.eigenvalue = eigenvalue
         self.functional = functional
-        self.cleared = cleared
+        self.cleared = None
+
+    @classmethod
+    def _certified(cls, matrix: Matrix, cleared: tuple, shift: tuple) -> ReflectionData:
+        """The data of a reflection that recognize_reflection certified."""
+        data = cls.__new__(cls)
+        data.matrix = matrix
+        data.cleared = cleared
+        data.shift = shift
+        return data
 
     def _key(self) -> tuple:
         return (self.matrix, self.alpha, self.eigenvalue, self.functional)
@@ -68,6 +76,78 @@ class ReflectionData:
         return self.matrix.rows
 
     @cached_property
+    def alpha(self) -> Vector:
+        """Column q of M - I scaled to alpha_p = 1: alpha~ over alpha~_p =
+        r_pq (L / c_p), normalized once through the norm of alpha~_p over
+        Q(sqrt(m)).  alpha_i is a QuadExt exactly when M_pq or M_iq is one,
+        as D_iq / D_pq would be."""
+        m, _, cleared_alpha = self.cleared
+        p, q = self._pivot
+        lead = cleared_alpha[p]
+        if m is None:
+            return tuple(Fraction(x, lead) if x else _ZERO for x in cleared_alpha)
+        n = self.dim
+        column = self.matrix.entries[q::n]
+        quad_pivot = type(column[p]) is QuadExt
+        u, v = lead
+        norm = u * u - m * v * v
+        alpha = []
+        for x, entry in zip(cleared_alpha, column):
+            a, b = x or (0, 0)
+            x = Fraction(a * u - m * b * v, norm)
+            if quad_pivot or type(entry) is QuadExt:
+                x = _quad(x, Fraction(b * u - a * v, norm), m)
+            alpha.append(x)
+        return tuple(alpha)
+
+    @cached_property
+    def functional(self) -> Vector:
+        """Row p of M - I, lifted into Q(sqrt(m)) when alpha_p = 1 is a QuadExt."""
+        n = self.dim
+        p, q = self._pivot
+        row = list(self.matrix.entries[p * n : (p + 1) * n])
+        row[p] = row[p] - _ONE
+        if type(row[q]) is QuadExt:
+            row = [_quad(x, _ZERO, self.cleared[0]) if type(x) is Fraction else x for x in row]
+        return tuple(row)
+
+    @cached_property
+    def eigenvalue(self) -> Scalar:
+        """1 + S / L: a QuadExt exactly when some diagonal entry of M is one,
+        as Matrix.trace() gives."""
+        shift, den = self.shift
+        m = self.cleared[0]
+        a, b = (shift, 0) if m is None else shift or (0, 0)
+        value = Fraction(a + den, den)
+        if m is None or QuadExt not in set(map(type, self.matrix.entries[:: self.dim + 1])):
+            return value
+        return _quad(value, Fraction(b, den), m)
+
+    @cached_property
+    def shift(self) -> tuple:
+        """(S, L) from lambda - 1 = S / L, for explicitly given data."""
+        x = self.eigenvalue - _ONE
+        (shift,), den = clear([x], x.m if type(x) is QuadExt else None)
+        return shift, den
+
+    @cached_property
+    def primitive(self) -> tuple:
+        """(f^, alpha^): f~ and alpha~ each divided by the gcd of its integer
+        components (both parts of each pair), so still nonzero multiples of
+        f and alpha over Z[sqrt(m)]."""
+        m, cleared_f, cleared_alpha = self.cleared
+        return _primitive(cleared_f, m), _primitive(cleared_alpha, m)
+
+    @property
+    def _pivot(self) -> tuple[int, int]:
+        """(p, q): the first moving row and the first nonzero column of row p
+        of M - I, i.e. the leading coordinates of alpha~ and f~."""
+        _, cleared_f, cleared_alpha = self.cleared
+        p = next(i for i, x in enumerate(cleared_alpha) if x)
+        q = next(j for j, x in enumerate(cleared_f) if x)
+        return p, q
+
+    @cached_property
     def hyperplane(self) -> Subspace:
         return kernel(Matrix(1, self.dim, self.functional))
 
@@ -79,22 +159,30 @@ class ReflectionData:
 
 
 def recognize_reflection(matrix: Matrix) -> ReflectionData:
-    """Extract ReflectionData from a square matrix, or raise.
+    """Certify that a square matrix is a generalized reflection, or raise.
 
     Raises NotRankOne if rank(M - I) != 1, NotDiagonalizable for unipotent
     transvections (eigenvalue 1), SingularMatrix for eigenvalue 0.
 
-    D = M - I is not built from scalars.  Row i of D is zero exactly when
-    M_ii = 1 and the rest of row i of M is zero, which is tested on M's row;
-    every other row moves, and _moving_line clears it from M's row over
-    Z[sqrt(m)].  D is read at its pivot (p, q): p is its first moving row
-    and q the first nonzero column of row p.  D has rank one exactly when
-    every 2x2 minor D_pq D_ij - D_iq D_pj through the pivot vanishes, which
-    is decided on the cleared rows.  Only a rejection builds D and runs the
-    fraction-free rank, to say which rank D has.  alpha is column q of D
-    scaled to alpha_p = 1 (the canonical basis of im D), f is row p of D and
-    lambda = trace(M) - (n - 1) is summed from the integer parts of M's
-    diagonal.
+    Everything is decided on integers, and no scalar is built: not D = M -
+    I, not alpha, f or lambda.  Row i of D is zero exactly when M_ii = 1 and
+    the rest of row i of M is zero, which is tested on M's row; every other
+    row moves, and _moving_line clears it from M's row over Z[sqrt(m)] to
+    r_i = c_i D_i, c_i the lcm of its denominators.  D is read
+    at its pivot (p, q): p is its first moving row and q the first nonzero
+    column of row p.  D has rank one exactly when every 2x2 minor D_pq D_ij
+    - D_iq D_pj through the pivot vanishes, which is decided on the cleared
+    rows.  Only a rejection builds D and runs the fraction-free rank, to say
+    which rank D has.
+
+    With L the lcm of the moving rows' c_i, S = sum_i r_ii (L / c_i) is
+    trace(D) times L, so lambda - 1 = trace(D) = S / L: lambda = 1 is S = 0
+    and lambda = 0 is S = -L.  As D = alpha f^T, M alpha = (1 + f(alpha))
+    alpha, and the guard that alpha is an eigenvector for lambda, f(alpha) =
+    S / L, is the identity f~ . alpha~ = r_pq S in Z[sqrt(m)], since f~ =
+    c_p f and alpha~ = alpha r_pq (L / c_p).  alpha (column q of D scaled to
+    alpha_p = 1, the canonical basis of im D), f (row p of D) and lambda are
+    derived from these integers at their first read.
     """
     if matrix.rows != matrix.cols:
         raise NotRankOne("reflection candidate must be square")
@@ -114,38 +202,15 @@ def recognize_reflection(matrix: Matrix) -> ReflectionData:
         if rank == 1:
             raise InternalError("rank-one matrix failed the minor test")
         raise NotRankOne(f"rank(M - I) = {rank}, expected 1")
-    alpha, cleared_f, cleared_alpha = line
-    p = moving[0]
-    f_row = list(rows[p])
-    f_row[p] = f_row[p] - _ONE
-    if type(alpha[p]) is QuadExt:  # f is lifted into Q(sqrt(m)) when alpha_p = 1 is a QuadExt
-        f_row = [_quad(x, _ZERO, m) if type(x) is Fraction else x for x in f_row]
-    functional = tuple(f_row)
-    eigenvalue = _eigenvalue(entries[:: n + 1], m)
-    if eigenvalue == 1:
+    cleared_f, cleared_alpha, shift, common = line
+    if not shift:
         raise NotDiagonalizable("unipotent transvection: eigenvalue 1 on the moving line")
-    if eigenvalue == 0:
+    if shift == (-common if m is None else (-common, 0)):
         raise SingularMatrix("matrix is singular: reflection eigenvalue 0")
-    # M alpha == lambda alpha: M alpha = (1 + f(alpha)) alpha, as M - I == alpha f^T;
-    # alpha is zero off the moving rows
-    if 1 + dot([functional[i] for i in moving], [alpha[i] for i in moving]) != eigenvalue:
+    r_pq = cleared_f[next(j for j, x in enumerate(cleared_f) if x)]
+    if inner(cleared_f, cleared_alpha, m) != inner((r_pq,), (shift,), m):
         raise InternalError("alpha is not an eigenvector for the reflection eigenvalue")
-    return ReflectionData(matrix, alpha, eigenvalue, functional, (m, cleared_f, cleared_alpha))
-
-
-def _eigenvalue(diagonal: Sequence[Scalar], m: int | None) -> Scalar:
-    """trace(M) - (n - 1) from M's diagonal, summed over the lcm of its
-    denominators: a QuadExt exactly when some diagonal entry is one, as
-    Matrix.trace() gives."""
-    if m is not None and QuadExt not in set(map(type, diagonal)):
-        m = None
-    cleared, den = clear(diagonal, m)
-    shift = (len(diagonal) - 1) * den
-    if m is None:
-        return Fraction(sum(cleared) - shift, den)
-    a = sum(z[0] for z in cleared if z)
-    b = sum(z[1] for z in cleared if z)
-    return _quad(Fraction(a - shift, den), Fraction(b, den), m)
+    return ReflectionData._certified(matrix, (m, cleared_f, cleared_alpha), (shift, common))
 
 
 def _cleared_difference(row: Sequence[Scalar], i: int, m: int | None) -> tuple[list, int]:
@@ -162,61 +227,59 @@ def _cleared_difference(row: Sequence[Scalar], i: int, m: int | None) -> tuple[l
 
 
 def _moving_line(rows: list[Sequence[Scalar]], moving: list[int], m: int | None) -> tuple | None:
-    """(alpha, f~, alpha~) from the rows of M and the indices of the nonzero
-    rows of D = M - I, with alpha column q of D over D_pq, p = moving[0] and
-    q the first nonzero column of row p; None when D has rank above one.
+    """(f~, alpha~, S, L) from the rows of M and the indices of the nonzero
+    rows of D = M - I, with p = moving[0] and q the first nonzero column of
+    row p; None when D has rank above one.
 
     Moving row i is cleared to r_i = c_i D_i over Z[sqrt(m)], c_i the lcm of
     its denominators, so the minor through (p, q) is r_pq r_ij - r_iq r_pj
     over c_p c_i and vanishes with it; a moving row with D_iq = 0 fails.
-    alpha_p = 1, and each other alpha_i = r_iq c_p / (r_pq c_i) is
-    normalized once, over Q(sqrt(m)) through the norm of r_pq.  alpha_i is a
-    QuadExt exactly when D_pq or D_iq is one, as D_iq / D_pq would be; D_iq
-    has the type of M_iq.
-
-    The integers are kept: f~ = r_p = c_p f, and alpha~_i = r_iq (L / c_i)
-    with L the lcm of the c_i, which is alpha times r_pq (L / c_p), a nonzero
-    element of Z[sqrt(m)] as c_p divides L.
+    f~ = r_p = c_p f.  With L the lcm of the c_i, alpha~_i = r_iq (L / c_i)
+    is alpha times r_pq (L / c_p), a nonzero element of Z[sqrt(m)] as c_p
+    divides L, and S = sum_i r_ii (L / c_i) is L trace(D).
     """
     p = moving[0]
     pivot_row, c_p = _cleared_difference(rows[p], p, m)
     q = next(j for j, x in enumerate(pivot_row) if x)
     r_pq = pivot_row[q]
-    quad_pivot = type(rows[p][q]) is QuadExt
-    if m is None:
-        alpha = [_ZERO] * len(rows)
-    else:
-        zero = _quad(_ZERO, _ZERO, m)
-        alpha = [zero if quad_pivot or type(row[q]) is QuadExt else _ZERO for row in rows]
-        u, v = r_pq
-        norm = u * u - m * v * v
-    alpha[p] = _quad(_ONE, _ZERO, m) if quad_pivot else _ONE
-    scaled = [(p, r_pq, c_p)]  # (i, r_iq, c_i) for each moving row
+    scaled = [(p, r_pq, pivot_row[p], c_p)]  # (i, r_iq, r_ii, c_i) for each moving row
     for i in moving[1:]:
         r_i, c_i = _cleared_difference(rows[i], i, m)
         r_iq = r_i[q]
         if not r_iq:
             return None
-        scaled.append((i, r_iq, c_i))
         if m is None:
             if [r_pq * x for x in r_i] != [r_iq * y for y in pivot_row]:
                 return None
-            alpha[i] = Fraction(r_iq * c_p, r_pq * c_i)
-            continue
-        if [_times(r_pq, x, m) for x in r_i] != [_times(r_iq, y, m) for y in pivot_row]:
+        elif [_times(r_pq, x, m) for x in r_i] != [_times(r_iq, y, m) for y in pivot_row]:
             return None
-        a, b = r_iq
-        den = norm * c_i
-        x = Fraction((a * u - m * b * v) * c_p, den)
-        if quad_pivot or type(rows[i][q]) is QuadExt:
-            x = _quad(x, Fraction((b * u - a * v) * c_p, den), m)
-        alpha[i] = x
-    common = lcm(*[c_i for _, _, c_i in scaled])
+        scaled.append((i, r_iq, r_i[i], c_i))
+    common = lcm(*[c_i for *_, c_i in scaled])
     cleared_alpha: list = [0] * len(rows)
-    for i, r_iq, c_i in scaled:
+    if m is None:
+        shift = 0
+        for i, r_iq, r_ii, c_i in scaled:
+            k = common // c_i
+            cleared_alpha[i] = r_iq * k
+            shift += r_ii * k
+        return tuple(pivot_row), tuple(cleared_alpha), shift, common
+    a = b = 0
+    for i, (u, v), r_ii, c_i in scaled:
         k = common // c_i
-        cleared_alpha[i] = r_iq * k if m is None else (r_iq[0] * k, r_iq[1] * k)
-    return tuple(alpha), tuple(pivot_row), tuple(cleared_alpha)
+        cleared_alpha[i] = (u * k, v * k)
+        if r_ii:
+            a += r_ii[0] * k
+            b += r_ii[1] * k
+    return tuple(pivot_row), tuple(cleared_alpha), (a, b) if a or b else 0, common
+
+
+def _primitive(v: tuple, m: int | None) -> tuple:
+    """A nonzero vector over Z[sqrt(m)] over the gcd of its integer components."""
+    if m is None:
+        g = gcd(*v)
+        return tuple(x // g for x in v) if g != 1 else v
+    g = gcd(*[gcd(*x) for x in v if x])
+    return tuple((x[0] // g, x[1] // g) if x else 0 for x in v) if g != 1 else v
 
 
 def _times(x, y, m: int) -> tuple[int, int]:

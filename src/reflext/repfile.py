@@ -31,9 +31,9 @@ from .repkit import Representation
 from .scalars import parse_scalar_in, render_scalar, validate_radicand
 
 # dense worst case at the limit: 64 generators I + alpha f^T with entries of
-# alpha and f in 1..3 (benchmarks/dense_repfile.py) take 5.5 s in
-# `reflext verify --json` (2.1 s at dim 48, 0.9 s at 32; 2-vCPU VM, Python
-# 3.11.7), half of it one fraction-free det per generator
+# alpha and f in 1..3 (benchmarks/dense_repfile.py) take 2.7 s in
+# `reflext verify --json` (1.0 s at dim 48, 0.4 s at 32; 2-vCPU VM, Python
+# 3.11.7), most of it parsing, one rank per generator and the document
 MAX_DIM = 64
 # more generators are refused before any entry is parsed: claim 3 grows as
 # about k^3 on a dense graph.  64 copies of [["-1"]] (a complete graph) take
@@ -42,7 +42,8 @@ MAX_DIM = 64
 MAX_GENERATORS = 64
 # an entry with a longer numerator or denominator is refused before it is
 # parsed; with generator entries of this many digits (dense_repfile.py
-# --digits 100) the dense case takes 33 s at dim 64 and 2.1 s at dim 32
+# --digits 100) the dense case takes 19-21 s at dim 64 and 1.3 s at dim 32
+# (same VM)
 MAX_ENTRY_DIGITS = 100
 _NUMBER = re.compile(r"(?<![\d(])\d+", re.ASCII)  # a numerator or denominator, not a radicand
 

@@ -43,6 +43,7 @@ from .fractionfree import (
     clear,
     echelon,
     field_of,
+    inner,
     null_space,
     pairing_pattern,
     row_space,
@@ -182,14 +183,14 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
     remarks: list[str] = []
     for i, j in violations:
         # s^2 = I + (2 + f(alpha)) alpha f^T, so a reflection is an involution iff lambda = -1
-        if refls[i - 1].eigenvalue == -1 and refls[j - 1].eigenvalue == -1:
+        if _is_involution(refls[i - 1]) and _is_involution(refls[j - 1]):
             remarks.append(
                 f"generators {i} and {j} are involutions with asymmetric fixing; "
                 "the order of their product is then forced infinite (not machine-checked)"
             )
 
     graph = Graph.on_range(k, edges) if not violations else None
-    v_simple = _base_simplicity(rep.dim, refls, moves, cartan_rank, (m, functionals, alphas))
+    v_simple = _base_simplicity(rep.dim, moves, cartan_rank, (m, functionals, alphas))
     return HypothesisReport(
         reflections=tuple(refls),
         condition1_failures=(),
@@ -200,9 +201,14 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
     )
 
 
+def _is_involution(refl: ReflectionData) -> bool:
+    """lambda = -1, i.e. S = -2L for lambda - 1 = S / L."""
+    shift, den = refl.shift
+    return shift == (-2 * den if type(shift) is int else (-2 * den, 0))
+
+
 def _base_simplicity(
     n: int,
-    refls: Sequence[ReflectionData],
     moves: Sequence[Sequence[bool]],
     cartan_rank: int,
     forms: tuple,
@@ -244,7 +250,7 @@ def _base_simplicity(
     with one unknown per component in Gamma; when the alphas are a basis it
     is the number of components.  In the simple case it is 1.
     """
-    k = len(refls)
+    k = len(moves)
     # s_i moves alpha_j: an arrow j -> i, searched forwards and backwards
     moved = {j: [i for i in range(k) if moves[i][j]] for j in range(k)}
     moving = {i: [j for j in range(k) if moves[i][j]] for i in range(k)}
@@ -270,7 +276,7 @@ def _base_simplicity(
         else:
             raise InternalError("every reachable span is V, yet rank C < n or moves disconnect")
     witness_space = _canonical_subspace(witness, n)
-    if not _is_invariant(witness_space, refls):
+    if not _is_invariant(witness_space, forms):
         raise InternalError(f"{method} witness is not invariant")
     return SimplicityVerdict(
         "Reducible",
@@ -280,15 +286,21 @@ def _base_simplicity(
     )
 
 
-def _is_invariant(space: Subspace, refls: Sequence[ReflectionData]) -> bool:
+def _is_invariant(space: Subspace, forms: tuple) -> bool:
     """True iff every s_i = I + alpha_i f_i^T maps the subspace into itself.
 
     s_i(w) - w = f_i(w) alpha_i, so s_i W is in W iff f_i vanishes on a
-    basis of W or alpha_i lies in W.
+    basis of W or alpha_i lies in W.  Both are decided on the cleared forms
+    (m, f~, alpha~) and W's basis cleared over Z[sqrt(m)], as scaling a
+    vector by a nonzero constant changes neither.
     """
-    basis = space.basis_vectors()
+    m, functionals, alphas = forms
+    n = space.ambient_dim
+    basis = [clear(w, m)[0] for w in space.basis_vectors()]
     return all(
-        not any(dot(r.functional, w) for w in basis) or space.contains(r.alpha) for r in refls
+        not any(inner(f, w, m) for w in basis)
+        or echelon([*map(list, basis), list(a)], n, m, cleared=True)[0] == len(basis)
+        for f, a in zip(functionals, alphas)
     )
 
 
@@ -337,26 +349,33 @@ def _grouped_relations(
 
 
 def connected_basis_subset(alphas: Sequence[Vector], graph: Graph) -> tuple[int, ...]:
-    """Indices I with {alpha_i : i in I} a basis and the induced subgraph connected.
-
-    Constructive: while the current vectors are dependent, pick a dependency
-    with all-nonzero coefficients on its support, apply the deletion lemma to
-    the support inside the current subgraph, and drop the returned vertex.
-    The vectors are cleared of denominators once; each stack's rank and
-    dependency come from its one dependency kernel, whose support is that of
-    the scalar vectors' own, since clearing scales each vector.
-    """
+    """Indices I with {alpha_i : i in I} a basis and the induced subgraph
+    connected: the vectors cleared of denominators, then _basis_subset."""
     n = len(alphas[0])
     if any(len(a) != n for a in alphas):
         raise ValueError("ragged rows")
     m = field_of(x for a in alphas for x in a)
-    cleared = [clear(a, m)[0] for a in alphas]
+    return _basis_subset([clear(a, m)[0] for a in alphas], m, graph)
+
+
+def _basis_subset(cleared: Sequence[Sequence], m: int | None, graph: Graph) -> tuple[int, ...]:
+    """connected_basis_subset for vectors over Z[sqrt(m)], each a nonzero
+    multiple of its alpha_i.
+
+    Constructive: while the current vectors are dependent, pick a dependency
+    with all-nonzero coefficients on its support, apply the deletion lemma to
+    the support inside the current subgraph, and drop the returned vertex.
+    Each stack's rank and dependency come from its one dependency kernel,
+    whose support is that of the scalar vectors' own, since each vector is
+    a multiple of its alpha_i.
+    """
+    n = len(cleared[0])
     dependencies = _dependencies(cleared, m)
-    if len(alphas) - len(dependencies) != n:
+    if len(cleared) - len(dependencies) != n:
         raise NotSpanning("reflection vectors do not span the space")
     if not is_connected(graph):
         raise NotConnected("non-fixing graph must be connected")
-    if graph.vertices != tuple(range(1, len(alphas) + 1)):
+    if graph.vertices != tuple(range(1, len(cleared) + 1)):
         raise ValueError("one vertex per vector expected")
 
     # vertex i is alpha_(i-1), so the first kernel is the spanning one above
@@ -377,10 +396,14 @@ def _dependencies(vectors: Sequence[Sequence], m: int | None) -> list[list[Scala
 
 
 def _cleared_forms(refls: Sequence[ReflectionData]) -> tuple[int | None, list[list], list[list]]:
-    """The radicand m and the f~_i and alpha~_i that recognition cleared,
-    over one Z[sqrt(m)]: a rational generator's ints are lifted to pairs
-    (x, 0) in a Q(sqrt(m)) representation.  The rows are fresh lists, so
-    an elimination may reduce them in place."""
+    """The radicand m and the primitive forms f^_i and alpha^_i of the
+    reflections (ReflectionData.primitive: recognition's f~_i and alpha~_i,
+    each divided by the gcd of its integer components), over one
+    Z[sqrt(m)]: a rational generator's ints are lifted to pairs (x, 0) in a
+    Q(sqrt(m)) representation.  Each form is a nonzero multiple of its f_i
+    or alpha_i, and primitive forms keep the products of pairing_pattern and
+    every later reduction short.  The rows are fresh lists, so an
+    elimination may reduce them in place."""
     m = None
     for r in refls:
         m = merge_tags(m, r.cleared[0])
@@ -392,8 +415,8 @@ def _cleared_forms(refls: Sequence[ReflectionData]) -> tuple[int | None, list[li
 
     return (
         m,
-        [lift(r.cleared[0], r.cleared[1]) for r in refls],
-        [lift(r.cleared[0], r.cleared[2]) for r in refls],
+        [lift(r.cleared[0], r.primitive[0]) for r in refls],
+        [lift(r.cleared[0], r.primitive[1]) for r in refls],
     )
 
 
@@ -404,9 +427,10 @@ def _characters_separate(refls: Sequence[ReflectionData], n: int) -> bool:
     C(n-1, d) + lambda C(n-1, d-1) for a reflection s with eigenvalue
     lambda, tr(wedge^a s) - tr(wedge^(n-a) s) = (1 - lambda)(C(n-1, a) -
     C(n-1, a-1)), with C(n-1, -1) = 0.  A product in a field is nonzero
-    exactly when both factors are.
+    exactly when both factors are, and lambda != 1 is S != 0 for lambda - 1
+    = S / L.
     """
-    moving = any(r.eigenvalue != 1 for r in refls)
+    moving = any(r.shift[0] for r in refls)
     return all(
         moving and comb(n - 1, a) != (comb(n - 1, a - 1) if a else 0)
         for a in range(n + 1)
@@ -517,14 +541,14 @@ def verify_theorem(
         )
 
     refls = [r for r in hyp.reflections if r is not None]
+    m, _, alphas = _cleared_forms(refls)
     if k == n:
         subset = hyp.graph.vertices
     else:
-        subset = connected_basis_subset([r.alpha for r in refls], hyp.graph)
+        subset = _basis_subset(alphas, m, hyp.graph)
     if not is_connected(induced(hyp.graph, subset)):
         raise InternalError("basis subset of a simple base induces a disconnected graph")
-    m, _, alphas = _cleared_forms([refls[i - 1] for i in subset])
-    if echelon(alphas, n, m, cleared=True)[0] != len(subset):
+    if echelon([alphas[i - 1] for i in subset], n, m, cleared=True)[0] != len(subset):
         raise InternalError("connected basis subset is not independent")
 
     degree_list = sorted(set(degrees)) if degrees is not None else list(range(n + 1))

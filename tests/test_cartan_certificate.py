@@ -213,10 +213,31 @@ def test_move_graph_splits_on_a_disconnected_graph():
 
 def test_disconnected_basis_subset_is_an_internal_error(monkeypatch):
     # A3 and a second copy of s1 (k = 4 > n = 3), so the pipeline asks
-    # connected_basis_subset for S; 1 and 3 are not adjacent in the chain 1 - 2 - 3
+    # _basis_subset, the reduction behind connected_basis_subset, for S; 1 and
+    # 3 are not adjacent in the chain 1 - 2 - 3
     a3 = entry("A3").representation
     rep = Representation(list(a3.generators) + [a3.generators[0]])
     assert verify_theorem(rep).verified
-    monkeypatch.setattr(theoremlab, "connected_basis_subset", lambda alphas, graph: (1, 3))
+    monkeypatch.setattr(theoremlab, "_basis_subset", lambda alphas, m, graph: (1, 3))
     with pytest.raises(InternalError, match="disconnected"):
         verify_theorem(rep)
+
+
+def test_dependent_basis_subset_is_an_internal_error(monkeypatch):
+    # the rank(alpha_S) guard on the forms: (1, 2, 4) induces a connected
+    # graph, but alpha_4 = alpha_1 (generator 4 is a second copy of s1)
+    a3 = entry("A3").representation
+    rep = Representation(list(a3.generators) + [a3.generators[0]])
+    monkeypatch.setattr(theoremlab, "_basis_subset", lambda alphas, m, graph: (1, 2, 4))
+    with pytest.raises(InternalError, match="not independent"):
+        verify_theorem(rep)
+
+
+def test_non_invariant_witness_is_an_internal_error(monkeypatch):
+    # the witness re-check on the forms: s1 moves e1 + e2 off its line
+    rep = entry("reducible-direct-sum").representation
+    assert check_hypotheses(rep).v_simple.method == "reflection-kernel"
+    line = [[Fraction(1), Fraction(1), Fraction(0)]]
+    monkeypatch.setattr(theoremlab, "null_space", lambda rows, cols, m: line)
+    with pytest.raises(InternalError, match="witness is not invariant"):
+        check_hypotheses(rep)

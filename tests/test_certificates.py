@@ -27,6 +27,7 @@ from reflext.repkit import Representation, exterior_rep, hom_dim, is_invariant, 
 from reflext.scalars import QuadExt
 from reflext.theoremlab import (
     _characters_separate,
+    _cleared_forms,
     _is_invariant,
     check_hypotheses,
     verify_theorem,
@@ -242,16 +243,16 @@ def test_invariance_on_the_forms_agrees_with_the_generator_check():
         if not hyp.condition1_ok:
             continue
         n = rep.dim
-        refls = list(hyp.reflections)
+        forms = _cleared_forms(hyp.reflections)
         spaces = [Subspace.span([[Fraction(rng.randint(-3, 3)) for _ in range(n)]], n)]
         if not hyp.v_simple.is_simple:
             witness = hyp.v_simple.witness
             methods[hyp.v_simple.method] += 1
-            assert _is_invariant(witness, refls) is is_invariant(rep, witness) is True
+            assert _is_invariant(witness, forms) is is_invariant(rep, witness) is True
             extra = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
             spaces.append(Subspace.span([*witness.basis_vectors(), extra], n))
         for space in spaces:
-            got = _is_invariant(space, refls)
+            got = _is_invariant(space, forms)
             assert got is is_invariant(rep, space), (rep, space.basis)
             rejected += not got
     assert min(methods.values()) >= 10, methods

@@ -1,12 +1,20 @@
+import importlib
+import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reflext.errors import NotDiagonalizable, NotRankOne, SingularMatrix
+from reflext import reflections
+from reflext.catalog import entry, list_entries
+from reflext.errors import InternalError, NotDiagonalizable, NotRankOne, SingularMatrix
 from reflext.fractionfree import clear, to_scalar
 from reflext.graphs import Graph
 from reflext.linalg import Matrix, Subspace, dot, image, kernel, rank
@@ -338,3 +346,104 @@ def test_recognition_matches_bareiss_oracle():
         "QuadExt lambda off the moving rows",
     ]
     assert min(seen[case] for case in cases) >= 20, seen
+
+
+ROOT = Path(__file__).resolve().parent.parent
+FIELD_ORDERS = list(itertools.permutations(("alpha", "functional", "eigenvalue")))
+
+
+def _workload_generators():
+    """(source, generator) for every generator of the catalog and of the
+    seed-7 ladder, growth and sweep inputs of perfbench."""
+    if str(ROOT) not in sys.path:
+        sys.path.append(str(ROOT))
+    inputs = importlib.import_module("perfbench.inputs")
+    reps = [("catalog", entry(name).representation) for name in list_entries()]
+    for build in (inputs.ladder, inputs.growth, inputs.sweep):
+        reps += [(build.__name__, case.rep) for case in build(7)]
+    return [(source, g) for source, rep in reps for g in rep.generators]
+
+
+def test_lazy_fields_match_the_oracle_on_workload_generators():
+    """alpha, f and lambda, derived at their first read from recognition's
+    integers, equal the scalar oracle's in value and in type, whichever field
+    is read first; equality, hash and repr follow."""
+    seen = Counter()
+    for index, (source, matrix) in enumerate(_workload_generators()):
+        expected = _outcome(recognize_reflection_bareiss, matrix)
+        assert _outcome(recognize_reflection, matrix) == expected, (source, matrix)
+        if not expected.startswith("ReflectionData"):
+            continue
+        oracle = recognize_reflection_bareiss(matrix)
+        for order in (FIELD_ORDERS[index % 6], FIELD_ORDERS[(index + 3) % 6]):
+            data = recognize_reflection(matrix)
+            for name in order:
+                got, want = getattr(data, name), getattr(oracle, name)
+                assert got == want and repr(got) == repr(want), (source, name, matrix)
+            assert data == oracle and hash(data) == hash(oracle) and repr(data) == expected
+        seen[source] += 1
+        if len(set(map(type, matrix.entries))) == 2:
+            seen[f"{source}, mixed Fraction and QuadExt"] += 1
+    assert seen["growth, mixed Fraction and QuadExt"] >= 4, seen
+    assert min(seen[s] for s in ("catalog", "ladder", "growth", "sweep")) >= 40, seen
+
+
+def _plus_one(z):
+    """z + 1 in Z[sqrt(m)], for z an int or a pair."""
+    return z + 1 if type(z) is int else (z[0] + 1, z[1])
+
+
+def _double(z):
+    """2 z in Z[sqrt(m)], for a nonzero z, an int or a pair."""
+    return 2 * z if type(z) is int else (2 * z[0], 2 * z[1])
+
+
+# Involutions over Q and over Q(sqrt 5): lambda - 1 = -2, so a doubled S is
+# neither 0 nor -L and still reaches the eigenvector guard.
+GUARD_CASES = [S1, entry("H2-5").representation.generators[1]]
+
+
+@pytest.mark.parametrize("part", ["alpha", "shift"])
+@pytest.mark.parametrize("matrix", GUARD_CASES, ids=["A2", "H2-5"])
+def test_integer_eigenvector_guard_catches_corrupted_recognition(monkeypatch, part, matrix):
+    moving_line = reflections._moving_line
+
+    def corrupted(rows, moving, m):
+        cleared_f, cleared_alpha, shift, common = moving_line(rows, moving, m)
+        if part == "shift":
+            return cleared_f, cleared_alpha, _double(shift), common
+        # f~_q = r_pq != 0, so this changes f~ . alpha~
+        q = next(j for j, x in enumerate(cleared_f) if x)
+        cleared_alpha = list(cleared_alpha)
+        cleared_alpha[q] = _plus_one(cleared_alpha[q] or (0 if m is None else (0, 0)))
+        return cleared_f, tuple(cleared_alpha), shift, common
+
+    recognize_reflection(matrix)
+    monkeypatch.setattr(reflections, "_moving_line", corrupted)
+    with pytest.raises(InternalError, match="eigenvector"):
+        recognize_reflection(matrix)
+
+
+def test_integer_eigenvector_guard_survives_python_O():
+    script = (
+        "import sys\n"
+        "from reflext import reflections\n"
+        "from reflext.catalog import entry\n"
+        "from reflext.errors import InternalError\n"
+        "assert False, 'asserts are live'\n"
+        "line = reflections._moving_line\n"
+        "def corrupted(rows, moving, m):\n"
+        "    f, alpha, shift, common = line(rows, moving, m)\n"
+        "    return f, alpha, 2 * shift, common\n"
+        "reflections._moving_line = corrupted\n"
+        "try:\n"
+        "    reflections.recognize_reflection(entry('A2').representation.generators[0])\n"
+        "except InternalError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1 alpha is not an eigenvector for the reflection eigenvalue\n"
