@@ -15,7 +15,8 @@ rational 8x8 matrix and the Hom system of A6:3 with itself (400 unknowns,
 the MAX_HOM_DIM limit of `reflext hom`); of input construction:
 building A60 (one rank per generator) and loading the dense dim-32
 representation file of benchmarks/dense_repfile.py; of the whole certifier,
-verify_theorem on the H3 conjugate and on F4, A16, A40 and A60, on A6 with
+verify_theorem on the H3 conjugate and on F4, A16, A40 and A60, on the
+small catalog shapes A2, cond4-fail and reducible-direct-sum, on A6 with
 three conjugated extra reflections (k = 9 > n = 6, so the basis subset
 comes from the deletion lemma), on every reflection of F4, D6 and H4
 (k = 24, 30, 60: one dependency kernel per deletion), and with trace=True
@@ -266,6 +267,21 @@ def test_check_hypotheses_reducible(benchmark, k):
 )
 def test_verify_theorem(benchmark, rep):
     assert benchmark(verify_theorem, rep).verified
+
+
+# the small shapes the perfbench sweep workload certifies: a rational 2x2
+# simple base, a condition-4 failure and a reducible base with its witness
+SMALL_SHAPES = {
+    "A2": "TheoremVerified",
+    "cond4-fail": "HypothesisFailed",
+    "reducible-direct-sum": "HypothesisFailed",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_SHAPES))
+def test_verify_theorem_small(benchmark, name):
+    report = benchmark(verify_theorem, entry(name).representation)
+    assert report.conclusion.status == SMALL_SHAPES[name]
 
 
 def test_verify_theorem_redundant(benchmark):

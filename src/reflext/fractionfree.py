@@ -34,13 +34,19 @@ def pairing_pattern(
     scalars into Z[sqrt(m)], as theoremlab keeps each f and alpha.  The
     products G_ij = l_i . r_j form P with row i and column j so scaled, so
     G has P's zero pattern and rank.  Each product runs over the support of
-    its right factor.
+    its right factor, inline over Z and by inner over Z[sqrt(m)].
     """
     supports = [[t for t, x in enumerate(r) if x] for r in right]
-    gram = [
-        [inner(l_vec, r_vec, m, support) for r_vec, support in zip(right, supports)]
-        for l_vec in left
-    ]
+    if m is None:
+        gram = [
+            [sum([l_vec[t] * r_vec[t] for t in support]) for r_vec, support in zip(right, supports)]
+            for l_vec in left
+        ]
+    else:
+        gram = [
+            [inner(l_vec, r_vec, m, support) for r_vec, support in zip(right, supports)]
+            for l_vec in left
+        ]
     pattern = [[bool(x) for x in row] for row in gram]
     return pattern, echelon(gram, len(right), m, cleared=True)[0]
 
@@ -280,8 +286,7 @@ def null_space(rows: Sequence[Sequence], cols: int, m: int | None) -> list[list[
     entry of every other such vector, so taken in decreasing g they are
     already the canonical RREF basis.
     """
-    reduced = [list(reversed(row)) for row in rows]
-    pivots = gauss_jordan(reduced, cols, m)
+    reduced, pivots = _reversed_reduction(rows, cols, m)
     pivot_set = set(pivots)
     basis = []
     for g in reversed(range(cols)):
@@ -296,6 +301,32 @@ def null_space(rows: Sequence[Sequence], cols: int, m: int | None) -> list[list[
                 v[cols - 1 - p] = -_quotient(row[g], row[p], m)
         basis.append(v)
     return basis
+
+
+def first_null_support(rows: Sequence[Sequence], cols: int, m: int | None) -> tuple[int, list[int]]:
+    """The rank of M, with rows over Z[sqrt(m)], and the support of the first
+    vector of null_space's canonical basis (empty when M has full column
+    rank), read off the same reduction without dividing out any null vector:
+    the largest free column g and the pivot columns p_r < g with R[r, g] !=
+    0, reversed back."""
+    reduced, pivots = _reversed_reduction(rows, cols, m)
+    pivot_set = set(pivots)
+    g = next((g for g in reversed(range(cols)) if g not in pivot_set), None)
+    if g is None:
+        return len(pivots), []
+    support = [cols - 1 - g]
+    for row, p in zip(reduced, pivots):
+        if p > g:
+            break
+        if row[g]:
+            support.append(cols - 1 - p)
+    return len(pivots), sorted(support)
+
+
+def _reversed_reduction(rows: Sequence[Sequence], cols: int, m: int | None) -> tuple[list, list]:
+    """gauss_jordan of M with its columns reversed: the reduced rows and their pivots."""
+    reduced = [list(reversed(row)) for row in rows]
+    return reduced, gauss_jordan(reduced, cols, m)
 
 
 def _quotient(z, d, m: int | None) -> Scalar:

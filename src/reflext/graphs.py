@@ -62,6 +62,16 @@ class Graph:
     def on_range(cls, k: int, edges: Iterable[Sequence[int]] = ()) -> "Graph":
         return cls(range(1, k + 1), edges)
 
+    @classmethod
+    def _of(cls, adjacency: dict[int, tuple[int, ...]]) -> "Graph":
+        """The graph with this adjacency, unchecked: the vertices in
+        increasing order, each with its neighbors in increasing order and
+        every edge listed at both ends."""
+        graph = object.__new__(cls)
+        graph.vertices = tuple(adjacency)
+        graph._adjacency = adjacency
+        return graph
+
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
@@ -94,12 +104,7 @@ def induced(graph: Graph, subset: Iterable[int]) -> Graph:
     sub = set(subset)
     if not sub <= graph._adjacency.keys():
         raise ValueError("subset contains unknown vertices")
-    sub_graph = object.__new__(Graph)
-    sub_graph.vertices = tuple(sorted(sub))
-    sub_graph._adjacency = {
-        v: tuple(w for w in graph._adjacency[v] if w in sub) for v in sub_graph.vertices
-    }
-    return sub_graph
+    return Graph._of({v: tuple(w for w in graph._adjacency[v] if w in sub) for v in sorted(sub)})
 
 
 def breadth_first(
@@ -107,10 +112,11 @@ def breadth_first(
 ) -> dict[int, int]:
     """Predecessors of the vertices reached from source, in the order reached.
 
-    The one search of the package.  `adjacency` lists the (out-)neighbors of
-    every vertex in increasing order, as Graph and theoremlab's moves digraph
-    keep them, so neighbors are visited in increasing order; directed
-    relations are searched as well.  source is its own predecessor, and the
+    The one search of the package.  `adjacency[v]` lists the
+    (out-)neighbors of vertex v in increasing order, as Graph and
+    theoremlab's moves digraph (a list indexed by vertex) keep them, so
+    neighbors are visited in increasing order; directed relations are
+    searched as well.  source is its own predecessor, and the
     search stops as soon as target is reached.
     """
     prev = {source: source}

@@ -103,7 +103,11 @@ def _integral_parts(t: Scalar) -> tuple[int, int, int]:
 
 
 class Matrix:
-    """Immutable dense exact matrix."""
+    """Immutable dense exact matrix.
+
+    The public constructor converts and checks every entry; the private
+    `_of` takes a tuple of entries the package computed itself, already
+    Fraction or QuadExt and of the right length."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -117,6 +121,15 @@ class Matrix:
             )
 
     @classmethod
+    def _of(cls, rows: int, cols: int, entries: tuple) -> "Matrix":
+        """A matrix on entries from the package's own exact routines, unchecked."""
+        matrix = object.__new__(cls)
+        matrix.rows = rows
+        matrix.cols = cols
+        matrix.entries = entries
+        return matrix
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
@@ -126,11 +139,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [_ONE if i == j else _ZERO for i in range(n) for j in range(n)])
+        return cls._of(n, n, tuple([_ONE if i == j else _ZERO for i in range(n) for j in range(n)]))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [_ZERO] * (rows * cols))
+        return cls._of(rows, cols, (_ZERO,) * (rows * cols))
 
     def __getitem__(self, ij: tuple[int, int]) -> Scalar:
         i, j = ij
@@ -149,28 +162,29 @@ class Matrix:
         return field_of(self.entries)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        columns = [self.entries[j :: self.cols] for j in range(self.cols)]
+        return Matrix._of(self.cols, self.rows, tuple([e for column in columns for e in column]))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LengthMismatch("matrix addition shape mismatch")
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
+        return Matrix._of(
+            self.rows, self.cols, tuple([a + b for a, b in zip(self.entries, other.entries)])
+        )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LengthMismatch("matrix subtraction shape mismatch")
-        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
+        return Matrix._of(
+            self.rows, self.cols, tuple([a - b for a, b in zip(self.entries, other.entries)])
+        )
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self.entries])
+        return Matrix._of(self.rows, self.cols, tuple([-a for a in self.entries]))
 
     def scale(self, c) -> "Matrix":
         c = as_scalar(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self.entries])
+        return Matrix._of(self.rows, self.cols, tuple([c * a for a in self.entries]))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -183,7 +197,7 @@ class Matrix:
             r = self.row(i)
             for c in other_cols:
                 out.append(dot(r, c))
-        return Matrix(self.rows, other.cols, out)
+        return Matrix._of(self.rows, other.cols, tuple(out))
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
         """Matrix times column vector."""
@@ -198,16 +212,16 @@ class Matrix:
         return dot(self.entries[:: self.cols + 1], (1,) * self.rows)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix(
+        return Matrix._of(
             len(row_idx),
             len(col_idx),
-            [self.entries[i * self.cols + j] for i in row_idx for j in col_idx],
+            tuple([self.entries[i * self.cols + j] for i in row_idx for j in col_idx]),
         )
 
     def stack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise LengthMismatch("vertical stack needs equal column counts")
-        return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        return Matrix._of(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def augment(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -216,7 +230,7 @@ class Matrix:
         for i in range(self.rows):
             out.extend(self.row(i))
             out.extend(other.row(i))
-        return Matrix(self.rows, self.cols + other.cols, out)
+        return Matrix._of(self.rows, self.cols + other.cols, tuple(out))
 
     def det(self) -> Scalar:
         """Determinant after one fraction-free reduction, zero below full rank:
@@ -266,7 +280,8 @@ def rref(matrix: Matrix) -> tuple[Matrix, int]:
     m = matrix.field()
     basis = row_space(_cleared(matrix.row_list(), m), matrix.cols, m)
     zeros = [_ZERO] * ((matrix.rows - len(basis)) * matrix.cols)
-    return Matrix(matrix.rows, matrix.cols, [e for row in basis for e in row] + zeros), len(basis)
+    entries = tuple([e for row in basis for e in row] + zeros)
+    return Matrix._of(matrix.rows, matrix.cols, entries), len(basis)
 
 
 def _cleared(rows: Iterable[Sequence[Scalar]], m: int | None) -> list[list]:
@@ -339,7 +354,8 @@ class Subspace(NamedTuple):
 
 def _canonical_subspace(basis: Sequence[Sequence[Scalar]], ambient_dim: int) -> Subspace:
     """The Subspace of F^ambient_dim whose canonical RREF basis is these rows."""
-    return Subspace(ambient_dim, Matrix(len(basis), ambient_dim, [e for v in basis for e in v]))
+    entries = tuple([e for v in basis for e in v])
+    return Subspace(ambient_dim, Matrix._of(len(basis), ambient_dim, entries))
 
 
 def kernel(matrix: Matrix) -> Subspace:

@@ -25,18 +25,21 @@ _ONE = Fraction(1)
 class ReflectionData:
     """Canonical data (matrix, alpha, lambda, functional) of a reflection.
     Equality, hashing and repr use the four data and ignore the cached
-    hyperplane, `cleared` and `shift`.
+    hyperplane, `cleared`, `primitive` and `shift`.
 
     recognize_reflection certifies a reflection on integers and keeps them:
     `cleared` = (m, f~, alpha~), f and alpha scaled by nonzero elements of
     Z[sqrt(m)] into Z[sqrt(m)], in the entries of reflext.fractionfree (ints
-    over Q, pairs over Q(sqrt(m)), the int 0 for zero), and `shift` = (S, L),
-    S in Z[sqrt(m)] and L a positive int with lambda - 1 = f(alpha) = S / L.
-    alpha, f and lambda are derived from them at their first read, so a
-    caller that reads only the integers builds no scalar; the fixed
-    hyperplane ker f is built at its first read as well.  Constructed
-    explicitly, the data are the scalars given, `cleared` is None and
-    `shift` is derived from lambda at its first read.
+    over Q, pairs over Q(sqrt(m)), the int 0 for zero), `primitive` = (f^,
+    alpha^), f~ and alpha~ each divided by the gcd of its integer components
+    (both parts of each pair), so still nonzero multiples of f and alpha
+    over Z[sqrt(m)], and `shift` = (S, L), S in Z[sqrt(m)] and L a positive
+    int with lambda - 1 = f(alpha) = S / L.  alpha, f and lambda are derived
+    from them at their first read, so a caller that reads only the integers
+    builds no scalar; the fixed hyperplane ker f is built at its first read
+    as well.  Constructed explicitly, the data are the scalars given,
+    `cleared` and `primitive` are None and `shift` is derived from lambda at
+    its first read.
     """
 
     def __init__(self, matrix: Matrix, alpha: Vector, eigenvalue: Scalar, functional: Vector):
@@ -45,6 +48,7 @@ class ReflectionData:
         self.eigenvalue = eigenvalue
         self.functional = functional
         self.cleared = None
+        self.primitive = None
 
     @classmethod
     def _certified(cls, matrix: Matrix, cleared: tuple, shift: tuple) -> ReflectionData:
@@ -52,6 +56,8 @@ class ReflectionData:
         data = cls.__new__(cls)
         data.matrix = matrix
         data.cleared = cleared
+        m, cleared_f, cleared_alpha = cleared
+        data.primitive = (_primitive(cleared_f, m), _primitive(cleared_alpha, m))
         data.shift = shift
         return data
 
@@ -130,14 +136,6 @@ class ReflectionData:
         (shift,), den = clear([x], x.m if type(x) is QuadExt else None)
         return shift, den
 
-    @cached_property
-    def primitive(self) -> tuple:
-        """(f^, alpha^): f~ and alpha~ each divided by the gcd of its integer
-        components (both parts of each pair), so still nonzero multiples of
-        f and alpha over Z[sqrt(m)]."""
-        m, cleared_f, cleared_alpha = self.cleared
-        return _primitive(cleared_f, m), _primitive(cleared_alpha, m)
-
     @property
     def _pivot(self) -> tuple[int, int]:
         """(p, q): the first moving row and the first nonzero column of row p
@@ -149,7 +147,7 @@ class ReflectionData:
 
     @cached_property
     def hyperplane(self) -> Subspace:
-        return kernel(Matrix(1, self.dim, self.functional))
+        return kernel(Matrix._of(1, self.dim, tuple(self.functional)))
 
     def apply(self, v) -> Vector:
         return self.matrix.apply(v)
@@ -165,15 +163,15 @@ def recognize_reflection(matrix: Matrix) -> ReflectionData:
     transvections (eigenvalue 1), SingularMatrix for eigenvalue 0.
 
     Everything is decided on integers, and no scalar is built: not D = M -
-    I, not alpha, f or lambda.  Row i of D is zero exactly when M_ii = 1 and
-    the rest of row i of M is zero, which is tested on M's row; every other
-    row moves, and _moving_line clears it from M's row over Z[sqrt(m)] to
-    r_i = c_i D_i, c_i the lcm of its denominators.  D is read
-    at its pivot (p, q): p is its first moving row and q the first nonzero
-    column of row p.  D has rank one exactly when every 2x2 minor D_pq D_ij
-    - D_iq D_pj through the pivot vanishes, which is decided on the cleared
-    rows.  Only a rejection builds D and runs the fraction-free rank, to say
-    which rank D has.
+    I, not alpha, f or lambda.  Row i of D is zero exactly when M_ii = 1
+    and the rest of row i of M is zero, which _cleared_rows tests on M's
+    row; every other row moves, and is cleared from M's row over Z[sqrt(m)]
+    to r_i = c_i D_i, c_i the lcm of its denominators.  D is read at its
+    pivot (p, q): p is its first moving row and q the first nonzero column
+    of row p.  D has rank one exactly when every 2x2 minor D_pq D_ij - D_iq
+    D_pj through the pivot vanishes, which _moving_line decides on the
+    cleared rows.  Only a rejection builds D and runs the fraction-free
+    rank, to say which rank D has.
 
     With L the lcm of the moving rows' c_i, S = sum_i r_ii (L / c_i) is
     trace(D) times L, so lambda - 1 = trace(D) = S / L: lambda = 1 is S = 0
@@ -187,12 +185,9 @@ def recognize_reflection(matrix: Matrix) -> ReflectionData:
     if matrix.rows != matrix.cols:
         raise NotRankOne("reflection candidate must be square")
     n = matrix.rows
-    entries = matrix.entries
     m = matrix.field()
-    rows = [entries[i * n : (i + 1) * n] for i in range(n)]
-    moving = [
-        i for i, row in enumerate(rows) if row[i] != 1 or any(row[:i]) or any(row[i + 1 :])
-    ]
+    rows = _cleared_rows(matrix.entries, n, m)
+    moving = [i for i, row in enumerate(rows) if row is not None]
     line = _moving_line(rows, moving, m) if moving else None
     if line is None:
         diff = matrix.row_list()
@@ -208,43 +203,55 @@ def recognize_reflection(matrix: Matrix) -> ReflectionData:
     if shift == (-common if m is None else (-common, 0)):
         raise SingularMatrix("matrix is singular: reflection eigenvalue 0")
     r_pq = cleared_f[next(j for j, x in enumerate(cleared_f) if x)]
-    if inner(cleared_f, cleared_alpha, m) != inner((r_pq,), (shift,), m):
+    r_pq_shift = r_pq * shift if m is None else _times(r_pq, shift, m)  # nonzero, as both are
+    if inner(cleared_f, cleared_alpha, m) != r_pq_shift:
         raise InternalError("alpha is not an eigenvector for the reflection eigenvalue")
     return ReflectionData._certified(matrix, (m, cleared_f, cleared_alpha), (shift, common))
 
 
-def _cleared_difference(row: Sequence[Scalar], i: int, m: int | None) -> tuple[list, int]:
-    """Row i of M - I over Z[sqrt(m)] as clear() gives it, from row i of M:
-    M_ii - 1 has the denominators of M_ii, so the lcm c_i is that of M's row
-    and the diagonal loses c_i."""
-    cleared, den = clear(row, m)
-    if m is None:
-        cleared[i] -= den
-    else:
-        u, v = cleared[i] or (0, 0)
-        cleared[i] = (u - den, v) if u != den or v else 0
-    return cleared, den
+def _cleared_rows(entries: Sequence[Scalar], n: int, m: int | None) -> list[tuple | None]:
+    """Each row i of D = M - I as (r_i, c_i), clear()'s r_i = c_i D_i over
+    Z[sqrt(m)] with c_i the lcm of its denominators, or None when it is zero.
+
+    Row i of D is zero exactly when M_ii = 1 and the rest of row i of M is
+    zero; the zero tests stop at the first nonzero entry, and a moving row
+    with M_ii != 1 is read only by its clearing.  M_ii - 1 has the
+    denominators of M_ii, so c_i is the lcm of M's row and the diagonal of
+    the cleared row loses c_i."""
+    rows: list[tuple | None] = []
+    for i in range(n):
+        row = entries[i * n : (i + 1) * n]
+        if row[i] == 1 and not any(row[:i]) and not any(row[i + 1 :]):
+            rows.append(None)
+            continue
+        cleared, den = clear(row, m)
+        if m is None:
+            cleared[i] -= den
+        else:
+            u, v = cleared[i] or (0, 0)
+            cleared[i] = (u - den, v) if u != den or v else 0
+        rows.append((cleared, den))
+    return rows
 
 
-def _moving_line(rows: list[Sequence[Scalar]], moving: list[int], m: int | None) -> tuple | None:
-    """(f~, alpha~, S, L) from the rows of M and the indices of the nonzero
-    rows of D = M - I, with p = moving[0] and q the first nonzero column of
-    row p; None when D has rank above one.
+def _moving_line(rows: list[tuple | None], moving: list[int], m: int | None) -> tuple | None:
+    """(f~, alpha~, S, L) from _cleared_rows' rows (r_i, c_i) of D = M - I
+    and the indices of its nonzero rows, with p = moving[0] and q the first
+    nonzero column of row p; None when D has rank above one.
 
-    Moving row i is cleared to r_i = c_i D_i over Z[sqrt(m)], c_i the lcm of
-    its denominators, so the minor through (p, q) is r_pq r_ij - r_iq r_pj
-    over c_p c_i and vanishes with it; a moving row with D_iq = 0 fails.
-    f~ = r_p = c_p f.  With L the lcm of the c_i, alpha~_i = r_iq (L / c_i)
-    is alpha times r_pq (L / c_p), a nonzero element of Z[sqrt(m)] as c_p
-    divides L, and S = sum_i r_ii (L / c_i) is L trace(D).
+    The minor through (p, q) is r_pq r_ij - r_iq r_pj over c_p c_i and
+    vanishes with it; a moving row with D_iq = 0 fails.  f~ = r_p = c_p f.
+    With L the lcm of the c_i, alpha~_i = r_iq (L / c_i) is alpha times
+    r_pq (L / c_p), a nonzero element of Z[sqrt(m)] as c_p divides L, and
+    S = sum_i r_ii (L / c_i) is L trace(D).
     """
     p = moving[0]
-    pivot_row, c_p = _cleared_difference(rows[p], p, m)
+    pivot_row, c_p = rows[p]
     q = next(j for j, x in enumerate(pivot_row) if x)
     r_pq = pivot_row[q]
     scaled = [(p, r_pq, pivot_row[p], c_p)]  # (i, r_iq, r_ii, c_i) for each moving row
     for i in moving[1:]:
-        r_i, c_i = _cleared_difference(rows[i], i, m)
+        r_i, c_i = rows[i]
         r_iq = r_i[q]
         if not r_iq:
             return None

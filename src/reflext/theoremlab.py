@@ -27,6 +27,7 @@ All failures are structured report values carrying re-checkable witnesses.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple, Optional, Sequence
 
@@ -43,6 +44,7 @@ from .fractionfree import (
     clear,
     echelon,
     field_of,
+    first_null_support,
     inner,
     null_space,
     pairing_pattern,
@@ -168,17 +170,17 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
     k = len(rep.generators)
     # the Cartan matrix C_ij = f_i(alpha_j): its zero pattern and its rank,
     # from the integer forms recognition cleared
-    m, functionals, alphas = _cleared_forms(refls)
+    m, functionals, alphas = forms = _cleared_forms(refls)
     support, cartan_rank = pairing_pattern(functionals, alphas, m)
-    # moves[i][j]: s_i moves alpha_j; the one relation behind conditions 3 and 4
-    moves = [[i != j and support[i][j] for j in range(k)] for i in range(k)]
-    violations: list[tuple[int, int]] = []
-    edges: list[tuple[int, int]] = []
-    for i, j in itertools.combinations(range(k), 2):
-        if moves[i][j] != moves[j][i]:
-            violations.append((i + 1, j + 1) if moves[i][j] else (j + 1, i + 1))
-        elif moves[i][j]:
-            edges.append((i + 1, j + 1))
+    # moving[i]: the j != i with s_i moving alpha_j, increasing; the one
+    # relation behind conditions 3 and 4, built once
+    moving = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(support)]
+    violations = [
+        (i + 1, j + 1) if support[i][j] else (j + 1, i + 1)
+        for i in range(k)
+        for j in range(i + 1, k)
+        if support[i][j] != support[j][i]
+    ]
 
     remarks: list[str] = []
     for i, j in violations:
@@ -189,8 +191,14 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
                 "the order of their product is then forced infinite (not machine-checked)"
             )
 
-    graph = Graph.on_range(k, edges) if not violations else None
-    v_simple = _base_simplicity(rep.dim, moves, cartan_rank, (m, functionals, alphas))
+    if violations:
+        graph = None
+        moved = [[i for i in range(k) if support[i][j] and i != j] for j in range(k)]
+    else:
+        # a symmetric relation is the graph's adjacency, and its own transpose
+        graph = Graph._of({i + 1: tuple([j + 1 for j in row]) for i, row in enumerate(moving)})
+        moved = moving
+    v_simple = _base_simplicity(rep.dim, moving, moved, cartan_rank, forms)
     return HypothesisReport(
         reflections=tuple(refls),
         condition1_failures=(),
@@ -209,13 +217,16 @@ def _is_involution(refl: ReflectionData) -> bool:
 
 def _base_simplicity(
     n: int,
-    moves: Sequence[Sequence[bool]],
+    moving: Sequence[Sequence[int]],
+    moved: Sequence[Sequence[int]],
     cartan_rank: int,
     forms: tuple,
 ) -> SimplicityVerdict:
     """Condition 3 decided exactly for reflections s_i = I + alpha_i f_i^T.
 
-    moves[i][j] says that s_i moves alpha_j, i.e. C_ij = f_i(alpha_j) != 0.
+    moving[i] lists the j != i that s_i moves, i.e. C_ij = f_i(alpha_j) !=
+    0, and moved[j] the i that move alpha_j, both in increasing order; a
+    symmetric relation is passed as one list for both, and searched once.
     Since s_i(w) - w = f_i(w) alpha_i, a nonzero invariant W either lies in
     every hyperplane f_i = 0, or contains some alpha_j and with it every
     alpha_i reachable from j along "s_i moves alpha_j".  The common kernel of
@@ -250,14 +261,12 @@ def _base_simplicity(
     with one unknown per component in Gamma; when the alphas are a basis it
     is the number of components.  In the simple case it is 1.
     """
-    k = len(moves)
+    k = len(moving)
     # s_i moves alpha_j: an arrow j -> i, searched forwards and backwards
-    moved = {j: [i for i in range(k) if moves[i][j]] for j in range(k)}
-    moving = {i: [j for j in range(k) if moves[i][j]] for i in range(k)}
     if (
-        len(breadth_first(moved, 0)) == k
-        and len(breadth_first(moving, 0)) == k
-        and cartan_rank == n
+        cartan_rank == n
+        and len(breadth_first(moved, 0)) == k
+        and (moved is moving or len(breadth_first(moving, 0)) == k)
     ):
         return SimplicityVerdict("Simple", 1, method="reflection-criterion")
     m, functionals, alphas = forms
@@ -280,7 +289,7 @@ def _base_simplicity(
         raise InternalError(f"{method} witness is not invariant")
     return SimplicityVerdict(
         "Reducible",
-        _commutant_dim(moves, n, n - len(common_kernel), forms),
+        _commutant_dim(moving, moved, n, n - len(common_kernel), forms),
         witness=witness_space,
         method=method,
     )
@@ -304,7 +313,13 @@ def _is_invariant(space: Subspace, forms: tuple) -> bool:
     )
 
 
-def _commutant_dim(moves: Sequence[Sequence[bool]], n: int, rank_f: int, forms: tuple) -> int:
+def _commutant_dim(
+    moving: Sequence[Sequence[int]],
+    moved: Sequence[Sequence[int]],
+    n: int,
+    rank_f: int,
+    forms: tuple,
+) -> int:
     """dim End(V) = dim Gamma + (n - rank A)(n - rank F), as in _base_simplicity.
 
     For c constant on components, sum_i a_i c_i alpha_i always lies in ker F
@@ -315,8 +330,8 @@ def _commutant_dim(moves: Sequence[Sequence[bool]], n: int, rank_f: int, forms: 
     every sum_i a_i c_i alpha_i unchanged.
     """
     m, functionals, alphas = forms
-    k = len(moves)
-    undirected = {j: [i for i in range(k) if moves[i][j] or moves[j][i]] for j in range(k)}
+    k = len(moving)
+    undirected = [sorted({*moving[j], *moved[j]}) for j in range(k)]
     components: list[set[int]] = []
     for start in range(k):
         if not any(start in c for c in components):
@@ -365,59 +380,72 @@ def _basis_subset(cleared: Sequence[Sequence], m: int | None, graph: Graph) -> t
     Constructive: while the current vectors are dependent, pick a dependency
     with all-nonzero coefficients on its support, apply the deletion lemma to
     the support inside the current subgraph, and drop the returned vertex.
-    Each stack's rank and dependency come from its one dependency kernel,
-    whose support is that of the scalar vectors' own, since each vector is
-    a multiple of its alpha_i.
+    Each stack's rank and the support of the first canonical dependency
+    come from one reduction (first_null_support), and that support is the
+    scalar vectors' own, since each vector is a multiple of its alpha_i.
     """
     n = len(cleared[0])
-    dependencies = _dependencies(cleared, m)
-    if len(cleared) - len(dependencies) != n:
+    rank, support = _first_dependency(cleared, m)
+    if rank != n:
         raise NotSpanning("reflection vectors do not span the space")
     if not is_connected(graph):
         raise NotConnected("non-fixing graph must be connected")
     if graph.vertices != tuple(range(1, len(cleared) + 1)):
         raise ValueError("one vertex per vector expected")
 
-    # vertex i is alpha_(i-1), so the first kernel is the spanning one above
+    # vertex i is alpha_(i-1), so the first reduction is the spanning one above
     current = list(graph.vertices)
-    while dependencies:
-        support = [current[pos] for pos, c in enumerate(dependencies[0]) if c]
-        subgraph = induced(graph, current)
-        drop = deletable_vertex(subgraph, support)
+    while support:
+        drop = deletable_vertex(induced(graph, current), [current[pos] for pos in support])
         current.remove(drop)
-        dependencies = _dependencies([cleared[i - 1] for i in current], m)
+        _, support = _first_dependency([cleared[i - 1] for i in current], m)
     return tuple(current)
 
 
 def _dependencies(vectors: Sequence[Sequence], m: int | None) -> list[list[Scalar]]:
     """The canonical basis of all a with sum_i a_i v_i = 0, for vectors over
     Z[sqrt(m)]: the null space of the transposed stack."""
-    return null_space([list(column) for column in zip(*vectors)], len(vectors), m)
+    return null_space(list(zip(*vectors)), len(vectors), m)
+
+
+def _first_dependency(vectors: Sequence[Sequence], m: int | None) -> tuple[int, list[int]]:
+    """The rank of vectors over Z[sqrt(m)] and the support of the first
+    vector of _dependencies' basis, from the same transposed stack."""
+    return first_null_support(list(zip(*vectors)), len(vectors), m)
 
 
 def _cleared_forms(refls: Sequence[ReflectionData]) -> tuple[int | None, list[list], list[list]]:
     """The radicand m and the primitive forms f^_i and alpha^_i of the
-    reflections (ReflectionData.primitive: recognition's f~_i and alpha~_i,
-    each divided by the gcd of its integer components), over one
-    Z[sqrt(m)]: a rational generator's ints are lifted to pairs (x, 0) in a
-    Q(sqrt(m)) representation.  Each form is a nonzero multiple of its f_i
-    or alpha_i, and primitive forms keep the products of pairing_pattern and
-    every later reduction short.  The rows are fresh lists, so an
-    elimination may reduce them in place."""
+    reflections (ReflectionData.primitive, which recognition computed:
+    its f~_i and alpha~_i, each divided by the gcd of its integer
+    components), over one Z[sqrt(m)]: a rational generator's ints are
+    lifted to pairs (x, 0) in a Q(sqrt(m)) representation.  Each form is a
+    nonzero multiple of its f_i or alpha_i, and primitive forms keep the
+    products of pairing_pattern and every later reduction short.  The rows
+    are fresh lists, so an elimination may reduce them in place."""
+    m = _radicand(refls)
+    return m, _lifted(refls, 0, m), _lifted(refls, 1, m)
+
+
+def _radicand(refls: Sequence[ReflectionData]) -> int | None:
+    """The one radicand of the reflections' cleared forms; FieldMismatch
+    names the first two that differ."""
     m = None
     for r in refls:
-        m = merge_tags(m, r.cleared[0])
+        if r.cleared[0] != m:
+            m = merge_tags(m, r.cleared[0])
+    return m
 
-    def lift(own_m: int | None, v) -> list:
-        if own_m == m:
-            return list(v)
-        return [(x, 0) if x else 0 for x in v]
 
-    return (
-        m,
-        [lift(r.cleared[0], r.primitive[0]) for r in refls],
-        [lift(r.cleared[0], r.primitive[1]) for r in refls],
-    )
+def _lifted(refls: Sequence[ReflectionData], part: int, m: int | None) -> list[list]:
+    """Part 0 (f^) or 1 (alpha^) of each reflection's primitive forms over
+    Z[sqrt(m)], as fresh lists."""
+    return [
+        list(r.primitive[part])
+        if r.cleared[0] == m
+        else [(x, 0) if x else 0 for x in r.primitive[part]]
+        for r in refls
+    ]
 
 
 def _characters_separate(refls: Sequence[ReflectionData], n: int) -> bool:
@@ -462,6 +490,31 @@ def _claim5_trace(graph: Graph, subset: Sequence[int], d: int) -> ClaimFiveTrace
             raise InternalError("move sequence does not reach the goal subset")
         sequences.append(TraceSequence(target=target, steps=tuple(steps)))
     return ClaimFiveTrace(degree=d, base=base, sequences=tuple(sequences))
+
+
+@lru_cache(maxsize=256)
+def _degree_reports(n: int, size: int, degrees: tuple[int, ...]) -> tuple[DegreeReport, ...]:
+    """The certified DegreeReports of a basis subset of this size in V of
+    dimension n, without traces: they depend on nothing else, and are
+    immutable, so every report shares them."""
+    return tuple(
+        DegreeReport(
+            degree=d,
+            space_dim=comb(n, d),
+            commutant_dim=1,
+            verdict="Simple",
+            claim4_checked=comb(size, d),
+            claim4_ok=True,
+        )
+        for d in degrees
+    )
+
+
+@lru_cache(maxsize=256)
+def _identity_pattern(n: int) -> tuple[tuple[int, ...], ...]:
+    """dim Hom(wedge^a V, wedge^b V) for a, b in 0..n once every degree is
+    simple and no two are isomorphic: the identity."""
+    return tuple(tuple(int(a == b) for b in range(n + 1)) for a in range(n + 1))
 
 
 def _hypothesis_failure(hyp: HypothesisReport) -> TheoremReport:
@@ -540,35 +593,33 @@ def verify_theorem(
             ),
         )
 
-    refls = [r for r in hyp.reflections if r is not None]
-    m, _, alphas = _cleared_forms(refls)
+    refls = hyp.reflections
+    m = _radicand(refls)
+    alphas = _lifted(refls, 1, m)
     if k == n:
         subset = hyp.graph.vertices
+        connected = is_connected(hyp.graph)
     else:
         subset = _basis_subset(alphas, m, hyp.graph)
-    if not is_connected(induced(hyp.graph, subset)):
+        alphas = [alphas[i - 1] for i in subset]
+        connected = is_connected(induced(hyp.graph, subset))
+    if not connected:
         raise InternalError("basis subset of a simple base induces a disconnected graph")
-    if echelon([alphas[i - 1] for i in subset], n, m, cleared=True)[0] != len(subset):
+    if echelon(alphas, n, m, cleared=True)[0] != len(subset):
         raise InternalError("connected basis subset is not independent")
 
-    degree_list = sorted(set(degrees)) if degrees is not None else list(range(n + 1))
-    per_degree = [
-        DegreeReport(
-            degree=d,
-            space_dim=comb(n, d),
-            commutant_dim=1,
-            verdict="Simple",
-            claim4_checked=comb(len(subset), d),
-            claim4_ok=True,
-            claim5_trace=_claim5_trace(hyp.graph, subset, d) if trace else None,
+    per_degree = _degree_reports(
+        n, len(subset), tuple(sorted(set(degrees))) if degrees is not None else tuple(range(n + 1))
+    )
+    if trace:
+        per_degree = tuple(
+            r._replace(claim5_trace=_claim5_trace(hyp.graph, subset, r.degree)) for r in per_degree
         )
-        for d in degree_list
-    ]
 
     dim_filter_ok = _characters_separate(refls, n)
     hom_matrix = None
     if dim_filter_ok:
-        hom_matrix = tuple(tuple(int(a == b) for b in range(n + 1)) for a in range(n + 1))
+        hom_matrix = _identity_pattern(n)
         conclusion = Conclusion("TheoremVerified")
     else:
         conclusion = Conclusion(
@@ -577,7 +628,7 @@ def verify_theorem(
     return TheoremReport(
         hypothesis=hyp,
         claim3_subset=subset,
-        per_degree=tuple(per_degree),
+        per_degree=per_degree,
         pairwise_hom=hom_matrix,
         dim_filter_ok=dim_filter_ok,
         conclusion=conclusion,

@@ -14,13 +14,13 @@ from fractions import Fraction
 
 import pytest
 
-from reflext import theoremlab
+from reflext import fractionfree, theoremlab
 from reflext.catalog import _cartan_rep, entry, list_entries
 from reflext.errors import InternalError
 from reflext.graphs import Graph, induced, is_connected
 from reflext.linalg import Matrix, Subspace, kernel, rank
 from reflext.reflections import recognize_reflection, reflection_from_parts
-from reflext.repkit import Representation
+from reflext.repkit import Representation, SimplicityVerdict, dual_rep
 from reflext.scalars import QuadExt
 from reflext.theoremlab import check_hypotheses, verify_theorem
 
@@ -231,6 +231,62 @@ def test_dependent_basis_subset_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(theoremlab, "_basis_subset", lambda alphas, m, graph: (1, 2, 4))
     with pytest.raises(InternalError, match="not independent"):
         verify_theorem(rep)
+
+
+def _simple_base(*args):
+    return SimplicityVerdict("Simple", 1, method="reflection-criterion")
+
+
+def test_disconnected_steinberg_graph_is_an_internal_error(monkeypatch):
+    # k = n = 2 with no edge: S is every generator, and a base wrongly
+    # called simple meets the connectivity guard on the graph itself
+    rep = entry("dihedral-0-0").representation
+    assert check_hypotheses(rep).graph.edges == frozenset()
+    monkeypatch.setattr(theoremlab, "_base_simplicity", _simple_base)
+    with pytest.raises(InternalError, match="disconnected"):
+        verify_theorem(rep)
+
+
+def test_dependent_steinberg_alphas_are_an_internal_error(monkeypatch):
+    # k = n = 3 on a triangle: the dual of the affine A2 Cartan
+    # representation, whose three alphas span a plane, meets the
+    # rank(alpha_S) guard once its base is wrongly called simple
+    rep = dual_rep(_cartan_rep([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]))
+    hyp = check_hypotheses(rep)
+    assert len(hyp.graph.edges) == 3 and hyp.v_simple.witness.dim == 2
+    monkeypatch.setattr(theoremlab, "_base_simplicity", _simple_base)
+    with pytest.raises(InternalError, match="not independent"):
+        verify_theorem(rep)
+
+
+@pytest.mark.parametrize("name", ["A4", "H3-conjugate"])
+def test_steinberg_case_recognizes_once_and_ranks_twice(monkeypatch, name):
+    # k = n: one recognition per generator, and two ranks, of the Cartan
+    # matrix and of alpha_S
+    if name == "A4":
+        rep = _cartan_rep(chain(4))
+    else:
+        phi = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
+        h3 = _cartan_rep([[2, -phi, 0], [-phi, 2, -1], [0, -1, 2]])
+        rep = h3.conjugate(Matrix.from_rows([[1, 2, 0], [0, 1, -1], [1, 1, 0]]))
+    calls = {"recognize_reflection": 0, "echelon": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        theoremlab, "recognize_reflection", counting("recognize_reflection", recognize_reflection)
+    )
+    # pairing_pattern calls echelon by fractionfree's name, the guard by theoremlab's
+    echelon = counting("echelon", fractionfree.echelon)
+    monkeypatch.setattr(fractionfree, "echelon", echelon)
+    monkeypatch.setattr(theoremlab, "echelon", echelon)
+    assert verify_theorem(rep).verified
+    assert calls == {"recognize_reflection": rep.dim, "echelon": 2}
 
 
 def test_non_invariant_witness_is_an_internal_error(monkeypatch):

@@ -321,6 +321,12 @@ def test_gauss_jordan_bases_match_the_scalar_oracles(m):
         expected = kernel(matrix)
         assert Matrix(len(null_basis), cols, [x for v in null_basis for x in v]) == expected.basis
         assert expected == kernel_two_pass(matrix), matrix
+        # the rank and the first null vector's support, with no vector divided out
+        first = [t for t, x in enumerate(null_basis[0]) if x] if null_basis else []
+        assert fractionfree.first_null_support(cleared, cols, field) == (
+            cols - len(null_basis),
+            first,
+        )
         row_basis = fractionfree.row_space(cleared, cols, field)
         reduced, rk = rref_oracle(matrix)
         oracle_basis = reduced.submatrix(range(rk), range(cols))

@@ -348,3 +348,29 @@ def test_mixed_radicands_raise_field_mismatch():
         solve_intertwiner([sqrt5], [sqrt2])
     with pytest.raises(FieldMismatch):
         solve_intertwiner([sqrt5, Matrix.identity(1)], [Matrix.identity(1), sqrt2])
+
+
+def test_built_matrices_hold_what_the_public_constructor_would():
+    # arithmetic, transposes, identities and canonical bases skip the
+    # public constructor's conversion; their entries must already be its output
+    a = Matrix(2, 3, [1, "1/2", QuadExt(1, 1, 5), 0, -3, "2/7"])
+    b = Matrix(3, 2, [Fraction(2, 3), 0, 1, QuadExt(0, 2, 5), -1, 4])
+    built = [
+        a @ b,
+        a + a,
+        a - a,
+        -a,
+        a.scale(3),
+        a.transpose(),
+        a.submatrix([1, 0], [2, 0]),
+        a.stack(a),
+        a.augment(Matrix.identity(2)),
+        Matrix.identity(3),
+        Matrix.zero(2, 2),
+        rref(a)[0],
+        kernel(a).basis,
+    ]
+    for matrix in built:
+        assert len(matrix.entries) == matrix.rows * matrix.cols
+        assert all(type(x) in (Fraction, QuadExt) for x in matrix.entries)
+        assert matrix == Matrix(matrix.rows, matrix.cols, matrix.entries)
