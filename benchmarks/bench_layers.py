@@ -6,8 +6,9 @@ read, the hypothesis checks on simple bases (up to A60 and the dense
 dim-32 representation file of benchmarks/dense_repfile.py --digits 100)
 and on reducible affine bases
 up to affine A29 (where the witness and the base commutant are counted),
-one Q(sqrt(m)) multiply for m = 5 and for a 10-digit prime, and one dot
-product of dense length-16 vectors over Q and over Q(sqrt(5)); of the
+one Q(sqrt(m)) multiply for m = 5 and for a 10-digit prime, one dot
+product of dense length-16 vectors over Q and over Q(sqrt(5)), and one
+matrix product, dense 16x16 over Q and dense 8x8 over Q(sqrt(5)); of the
 fraction-free kernel: rank of the H4 Cartan matrix and of a dense 16x16
 matrix over Q(sqrt(5)), and the determinant of a dense 32x32 integer matrix;
 of the null space of a rank-8 rational 20x40 matrix, the inverse of a dense
@@ -181,10 +182,40 @@ DENSE8_Q = Matrix(
 )
 A6_WEDGE3 = exterior_rep(_cartan_rep(chain(6)), 3)
 
+_matmul_rng = random.Random(23)  # its own stream, so the inputs above stay as they were
+MATMUL_Q16 = Matrix(
+    16, 16, [Fraction(_matmul_rng.randint(-99, 99), _matmul_rng.randint(1, 99)) for _ in range(256)]
+)
+MATMUL_SQRT5_8 = Matrix(
+    8,
+    8,
+    [
+        QuadExt(
+            Fraction(_matmul_rng.randint(-9, 9), _matmul_rng.randint(1, 9)),
+            _matmul_rng.randint(-9, 9),
+            5,
+        )
+        for _ in range(64)
+    ],
+)
+
 
 @pytest.mark.parametrize("u, v", [DOT_Q16, DOT_SQRT5_16], ids=["dense16-Q", "dense16-sqrt5"])
 def test_dot(benchmark, u, v):
     assert benchmark(dot, u, v) == sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "matrix", [MATMUL_Q16, MATMUL_SQRT5_8], ids=["dense16-Q", "dense8-sqrt5"]
+)
+def test_matmul(benchmark, matrix):
+    n = matrix.rows
+    expected = [
+        sum((matrix[i, t] * matrix[t, j] for t in range(n)), Fraction(0))
+        for i in range(n)
+        for j in range(n)
+    ]
+    assert benchmark(matrix.__matmul__, matrix) == Matrix(n, n, expected)
 
 
 @pytest.mark.parametrize(

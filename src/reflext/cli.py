@@ -134,7 +134,8 @@ def exterior(target: str, degree: int, as_json: bool) -> int:
 def _load_power(spec: str) -> tuple[Representation, str]:
     """TARGET or TARGET:d, the latter meaning the d-th exterior power."""
     base, sep, suffix = spec.rpartition(":")
-    if sep and base and suffix.lstrip("-").isdigit():
+    digits = suffix.removeprefix("-")
+    if sep and base and digits.isascii() and digits.isdigit():
         rep, source = _load_target(base)
         try:
             d = int(suffix)

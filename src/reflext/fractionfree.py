@@ -10,12 +10,18 @@ Python ints.  An element a + b*sqrt(m) of Z[sqrt(m)] is an int over Q (m is
 None) and the pair (a, b) of ints over Q(sqrt(m)), except that zero is the
 int 0 in both: truthiness is then the zero test for scalars and cleared
 entries alike.  Every value handed back is a Fraction or a QuadExt.
+
+This module is the one home of that format.  Elements enter by `clear`,
+`integer` and `lift`, are combined by `inner`, `times`, `difference`,
+`primitive` and the eliminations, and leave as scalars by `to_scalar` and
+`quotient`; other modules compare, test and pass them on, and never build,
+unpack or index a pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InternalError
@@ -90,12 +96,18 @@ def clear(row: Sequence[Scalar], m: int | None) -> tuple[list, int]:
         ratios = [x.as_integer_ratio() for x in row]
         den = lcm(*[b for _, b in ratios])
         return [a * (den // b) for a, b in ratios], den
-    parts = [(x.a, x.b) if type(x) is QuadExt else (x, _ZERO) for x in row]
-    den = lcm(*[a.denominator for a, _ in parts], *[b.denominator for _, b in parts])
+    # (a, d, b, e) with x = a / d + (b / e) sqrt(m)
+    parts = [
+        (*x.a.as_integer_ratio(), *x.b.as_integer_ratio())
+        if type(x) is QuadExt
+        else (*x.as_integer_ratio(), 0, 1)
+        for x in row
+    ]
+    den = lcm(*[d for _, d, _, _ in parts], *[e for _, _, _, e in parts])
     out: list = []
-    for a, b in parts:
-        u = a.numerator * (den // a.denominator)
-        v = b.numerator * (den // b.denominator)
+    for a, d, b, e in parts:
+        u = a * (den // d)
+        v = b * (den // e)
         out.append((u, v) if u or v else 0)
     return out, den
 
@@ -106,6 +118,46 @@ def to_scalar(z, den: int, m: int | None) -> Scalar:
         return Fraction(z, den)
     a, b = z or (0, 0)
     return _quad(Fraction(a, den), Fraction(b, den), m)
+
+
+def integer(k: int, m: int | None):
+    """The int k as an element of Z[sqrt(m)]."""
+    return (k, 0) if m is not None and k else k
+
+
+def lift(row: Iterable[int], m: int | None) -> list:
+    """A row over Z as a fresh list over Z[sqrt(m)]."""
+    return list(row) if m is None else [(x, 0) if x else 0 for x in row]
+
+
+def times(x, y, m: int | None):
+    """x y in Z[sqrt(m)]."""
+    if m is None:
+        return x * y
+    if not x or not y:
+        return 0
+    a, b = x
+    c, e = y
+    return a * c + m * b * e, a * e + b * c
+
+
+def primitive(v: tuple, m: int | None) -> tuple:
+    """A nonzero vector over Z[sqrt(m)] over the gcd of its integer components."""
+    if m is None:
+        g = gcd(*v)
+        return tuple(x // g for x in v) if g != 1 else v
+    g = gcd(*[gcd(*x) for x in v if x])
+    return tuple((x[0] // g, x[1] // g) if x else 0 for x in v) if g != 1 else v
+
+
+def quotient(z, d, m: int | None) -> Scalar:
+    """The scalar z / d for z and a nonzero d in Z[sqrt(m)]: z times the
+    conjugate of d, over the norm of d."""
+    if m is None:
+        return Fraction(z, d)
+    a, b = z or (0, 0)
+    c, e = d
+    return to_scalar((a * c - m * b * e, b * c - a * e), c * c - m * e * e, m)
 
 
 def difference(x, y, m: int | None):
@@ -272,7 +324,7 @@ def row_space(rows: Sequence[Sequence], cols: int, m: int | None) -> list[list[S
     rows = [list(row) for row in rows]
     pivots = gauss_jordan(rows, cols, m)
     return [
-        [_quotient(x, row[p], m) if x else _ZERO for x in row] for row, p in zip(rows, pivots)
+        [quotient(x, row[p], m) if x else _ZERO for x in row] for row, p in zip(rows, pivots)
     ]
 
 
@@ -298,7 +350,7 @@ def null_space(rows: Sequence[Sequence], cols: int, m: int | None) -> list[list[
             if p > g:
                 break
             if row[g]:
-                v[cols - 1 - p] = -_quotient(row[g], row[p], m)
+                v[cols - 1 - p] = -quotient(row[g], row[p], m)
         basis.append(v)
     return basis
 
@@ -328,12 +380,3 @@ def _reversed_reduction(rows: Sequence[Sequence], cols: int, m: int | None) -> t
     reduced = [list(reversed(row)) for row in rows]
     return reduced, gauss_jordan(reduced, cols, m)
 
-
-def _quotient(z, d, m: int | None) -> Scalar:
-    """The scalar z / d for z and a nonzero d in Z[sqrt(m)]: z times the
-    conjugate of d, over the norm of d."""
-    if m is None:
-        return Fraction(z, d)
-    a, b = z or (0, 0)
-    c, e = d
-    return to_scalar((a * c - m * b * e, b * c - a * e), c * c - m * e * e, m)

@@ -14,12 +14,20 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AmbientMismatch, EmptyGeneratorList, LengthMismatch, SingularMatrix
-from .fractionfree import clear, difference, echelon, field_of, null_space, row_space, to_scalar
-from .scalars import QuadExt, Scalar, _quad, as_scalar, merge_tags
+from .fractionfree import (
+    clear,
+    difference,
+    echelon,
+    field_of,
+    inner,
+    null_space,
+    row_space,
+    to_scalar,
+)
+from .scalars import QuadExt, Scalar, as_scalar
 
 Vector = tuple[Scalar, ...]
 
@@ -32,74 +40,19 @@ def vector(entries: Iterable) -> Vector:
 
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    """u . v as an exact sum of products, normalized once.
+    """u . v, by fractionfree: both vectors cleared into Z[sqrt(m)], their
+    inner product there, and one scalar over the product of the two lcms.
 
-    The numerators of the products are summed over a running common
-    denominator, the lcm of their denominators, and one Fraction is built at
-    the end.  At the first QuadExt factor the sum goes on in _quad_dot.  So
-    the result is a QuadExt exactly when some entry is one, as a fold of
+    So the result is a QuadExt exactly when some entry is one, as a fold of
     `+` and `*` would give, and entries from two quadratic fields raise
     FieldMismatch.
     """
     if len(u) != len(v):
         raise LengthMismatch("dot product of vectors of different lengths")
-    num, den = 0, 1
-    pairs = zip(u, v)
-    for a, b in pairs:
-        if type(a) is QuadExt or type(b) is QuadExt:
-            return _quad_dot(itertools.chain([(a, b)], pairs), num, den)
-        x, d = a.as_integer_ratio()
-        y, e = b.as_integer_ratio()
-        if x and y:
-            x, d = x * y, d * e
-            if d == den:
-                num += x
-            elif den % d == 0:
-                num += x * (den // d)
-            else:
-                g = gcd(den, d)
-                num = num * (d // g) + x * (den // g)
-                den = den // g * d
-    return Fraction(num, den)
-
-
-def _quad_dot(pairs: Iterable[tuple[Scalar, Scalar]], num: int, den: int) -> QuadExt:
-    """dot's sum over Q(sqrt(m)), starting from the rational sum num / den:
-    (x + y sqrt(m)) / den, with x and y summed apart."""
-    m = None
-    x_sum, y_sum = num, 0
-    for a, b in pairs:
-        if type(a) is QuadExt and a.m != m:
-            m = merge_tags(m, a.m)
-        if type(b) is QuadExt and b.m != m:
-            m = merge_tags(m, b.m)
-        a1, a2, d = _integral_parts(a)
-        b1, b2, e = _integral_parts(b)
-        if a2 or b2:
-            x, y = a1 * b1 + m * a2 * b2, a1 * b2 + a2 * b1
-        else:
-            x, y = a1 * b1, 0
-        if x or y:
-            d *= e
-            if den % d == 0:
-                x_sum += x * (den // d)
-                y_sum += y * (den // d)
-            else:
-                g = gcd(den, d)
-                x_sum = x_sum * (d // g) + x * (den // g)
-                y_sum = y_sum * (d // g) + y * (den // g)
-                den = den // g * d
-    return _quad(Fraction(x_sum, den), Fraction(y_sum, den), m)
-
-
-def _integral_parts(t: Scalar) -> tuple[int, int, int]:
-    """(a, b, d) with t = (a + b sqrt(m)) / d and d the lcm of t's denominators."""
-    if type(t) is not QuadExt:
-        a, d = t.as_integer_ratio()
-        return a, 0, d
-    p, q = t.a, t.b
-    d = lcm(p.denominator, q.denominator)
-    return p.numerator * (d // p.denominator), q.numerator * (d // q.denominator), d
+    m = field_of(itertools.chain(u, v))
+    left, d = clear(u, m)
+    right, e = clear(v, m)
+    return to_scalar(inner(left, right, m), d * e, m)
 
 
 class Matrix:
@@ -191,19 +144,30 @@ class Matrix:
             raise LengthMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        # dot with each row and column cleared once; over Q(sqrt(m)), a
+        # rational row times a rational column is a Fraction, as dot gives
+        m = field_of(self.entries + other.entries)
+        columns = []
+        for j in range(other.cols):
+            c = other.entries[j :: other.cols]
+            rational = m is not None and QuadExt not in set(map(type, c))
+            columns.append((*clear(c, m), [t for t, x in enumerate(c) if x], rational))
         out = []
-        other_cols = [other.col(j) for j in range(other.cols)]
         for i in range(self.rows):
-            r = self.row(i)
-            for c in other_cols:
-                out.append(dot(r, c))
+            row = self.row(i)
+            r, d = clear(row, m)
+            rational_row = QuadExt not in set(map(type, row))
+            for c, e, support, rational_column in columns:
+                x = to_scalar(inner(r, c, m, support), d * e, m)
+                out.append(x.a if rational_row and rational_column else x)
         return Matrix._of(self.rows, other.cols, tuple(out))
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
-        """Matrix times column vector."""
+        """Matrix times column vector, by @ on v as one column, cleared once;
+        the column never leaves this call."""
         if self.cols != len(v):
             raise LengthMismatch("matrix/vector size mismatch")
-        return tuple(dot(self.row(i), v) for i in range(self.rows))
+        return (self @ Matrix._of(len(v), 1, tuple(v))).entries
 
     def trace(self) -> Scalar:
         """Sum of the diagonal, by dot's one normalization."""

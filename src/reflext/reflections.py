@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from .errors import InternalError, NotDiagonalizable, NotRankOne, SingularMatrix
-from .fractionfree import clear, inner
+from .fractionfree import clear, difference, inner, integer, primitive, quotient, times, to_scalar
 from .linalg import Matrix, Subspace, Vector, dot, kernel, row_rank, vector
 from .scalars import QuadExt, Scalar, _quad
 
@@ -57,7 +57,7 @@ class ReflectionData:
         data.matrix = matrix
         data.cleared = cleared
         m, cleared_f, cleared_alpha = cleared
-        data.primitive = (_primitive(cleared_f, m), _primitive(cleared_alpha, m))
+        data.primitive = (primitive(cleared_f, m), primitive(cleared_alpha, m))
         data.shift = shift
         return data
 
@@ -84,27 +84,15 @@ class ReflectionData:
     @cached_property
     def alpha(self) -> Vector:
         """Column q of M - I scaled to alpha_p = 1: alpha~ over alpha~_p =
-        r_pq (L / c_p), normalized once through the norm of alpha~_p over
-        Q(sqrt(m)).  alpha_i is a QuadExt exactly when M_pq or M_iq is one,
-        as D_iq / D_pq would be."""
+        r_pq (L / c_p), each entry by fractionfree.quotient.  alpha_i is a
+        QuadExt exactly when M_pq or M_iq is one, as D_iq / D_pq would be."""
         m, _, cleared_alpha = self.cleared
         p, q = self._pivot
-        lead = cleared_alpha[p]
-        if m is None:
-            return tuple(Fraction(x, lead) if x else _ZERO for x in cleared_alpha)
-        n = self.dim
-        column = self.matrix.entries[q::n]
-        quad_pivot = type(column[p]) is QuadExt
-        u, v = lead
-        norm = u * u - m * v * v
-        alpha = []
-        for x, entry in zip(cleared_alpha, column):
-            a, b = x or (0, 0)
-            x = Fraction(a * u - m * b * v, norm)
-            if quad_pivot or type(entry) is QuadExt:
-                x = _quad(x, Fraction(b * u - a * v, norm), m)
-            alpha.append(x)
-        return tuple(alpha)
+        alpha = [quotient(x, cleared_alpha[p], m) for x in cleared_alpha]
+        column = self.matrix.entries[q :: self.dim]
+        if m is None or type(column[p]) is QuadExt:
+            return tuple(alpha)
+        return tuple(x if type(entry) is QuadExt else x.a for x, entry in zip(alpha, column))
 
     @cached_property
     def functional(self) -> Vector:
@@ -123,11 +111,10 @@ class ReflectionData:
         as Matrix.trace() gives."""
         shift, den = self.shift
         m = self.cleared[0]
-        a, b = (shift, 0) if m is None else shift or (0, 0)
-        value = Fraction(a + den, den)
-        if m is None or QuadExt not in set(map(type, self.matrix.entries[:: self.dim + 1])):
+        value = _ONE + to_scalar(shift, den, m)
+        if m is None or QuadExt in set(map(type, self.matrix.entries[:: self.dim + 1])):
             return value
-        return _quad(value, Fraction(b, den), m)
+        return value.a
 
     @cached_property
     def shift(self) -> tuple:
@@ -200,10 +187,10 @@ def recognize_reflection(matrix: Matrix) -> ReflectionData:
     cleared_f, cleared_alpha, shift, common = line
     if not shift:
         raise NotDiagonalizable("unipotent transvection: eigenvalue 1 on the moving line")
-    if shift == (-common if m is None else (-common, 0)):
+    if shift == (-common if m is None else integer(-common, m)):
         raise SingularMatrix("matrix is singular: reflection eigenvalue 0")
     r_pq = cleared_f[next(j for j, x in enumerate(cleared_f) if x)]
-    r_pq_shift = r_pq * shift if m is None else _times(r_pq, shift, m)  # nonzero, as both are
+    r_pq_shift = r_pq * shift if m is None else times(r_pq, shift, m)  # nonzero, as both are
     if inner(cleared_f, cleared_alpha, m) != r_pq_shift:
         raise InternalError("alpha is not an eigenvector for the reflection eigenvalue")
     return ReflectionData._certified(matrix, (m, cleared_f, cleared_alpha), (shift, common))
@@ -228,8 +215,7 @@ def _cleared_rows(entries: Sequence[Scalar], n: int, m: int | None) -> list[tupl
         if m is None:
             cleared[i] -= den
         else:
-            u, v = cleared[i] or (0, 0)
-            cleared[i] = (u - den, v) if u != den or v else 0
+            cleared[i] = difference(cleared[i], integer(den, m), m)
         rows.append((cleared, den))
     return rows
 
@@ -258,7 +244,7 @@ def _moving_line(rows: list[tuple | None], moving: list[int], m: int | None) -> 
         if m is None:
             if [r_pq * x for x in r_i] != [r_iq * y for y in pivot_row]:
                 return None
-        elif [_times(r_pq, x, m) for x in r_i] != [_times(r_iq, y, m) for y in pivot_row]:
+        elif [times(r_pq, x, m) for x in r_i] != [times(r_iq, y, m) for y in pivot_row]:
             return None
         scaled.append((i, r_iq, r_i[i], c_i))
     common = lcm(*[c_i for *_, c_i in scaled])
@@ -270,30 +256,14 @@ def _moving_line(rows: list[tuple | None], moving: list[int], m: int | None) -> 
             cleared_alpha[i] = r_iq * k
             shift += r_ii * k
         return tuple(pivot_row), tuple(cleared_alpha), shift, common
-    a = b = 0
-    for i, (u, v), r_ii, c_i in scaled:
-        k = common // c_i
-        cleared_alpha[i] = (u * k, v * k)
-        if r_ii:
-            a += r_ii[0] * k
-            b += r_ii[1] * k
-    return tuple(pivot_row), tuple(cleared_alpha), (a, b) if a or b else 0, common
-
-
-def _primitive(v: tuple, m: int | None) -> tuple:
-    """A nonzero vector over Z[sqrt(m)] over the gcd of its integer components."""
-    if m is None:
-        g = gcd(*v)
-        return tuple(x // g for x in v) if g != 1 else v
-    g = gcd(*[gcd(*x) for x in v if x])
-    return tuple((x[0] // g, x[1] // g) if x else 0 for x in v) if g != 1 else v
-
-
-def _times(x, y, m: int) -> tuple[int, int]:
-    """The product of two elements of Z[sqrt(m)], each a pair or the int 0."""
-    a, b = x or (0, 0)
-    c, d = y or (0, 0)
-    return a * c + m * b * d, a * d + b * c
+    diagonal, scales = [], []
+    for i, r_iq, r_ii, c_i in scaled:
+        k = integer(common // c_i, m)
+        cleared_alpha[i] = times(r_iq, k, m)
+        diagonal.append(r_ii)
+        scales.append(k)
+    shift = inner(diagonal, scales, m, range(len(scales)))  # no k_i is zero
+    return tuple(pivot_row), tuple(cleared_alpha), shift, common
 
 
 def is_reflection(matrix: Matrix) -> bool:

@@ -145,6 +145,8 @@ def load_repfile(path: str) -> Representation:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:  # JSONDecodeError, or an integer with too many digits
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path} nests its JSON too deeply") from None
     return representation_from_document(doc)
 
 

@@ -46,10 +46,11 @@ from .fractionfree import (
     field_of,
     first_null_support,
     inner,
+    integer,
+    lift,
     null_space,
     pairing_pattern,
     row_space,
-    to_scalar,
 )
 from .graphs import (
     Graph,
@@ -60,10 +61,10 @@ from .graphs import (
     is_connected,
     move_chain,
 )
-from .linalg import Subspace, Vector, _canonical_subspace, dot, row_rank
+from .linalg import Subspace, Vector, _canonical_subspace
 from .reflections import ReflectionData, recognize_reflection
 from .repkit import Representation, SimplicityVerdict
-from .scalars import Scalar, merge_tags
+from .scalars import merge_tags
 
 
 class HypothesisReport(NamedTuple):
@@ -212,7 +213,7 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
 def _is_involution(refl: ReflectionData) -> bool:
     """lambda = -1, i.e. S = -2L for lambda - 1 = S / L."""
     shift, den = refl.shift
-    return shift == (-2 * den if type(shift) is int else (-2 * den, 0))
+    return shift == integer(-2 * den, refl.cleared[0])
 
 
 def _base_simplicity(
@@ -340,25 +341,26 @@ def _commutant_dim(
     free = (n - rank_a) * (n - rank_f)
     if len(components) == 1:
         return 1 + free
-    rows: list[list[Scalar]] = []
+    rows: list[list] = []
     if rank_f < n:
-        rows += _grouped_relations(_dependencies(alphas, m), alphas, components, m)
+        rows += _grouped_relations(alphas, components, m)
     if rank_a < n:
-        rows += _grouped_relations(_dependencies(functionals, m), functionals, components, m)
-    return len(components) - row_rank(rows, len(components)) + free
+        rows += _grouped_relations(functionals, components, m)
+    return len(components) - echelon(rows, len(components), m, cleared=True)[0] + free
 
 
 def _grouped_relations(
-    relations: Sequence[Sequence[Scalar]],
-    vectors: Sequence[Sequence],
-    components: Sequence[set[int]],
-    m: int | None,
-) -> list[list[Scalar]]:
-    """sum_i r_i c_i v_i = 0 for each relation r, as rows in the one value of c
-    per component; the vectors are over Z[sqrt(m)]."""
+    vectors: Sequence[Sequence], components: Sequence[set[int]], m: int | None
+) -> list[list]:
+    """sum_i r_i c_i v_i = 0 for each dependency r of vectors over
+    Z[sqrt(m)], as rows over Z[sqrt(m)] in the one value of c per component.
+    The dependencies are the canonical basis of the null space of the
+    transposed stack, each cleared into Z[sqrt(m)], which scales its rows."""
+    relations = null_space(list(zip(*vectors)), len(vectors), m)
+    cleared = [clear(r, m)[0] for r in relations]
     return [
-        [dot([r[i] for i in c], [to_scalar(vectors[i][t], 1, m) for i in c]) for c in components]
-        for r in relations
+        [inner([r[i] for i in c], [vectors[i][t] for i in c], m) for c in components]
+        for r in cleared
         for t in range(len(vectors[0]))
     ]
 
@@ -402,15 +404,9 @@ def _basis_subset(cleared: Sequence[Sequence], m: int | None, graph: Graph) -> t
     return tuple(current)
 
 
-def _dependencies(vectors: Sequence[Sequence], m: int | None) -> list[list[Scalar]]:
-    """The canonical basis of all a with sum_i a_i v_i = 0, for vectors over
-    Z[sqrt(m)]: the null space of the transposed stack."""
-    return null_space(list(zip(*vectors)), len(vectors), m)
-
-
 def _first_dependency(vectors: Sequence[Sequence], m: int | None) -> tuple[int, list[int]]:
     """The rank of vectors over Z[sqrt(m)] and the support of the first
-    vector of _dependencies' basis, from the same transposed stack."""
+    canonical dependency, from one reduction of the transposed stack."""
     return first_null_support(list(zip(*vectors)), len(vectors), m)
 
 
@@ -441,9 +437,7 @@ def _lifted(refls: Sequence[ReflectionData], part: int, m: int | None) -> list[l
     """Part 0 (f^) or 1 (alpha^) of each reflection's primitive forms over
     Z[sqrt(m)], as fresh lists."""
     return [
-        list(r.primitive[part])
-        if r.cleared[0] == m
-        else [(x, 0) if x else 0 for x in r.primitive[part]]
+        list(r.primitive[part]) if r.cleared[0] == m else lift(r.primitive[part], m)
         for r in refls
     ]
 

@@ -9,6 +9,7 @@ thinner middle), have zero rows and columns, 200-bit entries, and mix
 Fraction with QuadExt entries.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -342,3 +343,76 @@ def test_gauss_jordan_bases_match_the_scalar_oracles(m):
         zero += rows * cols > 0 and matrix.is_zero()
         empty += rows == 0 or cols == 0
     assert min(deficient, zero, empty, plain) >= 20, (deficient, zero, empty, plain)
+
+
+def _element(rng, m, bits=64, zero_share=0.2):
+    """A seeded element of Z[sqrt(m)] in fractionfree's format: an int over
+    Q, a pair of ints over Q(sqrt m), zero the int 0 in both."""
+    if rng.random() < zero_share:
+        return 0
+    if m is None:
+        return rng.choice([-1, 1]) * rng.randint(1, 2**bits)
+    a, b = rng.randint(-(2**bits), 2**bits), rng.randint(-(2**bits), 2**bits)
+    # some elements are rational, some pure multiples of sqrt(m)
+    a, b = (a, 0) if rng.random() < 0.2 else (0, b) if rng.random() < 0.2 else (a, b)
+    return (a, b) if a or b else 0
+
+
+def _value(z, m):
+    """The scalar an element stands for, by Fraction/QuadExt arithmetic."""
+    if m is None:
+        return Fraction(z)
+    a, b = z or (0, 0)
+    return QuadExt(a, b, m)
+
+
+def _is_element(z, m):
+    """z is in fractionfree's format: the int 0 for zero, else an int over Q
+    and a pair of ints, not both 0, over Q(sqrt m)."""
+    if type(z) is int:
+        return m is None or z == 0
+    return m is not None and len(z) == 2 and all(type(x) is int for x in z) and any(z)
+
+
+def _components(vector, m):
+    """The integer components of a vector's elements: both parts of each pair."""
+    return [z for e in vector for z in ((e,) if m is None else e or ())]
+
+
+@pytest.mark.parametrize("m", FIELDS, ids=["Q", "sqrt5", "sqrt-10-digit-prime"])
+def test_element_helpers_match_scalar_arithmetic(m):
+    rng = random.Random(23 if m is None else m)
+    zero_products = 0
+    for _ in range(400):
+        x, y = _element(rng, m), _element(rng, m)
+        product = fractionfree.times(x, y, m)
+        assert _is_element(product, m) and _value(product, m) == _value(x, m) * _value(y, m)
+        zero_products += product == 0
+        assert fractionfree.times(x, 0, m) == fractionfree.times(0, y, m) == 0
+
+        k = rng.choice([0, rng.randint(-(2**64), 2**64)])
+        assert _is_element(fractionfree.integer(k, m), m)
+        assert _value(fractionfree.integer(k, m), m) == k
+
+        ints = [rng.choice([0, rng.randint(-99, 99)]) for _ in range(rng.randint(0, 6))]
+        lifted = fractionfree.lift(tuple(ints), m)
+        assert type(lifted) is list and all(_is_element(z, m) for z in lifted)
+        assert [_value(z, m) for z in lifted] == ints
+
+        if y:
+            q = fractionfree.quotient(x, y, m)
+            assert type(q) is (Fraction if m is None else QuadExt)
+            assert q == _value(x, m) * inv(_value(y, m))
+
+        # a nonzero vector times a common factor: primitive divides it back out
+        vector = [_element(rng, m, bits=16, zero_share=0.4) for _ in range(rng.randint(1, 6))]
+        vector[rng.randrange(len(vector))] = fractionfree.integer(rng.randint(1, 9), m)
+        factor = rng.randint(1, 50)
+        scaled = tuple(fractionfree.times(z, fractionfree.integer(factor, m), m) for z in vector)
+        reduced = fractionfree.primitive(scaled, m)
+        assert type(reduced) is tuple and all(_is_element(z, m) for z in reduced)
+        assert math.gcd(*_components(reduced, m)) == 1
+        common = math.gcd(*_components(scaled, m))
+        assert common % factor == 0
+        assert [_value(z, m) * common for z in reduced] == [_value(z, m) for z in scaled]
+    assert zero_products >= 100, zero_products

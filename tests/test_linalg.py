@@ -194,6 +194,7 @@ def _dot_scalars(rng, m):
 
 def test_dot_matches_the_fraction_fold():
     rng = random.Random(1019)
+    matrix_rng = random.Random(1021)  # its own stream, so u and v stay as they were
     for t in range(1500):
         m = (None, 5, 1000000007)[t % 3]
         n = rng.randint(0, 8)
@@ -202,6 +203,14 @@ def test_dot_matches_the_fraction_fold():
         assert repr(dot(u, v)) == repr(naive_dot(u, v)), (u, v)
         diagonal = Matrix(n, n, [u[i] if i == j else 0 for i in range(n) for j in range(n)])
         assert repr(diagonal.trace()) == repr(naive_dot(u, [1] * n))
+        # @ and apply clear each row and column once, yet every entry is the
+        # fold's: a Fraction exactly when its row and column hold no QuadExt
+        rows, cols = matrix_rng.randint(0, 4), matrix_rng.randint(0, 4)
+        left = Matrix(rows, n, [_dot_scalars(matrix_rng, m) for _ in range(rows * n)])
+        right = Matrix(n, cols, [_dot_scalars(matrix_rng, m) for _ in range(n * cols)])
+        expected = [naive_dot(left.row(i), right.col(j)) for i in range(rows) for j in range(cols)]
+        assert repr((left @ right).entries) == repr(tuple(expected)), (left, right)
+        assert repr(left.apply(v)) == repr(tuple(naive_dot(left.row(i), v) for i in range(rows)))
 
 
 def test_dot_edge_cases():

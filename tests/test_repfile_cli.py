@@ -462,6 +462,31 @@ def test_cli_hom_degree_with_too_many_digits_exit_two(runner):
     assert result.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "degree", ["\u0661", "\u00b2"], ids=["arabic-indic-one", "superscript-two"]
+)
+def test_cli_hom_degree_takes_ascii_digits_only(runner, degree):
+    # int() reads the first as 1 and refuses the second; both are a target
+    # name here, which is neither a catalog entry nor a file
+    result = runner.invoke(main, ["hom", f"A3:{degree}", "A3:1"])
+    assert result.exit_code == 2
+    message = f"'A3:{degree}' is neither a catalog entry nor an existing file"
+    assert result.stderr == f"error: {message}\n"
+    assert result.output == ""
+
+
+def test_cli_deeply_nested_json_exit_two(runner, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    with pytest.raises(ParseError, match="nests its JSON too deeply"):
+        load_repfile(str(path))
+    for args in (["verify", str(path), "--json"], ["analyze", str(path)], ["hom", str(path), "A2"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error:")
+        assert result.output == ""
+
+
 def test_repfile_dimension_limit(runner, tmp_path, monkeypatch):
     n = repfile.MAX_DIM + 1
     # the entries are not even scalars: the limit is checked before any is parsed
