@@ -2,7 +2,8 @@
 generator of A5, of the H3 conjugate and of A60, and a dense 16x16
 reflection whose alpha and f have 99-digit rational entries), alone and
 with alpha, f and lambda read, which recognition derives at their first
-read, the hypothesis checks on simple bases (up to A60 and the dense
+read, the rejection of a dense rational 16x16 matrix with rank(M - I) =
+2, the hypothesis checks on simple bases (up to A60 and the dense
 dim-32 representation file of benchmarks/dense_repfile.py --digits 100)
 and on reducible affine bases
 up to affine A29 (where the witness and the base commutant are counted),
@@ -55,6 +56,7 @@ import pytest
 
 from dense_repfile import dense_document
 from reflext.catalog import _cartan_rep, entry
+from reflext.errors import NotRankOne
 from reflext.linalg import Matrix, dot, kernel, rank
 from reflext.reflections import recognize_reflection, reflection_from_parts
 from reflext.repfile import load_repfile, representation_from_document
@@ -182,6 +184,25 @@ DENSE8_Q = Matrix(
 )
 A6_WEDGE3 = exterior_rep(_cartan_rep(chain(6)), 3)
 
+_rejected_rng = random.Random(25)  # its own stream, so the inputs above stay as they were
+
+
+def _dense_q(rows: int, cols: int) -> Matrix:
+    """rows x cols entries +-a/q with a, q in 1..99: no entry is zero."""
+    rng = _rejected_rng
+    return Matrix(
+        rows,
+        cols,
+        [
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 99))
+            for _ in range(rows * cols)
+        ],
+    )
+
+
+# I + A F with A 16 x 2 and F 2 x 16: rank(M - I) = 2, which recognition rejects
+DENSE16_RANK2 = Matrix.identity(16) + _dense_q(16, 2) @ _dense_q(2, 16)
+
 _matmul_rng = random.Random(23)  # its own stream, so the inputs above stay as they were
 MATMUL_Q16 = Matrix(
     16, 16, [Fraction(_matmul_rng.randint(-99, 99), _matmul_rng.randint(1, 99)) for _ in range(256)]
@@ -252,17 +273,26 @@ def test_load_dense_repfile(benchmark, tmp_path):
     assert benchmark(load_repfile, str(path)).dim == 32
 
 
-RECOGNITION_RUNGS = pytest.mark.parametrize(
-    "generator",
-    [A5.generators[2], H3_CONJUGATE.generators[1], A60.generators[30], DENSE16_REFLECTION],
-    ids=["A5", "H3-conjugate", "A60", "dense16-99-digit"],
+RECOGNIZED = [A5.generators[2], H3_CONJUGATE.generators[1], A60.generators[30], DENSE16_REFLECTION]
+RECOGNIZED_IDS = ["A5", "H3-conjugate", "A60", "dense16-99-digit"]
+
+
+def recognize_or_reject(generator: Matrix):
+    try:
+        return recognize_reflection(generator)
+    except NotRankOne as exc:
+        return exc
+
+
+@pytest.mark.parametrize(
+    "generator", [*RECOGNIZED, DENSE16_RANK2], ids=[*RECOGNIZED_IDS, "dense16-rank2"]
 )
-
-
-@RECOGNITION_RUNGS
 def test_recognize_reflection(benchmark, generator):
-    data = benchmark(recognize_reflection, generator)
-    assert data.matrix == generator
+    outcome = benchmark(recognize_or_reject, generator)
+    if generator is DENSE16_RANK2:
+        assert str(outcome) == "rank(M - I) = 2, expected 1"
+    else:
+        assert outcome.matrix == generator
 
 
 def recognize_and_read(generator: Matrix) -> tuple:
@@ -270,7 +300,7 @@ def recognize_and_read(generator: Matrix) -> tuple:
     return data.alpha, data.functional, data.eigenvalue
 
 
-@RECOGNITION_RUNGS
+@pytest.mark.parametrize("generator", RECOGNIZED, ids=RECOGNIZED_IDS)
 def test_recognize_and_read(benchmark, generator):
     alpha, functional, eigenvalue = benchmark(recognize_and_read, generator)
     assert reflection_from_parts(alpha, functional) == generator

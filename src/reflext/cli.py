@@ -35,7 +35,11 @@ EXIT_CERTIFICATION = 4
 # --json on a 2-vCPU Xeon VM, Python 3.11.7.
 MAX_TRACE_DIM = 12  # verify --trace emits 2**n - 1 move sequences: 4095 at A12, 5-8 s for 44 MB
 MAX_EXTERIOR_DIM = 70  # exterior --d forms C(n, d)-square compounds: 0.6 s at A8, d = 4
-MAX_HOM_DIM = 20  # hom solves (left dim)(right dim) unknowns: 400, 0.25-0.45 s at A6:3 A6:3
+# hom solves (left dim)(right dim) unknowns, 400 at the limit, and no time
+# bound holds there on dense input: 0.25-0.45 s at A6:3 A6:3, but a cold
+# `hom F F --json` took 159 s on F from benchmarks/dense_repfile.py 20 and
+# was stopped after 300 s on F from dense_repfile.py 12 --digits 100
+MAX_HOM_DIM = 20
 
 
 def _load_target(target: str) -> tuple[Representation, str]:

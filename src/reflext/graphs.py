@@ -248,19 +248,16 @@ def deletable_vertex(graph: Graph, subset: Iterable[int]) -> int:
                 f"vertex {t} outside the subset has exactly one neighbor inside"
             )
 
-    best: tuple[int, int, int] | None = None  # (-distance, s, s')
+    # the smallest s at maximal distance from another subset vertex
+    chosen, farthest = sub[0], 0
     for s in sub:
         # BFS reaches a vertex after its predecessor, one step farther out
         dist: dict[int, int] = {}
         for w, v in breadth_first(graph._adjacency, s).items():
             dist[w] = dist[v] + 1 if w != v else 0
-        for s2 in sub:
-            key = (-dist[s2], s, s2)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        raise InternalError("no subset pair to choose from")
-    chosen = best[1]
+        reach = max(dist[s2] for s2 in sub)
+        if reach > farthest:
+            chosen, farthest = s, reach
     remaining = [v for v in graph.vertices if v != chosen]
     if not is_connected(induced(graph, remaining)):
         raise InternalError("eccentricity choice failed to preserve connectivity")

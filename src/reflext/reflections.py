@@ -14,8 +14,18 @@ from math import lcm
 from typing import Sequence
 
 from .errors import InternalError, NotDiagonalizable, NotRankOne, SingularMatrix
-from .fractionfree import clear, difference, inner, integer, primitive, quotient, times, to_scalar
-from .linalg import Matrix, Subspace, Vector, dot, kernel, row_rank, vector
+from .fractionfree import (
+    clear,
+    difference,
+    echelon,
+    inner,
+    integer,
+    primitive,
+    quotient,
+    times,
+    to_scalar,
+)
+from .linalg import Matrix, Subspace, Vector, dot, kernel, vector
 from .scalars import QuadExt, Scalar, _quad
 
 _ZERO = Fraction(0)
@@ -23,58 +33,37 @@ _ONE = Fraction(1)
 
 
 class ReflectionData:
-    """Canonical data (matrix, alpha, lambda, functional) of a reflection.
-    Equality, hashing and repr use the four data and ignore the cached
-    hyperplane, `cleared`, `primitive` and `shift`.
+    """The certificate of a reflection s = I + alpha f^T, which only
+    recognize_reflection builds: the matrix M, `forms` = (m, f^, alpha^)
+    and `shift` = (S, L).
 
-    recognize_reflection certifies a reflection on integers and keeps them:
-    `cleared` = (m, f~, alpha~), f and alpha scaled by nonzero elements of
-    Z[sqrt(m)] into Z[sqrt(m)], in the entries of reflext.fractionfree (ints
-    over Q, pairs over Q(sqrt(m)), the int 0 for zero), `primitive` = (f^,
-    alpha^), f~ and alpha~ each divided by the gcd of its integer components
-    (both parts of each pair), so still nonzero multiples of f and alpha
-    over Z[sqrt(m)], and `shift` = (S, L), S in Z[sqrt(m)] and L a positive
-    int with lambda - 1 = f(alpha) = S / L.  alpha, f and lambda are derived
-    from them at their first read, so a caller that reads only the integers
-    builds no scalar; the fixed hyperplane ker f is built at its first read
-    as well.  Constructed explicitly, the data are the scalars given,
-    `cleared` and `primitive` are None and `shift` is derived from lambda at
-    its first read.
+    f^ and alpha^ are nonzero multiples of f and alpha over Z[sqrt(m)], in
+    the entries of reflext.fractionfree (ints over Q, pairs over
+    Q(sqrt(m)), the int 0 for zero), each primitive: no integer other than
+    +-1 divides every integer component.  S in Z[sqrt(m)] and the positive
+    int L give lambda - 1 = f(alpha) = S / L.  alpha, f and lambda are
+    derived from them at their first read, so a caller that reads only the
+    integers builds no scalar; the fixed hyperplane ker f is built at its
+    first read as well.  M determines everything else, so equality and
+    hashing compare M alone; repr shows M, alpha, lambda and f.
     """
 
-    def __init__(self, matrix: Matrix, alpha: Vector, eigenvalue: Scalar, functional: Vector):
+    def __init__(self, matrix: Matrix, forms: tuple, shift: tuple):
         self.matrix = matrix
-        self.alpha = alpha
-        self.eigenvalue = eigenvalue
-        self.functional = functional
-        self.cleared = None
-        self.primitive = None
-
-    @classmethod
-    def _certified(cls, matrix: Matrix, cleared: tuple, shift: tuple) -> ReflectionData:
-        """The data of a reflection that recognize_reflection certified."""
-        data = cls.__new__(cls)
-        data.matrix = matrix
-        data.cleared = cleared
-        m, cleared_f, cleared_alpha = cleared
-        data.primitive = (primitive(cleared_f, m), primitive(cleared_alpha, m))
-        data.shift = shift
-        return data
-
-    def _key(self) -> tuple:
-        return (self.matrix, self.alpha, self.eigenvalue, self.functional)
+        self.forms = forms
+        self.shift = shift
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._key() == other._key()
+        return self.matrix == other.matrix
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self.matrix)
 
     def __repr__(self):
         return "ReflectionData(matrix={!r}, alpha={!r}, eigenvalue={!r}, functional={!r})".format(
-            *self._key()
+            self.matrix, self.alpha, self.eigenvalue, self.functional
         )
 
     @property
@@ -83,12 +72,12 @@ class ReflectionData:
 
     @cached_property
     def alpha(self) -> Vector:
-        """Column q of M - I scaled to alpha_p = 1: alpha~ over alpha~_p =
-        r_pq (L / c_p), each entry by fractionfree.quotient.  alpha_i is a
-        QuadExt exactly when M_pq or M_iq is one, as D_iq / D_pq would be."""
-        m, _, cleared_alpha = self.cleared
+        """Column q of M - I scaled to alpha_p = 1: alpha^ over alpha^_p,
+        each entry by fractionfree.quotient.  alpha_i is a QuadExt exactly
+        when M_pq or M_iq is one, as D_iq / D_pq would be."""
+        m, _, form = self.forms
         p, q = self._pivot
-        alpha = [quotient(x, cleared_alpha[p], m) for x in cleared_alpha]
+        alpha = [quotient(x, form[p], m) for x in form]
         column = self.matrix.entries[q :: self.dim]
         if m is None or type(column[p]) is QuadExt:
             return tuple(alpha)
@@ -102,7 +91,7 @@ class ReflectionData:
         row = list(self.matrix.entries[p * n : (p + 1) * n])
         row[p] = row[p] - _ONE
         if type(row[q]) is QuadExt:
-            row = [_quad(x, _ZERO, self.cleared[0]) if type(x) is Fraction else x for x in row]
+            row = [_quad(x, _ZERO, self.forms[0]) if type(x) is Fraction else x for x in row]
         return tuple(row)
 
     @cached_property
@@ -110,26 +99,19 @@ class ReflectionData:
         """1 + S / L: a QuadExt exactly when some diagonal entry of M is one,
         as Matrix.trace() gives."""
         shift, den = self.shift
-        m = self.cleared[0]
+        m = self.forms[0]
         value = _ONE + to_scalar(shift, den, m)
         if m is None or QuadExt in set(map(type, self.matrix.entries[:: self.dim + 1])):
             return value
         return value.a
 
-    @cached_property
-    def shift(self) -> tuple:
-        """(S, L) from lambda - 1 = S / L, for explicitly given data."""
-        x = self.eigenvalue - _ONE
-        (shift,), den = clear([x], x.m if type(x) is QuadExt else None)
-        return shift, den
-
     @property
     def _pivot(self) -> tuple[int, int]:
         """(p, q): the first moving row and the first nonzero column of row p
-        of M - I, i.e. the leading coordinates of alpha~ and f~."""
-        _, cleared_f, cleared_alpha = self.cleared
-        p = next(i for i, x in enumerate(cleared_alpha) if x)
-        q = next(j for j, x in enumerate(cleared_f) if x)
+        of M - I, i.e. the leading coordinates of alpha^ and f^."""
+        _, f, alpha = self.forms
+        p = next(i for i, x in enumerate(alpha) if x)
+        q = next(j for j, x in enumerate(f) if x)
         return p, q
 
     @cached_property
@@ -157,17 +139,19 @@ def recognize_reflection(matrix: Matrix) -> ReflectionData:
     pivot (p, q): p is its first moving row and q the first nonzero column
     of row p.  D has rank one exactly when every 2x2 minor D_pq D_ij - D_iq
     D_pj through the pivot vanishes, which _moving_line decides on the
-    cleared rows.  Only a rejection builds D and runs the fraction-free
-    rank, to say which rank D has.
+    cleared rows.  A rejection ranks the same cleared rows by
+    fractionfree.echelon, to say which rank D has.
 
     With L the lcm of the moving rows' c_i, S = sum_i r_ii (L / c_i) is
     trace(D) times L, so lambda - 1 = trace(D) = S / L: lambda = 1 is S = 0
     and lambda = 0 is S = -L.  As D = alpha f^T, M alpha = (1 + f(alpha))
     alpha, and the guard that alpha is an eigenvector for lambda, f(alpha) =
     S / L, is the identity f~ . alpha~ = r_pq S in Z[sqrt(m)], since f~ =
-    c_p f and alpha~ = alpha r_pq (L / c_p).  alpha (column q of D scaled to
-    alpha_p = 1, the canonical basis of im D), f (row p of D) and lambda are
-    derived from these integers at their first read.
+    c_p f and alpha~ = alpha r_pq (L / c_p).  The certificate keeps f~ and
+    alpha~ each divided by the gcd of its integer components, and (S, L);
+    alpha (column q of D scaled to alpha_p = 1, the canonical basis of im
+    D), f (row p of D) and lambda are derived from these integers at their
+    first read.
     """
     if matrix.rows != matrix.cols:
         raise NotRankOne("reflection candidate must be square")
@@ -177,23 +161,20 @@ def recognize_reflection(matrix: Matrix) -> ReflectionData:
     moving = [i for i, row in enumerate(rows) if row is not None]
     line = _moving_line(rows, moving, m) if moving else None
     if line is None:
-        diff = matrix.row_list()
-        for i in range(n):
-            diff[i][i] = diff[i][i] - _ONE
-        rank = row_rank(diff, n)
+        rank = echelon([row for row, _ in filter(None, rows)], n, m, cleared=True)[0]
         if rank == 1:
             raise InternalError("rank-one matrix failed the minor test")
         raise NotRankOne(f"rank(M - I) = {rank}, expected 1")
     cleared_f, cleared_alpha, shift, common = line
     if not shift:
         raise NotDiagonalizable("unipotent transvection: eigenvalue 1 on the moving line")
-    if shift == (-common if m is None else integer(-common, m)):
+    if shift == integer(-common, m):
         raise SingularMatrix("matrix is singular: reflection eigenvalue 0")
     r_pq = cleared_f[next(j for j, x in enumerate(cleared_f) if x)]
-    r_pq_shift = r_pq * shift if m is None else times(r_pq, shift, m)  # nonzero, as both are
-    if inner(cleared_f, cleared_alpha, m) != r_pq_shift:
+    if inner(cleared_f, cleared_alpha, m) != times(r_pq, shift, m):  # nonzero, as both are
         raise InternalError("alpha is not an eigenvector for the reflection eigenvalue")
-    return ReflectionData._certified(matrix, (m, cleared_f, cleared_alpha), (shift, common))
+    forms = (m, primitive(cleared_f, m), primitive(cleared_alpha, m))
+    return ReflectionData(matrix, forms, (shift, common))
 
 
 def _cleared_rows(entries: Sequence[Scalar], n: int, m: int | None) -> list[tuple | None]:

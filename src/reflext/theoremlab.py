@@ -213,7 +213,7 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
 def _is_involution(refl: ReflectionData) -> bool:
     """lambda = -1, i.e. S = -2L for lambda - 1 = S / L."""
     shift, den = refl.shift
-    return shift == integer(-2 * den, refl.cleared[0])
+    return shift == integer(-2 * den, refl.forms[0])
 
 
 def _base_simplicity(
@@ -412,15 +412,15 @@ def _first_dependency(vectors: Sequence[Sequence], m: int | None) -> tuple[int, 
 
 def _cleared_forms(refls: Sequence[ReflectionData]) -> tuple[int | None, list[list], list[list]]:
     """The radicand m and the primitive forms f^_i and alpha^_i of the
-    reflections (ReflectionData.primitive, which recognition computed:
-    its f~_i and alpha~_i, each divided by the gcd of its integer
+    reflections (ReflectionData.forms, which recognition computed: its
+    f~_i and alpha~_i, each divided by the gcd of its integer
     components), over one Z[sqrt(m)]: a rational generator's ints are
     lifted to pairs (x, 0) in a Q(sqrt(m)) representation.  Each form is a
     nonzero multiple of its f_i or alpha_i, and primitive forms keep the
     products of pairing_pattern and every later reduction short.  The rows
     are fresh lists, so an elimination may reduce them in place."""
     m = _radicand(refls)
-    return m, _lifted(refls, 0, m), _lifted(refls, 1, m)
+    return m, _lifted(refls, 1, m), _lifted(refls, 2, m)
 
 
 def _radicand(refls: Sequence[ReflectionData]) -> int | None:
@@ -428,36 +428,31 @@ def _radicand(refls: Sequence[ReflectionData]) -> int | None:
     names the first two that differ."""
     m = None
     for r in refls:
-        if r.cleared[0] != m:
-            m = merge_tags(m, r.cleared[0])
+        if r.forms[0] != m:
+            m = merge_tags(m, r.forms[0])
     return m
 
 
 def _lifted(refls: Sequence[ReflectionData], part: int, m: int | None) -> list[list]:
-    """Part 0 (f^) or 1 (alpha^) of each reflection's primitive forms over
+    """Part 1 (f^) or 2 (alpha^) of each reflection's forms over
     Z[sqrt(m)], as fresh lists."""
-    return [
-        list(r.primitive[part]) if r.cleared[0] == m else lift(r.primitive[part], m)
-        for r in refls
-    ]
+    return [list(r.forms[part]) if r.forms[0] == m else lift(r.forms[part], m) for r in refls]
 
 
-def _characters_separate(refls: Sequence[ReflectionData], n: int) -> bool:
+def _characters_separate(refls: Sequence[ReflectionData]) -> bool:
     """Every two degrees of equal dimension differ in the trace of some generator.
 
-    C(n, a) = C(n, b) with a < b forces b = n - a, and as tr(wedge^d s) =
+    For reflections of F^n (n >= 1, as recognition needs), C(n, a) = C(n,
+    b) with a < b forces b = n - a, so 2a < n, and as tr(wedge^d s) =
     C(n-1, d) + lambda C(n-1, d-1) for a reflection s with eigenvalue
     lambda, tr(wedge^a s) - tr(wedge^(n-a) s) = (1 - lambda)(C(n-1, a) -
     C(n-1, a-1)), with C(n-1, -1) = 0.  A product in a field is nonzero
-    exactly when both factors are, and lambda != 1 is S != 0 for lambda - 1
-    = S / L.
+    exactly when both factors are, and the second never vanishes:
+    C(n-1, a) = C(n-1, a-1) needs a + (a - 1) = n - 1, i.e. 2a = n.  The
+    pair a = 0, b = n always occurs, so the degrees are separated exactly
+    when some lambda_i != 1, which is S != 0 for lambda_i - 1 = S / L.
     """
-    moving = any(r.shift[0] for r in refls)
-    return all(
-        moving and comb(n - 1, a) != (comb(n - 1, a - 1) if a else 0)
-        for a in range(n + 1)
-        if 2 * a < n
-    )
+    return any(r.shift[0] for r in refls)
 
 
 def _claim5_trace(graph: Graph, subset: Sequence[int], d: int) -> ClaimFiveTrace:
@@ -589,7 +584,7 @@ def verify_theorem(
 
     refls = hyp.reflections
     m = _radicand(refls)
-    alphas = _lifted(refls, 1, m)
+    alphas = _lifted(refls, 2, m)
     if k == n:
         subset = hyp.graph.vertices
         connected = is_connected(hyp.graph)
@@ -610,7 +605,7 @@ def verify_theorem(
             r._replace(claim5_trace=_claim5_trace(hyp.graph, subset, r.degree)) for r in per_degree
         )
 
-    dim_filter_ok = _characters_separate(refls, n)
+    dim_filter_ok = _characters_separate(refls)
     hom_matrix = None
     if dim_filter_ok:
         hom_matrix = _identity_pattern(n)

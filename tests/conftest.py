@@ -3,7 +3,8 @@
 import itertools
 from collections import deque
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
+from typing import NamedTuple
 
 import pytest
 
@@ -16,9 +17,9 @@ from reflext.errors import (
     SingularMatrix,
 )
 from reflext.exterior import compound
+from reflext.fractionfree import to_scalar
 from reflext.graphs import deletable_vertex, induced, is_connected
 from reflext.linalg import Matrix, Subspace, intersect_all, kernel, rank, row_rank
-from reflext.reflections import ReflectionData
 from reflext.repkit import duality_intertwiner
 from reflext.scalars import _quad, field_tag, inv
 
@@ -155,6 +156,40 @@ def naive_dot(u, v):
     return total
 
 
+class ScalarReflection(NamedTuple):
+    """The Bareiss oracle's reflection: its scalars, printed as ReflectionData."""
+
+    matrix: Matrix
+    alpha: tuple
+    eigenvalue: object
+    functional: tuple
+
+    def __repr__(self):
+        return "ReflectionData(matrix={!r}, alpha={!r}, eigenvalue={!r}, functional={!r})".format(
+            *self
+        )
+
+
+def is_primitive_form(form, vector, m):
+    """Whether form is a nonzero multiple of the nonzero scalar vector over
+    Z[sqrt(m)], in reflext.fractionfree's entries (ints over Q, pairs of
+    ints over Q(sqrt(m)), the int 0 for zero), with coprime integer
+    components."""
+    if m is None:
+        in_ring = all(type(z) is int for z in form)
+        components = list(form)
+    else:
+        in_ring = all(z == 0 and type(z) is int or type(z) is tuple and len(z) == 2 for z in form)
+        components = [c for z in form if z for c in z]
+    if not in_ring or not all(type(c) is int for c in components):
+        return False
+    k = next(i for i, x in enumerate(vector) if x)
+    scale = to_scalar(form[k], 1, m) / vector[k]
+    return scale != 0 and gcd(*components) == 1 and [to_scalar(z, 1, m) for z in form] == [
+        scale * x for x in vector
+    ]
+
+
 def recognize_reflection_bareiss(matrix):
     """Oracle for reflections.recognize_reflection: the rank of D = M - I
     from the fraction-free kernel, then alpha = column q of D times
@@ -184,7 +219,7 @@ def recognize_reflection_bareiss(matrix):
         raise SingularMatrix("matrix is singular: reflection eigenvalue 0")
     if 1 + naive_dot(functional, alpha) != eigenvalue:
         raise InternalError("alpha is not an eigenvector for the reflection eigenvalue")
-    return ReflectionData(matrix, alpha, eigenvalue, functional)
+    return ScalarReflection(matrix, alpha, eigenvalue, functional)
 
 
 def connected_basis_subset_oracle(alphas, graph):

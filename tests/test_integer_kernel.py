@@ -17,13 +17,13 @@ import pytest
 
 from reflext import fractionfree
 from reflext.errors import FieldMismatch, InternalError, NotRankOne
-from reflext.fractionfree import clear, echelon, field_of, pairing_pattern, to_scalar
+from reflext.fractionfree import clear, echelon, field_of, pairing_pattern
 from reflext.linalg import Matrix, Subspace, dot, kernel, rank, row_rank, rref
 from reflext.reflections import reflection_from_parts, recognize_reflection
 from reflext.scalars import QuadExt, field_tag, inv
 from reflext.theoremlab import _cleared_forms
 
-from conftest import kernel_two_pass, rref_oracle
+from conftest import is_primitive_form, kernel_two_pass, rref_oracle
 
 P10 = 1000000007
 FIELDS = [None, 5, P10]
@@ -263,10 +263,11 @@ def _recognized(rng, n, m):
 
 @pytest.mark.parametrize("kind", ["Q", "sqrt5", "Q-in-sqrt5"])
 def test_stored_integer_forms_give_the_scalar_pattern_and_ranks(kind):
-    """Recognition's f~ and alpha~ are multiples of f and alpha, and the
-    Cartan pattern, its rank and the alpha_S rank read off them equal those
-    of the scalar vectors (by `dot` and `row_rank`, which share no loop with
-    `pairing_pattern`); a rational generator is lifted into Q(sqrt 5)."""
+    """Recognition's forms f^ and alpha^ are primitive multiples of f and
+    alpha, and the Cartan pattern, its rank and the alpha_S rank read off
+    them equal those of the scalar vectors (by `dot` and `row_rank`, which
+    share no loop with `pairing_pattern`); a rational generator is lifted
+    into Q(sqrt 5)."""
     rng = random.Random({"Q": 1611, "sqrt5": 1612, "Q-in-sqrt5": 1613}[kind])
     lifted = 0
     for _ in range(400):
@@ -277,15 +278,12 @@ def test_stored_integer_forms_give_the_scalar_pattern_and_ranks(kind):
         ]
         refls = [_recognized(rng, n, m) for m in fields]
         for r in refls:
-            m, f_cleared, alpha_cleared = r.cleared
+            m, f_form, alpha_form = r.forms
             assert m == r.matrix.field()
-            assert list(f_cleared) == clear(r.functional, m)[0]
-            p = next(i for i, x in enumerate(r.alpha) if x)
-            scale = to_scalar(alpha_cleared[p], 1, m)
-            assert scale
-            assert [to_scalar(x, 1, m) for x in alpha_cleared] == [scale * a for a in r.alpha]
+            assert is_primitive_form(f_form, r.functional, m)
+            assert is_primitive_form(alpha_form, r.alpha, m)
         m, functionals, alphas = _cleared_forms(refls)
-        lifted += m is not None and None in {r.cleared[0] for r in refls}
+        lifted += m is not None and None in {r.forms[0] for r in refls}
         support, cartan_rank = pairing_pattern(functionals, alphas, m)
         cartan = [[dot(r.functional, s.alpha) for s in refls] for r in refls]
         assert support == [[bool(x) for x in row] for row in cartan]

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 from math import comb
 
+import pytest
+
 from reflext.catalog import entry, infinite_dihedral
+from reflext.errors import FieldMismatch
 from reflext.exterior import compound, eigen_split
 from reflext.linalg import (
     Matrix,
@@ -20,7 +23,7 @@ from reflext import scalars
 from reflext.reflections import recognize_reflection
 from reflext.repkit import Representation, simplicity
 from reflext.scalars import QuadExt
-from reflext.theoremlab import verify_theorem
+from reflext.theoremlab import check_hypotheses, verify_theorem
 
 PHI = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
 
@@ -121,6 +124,18 @@ def test_mixed_rational_and_quadratic_entries():
     assert m.field() == 5
     assert m.det() == 2
     assert rank(m) == 2
+
+
+def test_generators_over_two_quadratic_fields_are_refused():
+    # each generator is a reflection over its own field; the Cartan products
+    # need one Z[sqrt(m)], so the hypothesis check itself refuses the pair
+    sqrt2, sqrt3 = (QuadExt(Fraction(0), Fraction(1), m) for m in (2, 3))
+    rep = Representation(
+        [Matrix.from_rows([[-1, sqrt2], [0, 1]]), Matrix.from_rows([[1, 0], [sqrt3, -1]])]
+    )
+    for check in (check_hypotheses, verify_theorem):
+        with pytest.raises(FieldMismatch, match=r"^cannot mix sqrt\(2\) and sqrt\(3\)$"):
+            check(rep)
 
 
 def test_verify_validates_no_radicand(monkeypatch):

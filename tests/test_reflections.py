@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from reflext import reflections
 from reflext.catalog import entry, list_entries
 from reflext.errors import InternalError, NotDiagonalizable, NotRankOne, SingularMatrix
-from reflext.fractionfree import clear, to_scalar
 from reflext.graphs import Graph
 from reflext.linalg import Matrix, Subspace, dot, image, kernel, rank
 from reflext.reflections import (
@@ -27,7 +26,7 @@ from reflext.reflections import (
 from reflext.repkit import Representation
 from reflext.scalars import QuadExt
 
-from conftest import recognize_reflection_bareiss
+from conftest import is_primitive_form, recognize_reflection_bareiss
 
 S1 = Matrix.from_rows([[-1, 1], [0, 1]])
 
@@ -299,16 +298,9 @@ def _outcome(recognize, matrix):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _in_ring(z, m):
-    """Whether z is an element of Z[sqrt(m)] as reflext.fractionfree writes it."""
-    if m is None or z == 0:
-        return type(z) is int
-    return type(z) is tuple and len(z) == 2 and set(map(type, z)) == {int}
-
-
 def test_recognition_matches_bareiss_oracle():
-    """Reprs equal the oracle's, and the cleared forms are f~ = clear(f, m)
-    and a nonzero multiple of alpha over Z[sqrt(m)] (reprs leave them out)."""
+    """Reprs equal the oracle's, and the forms are primitive nonzero
+    multiples of f and alpha over Z[sqrt(m)] (reprs leave them out)."""
     seen = Counter()
     for kind, matrix in recognition_corpus(20261019, 3000):
         got = _outcome(recognize_reflection, matrix)
@@ -319,15 +311,10 @@ def test_recognition_matches_bareiss_oracle():
             seen[got.split(":")[0]] += 1  # lambda = 1 or lambda = 0
         else:
             data = recognize_reflection(matrix)
-            m, f_cleared, alpha_cleared = data.cleared
+            m, f_form, alpha_form = data.forms
             assert m == matrix.field()
-            assert list(f_cleared) == clear(data.functional, m)[0], (kind, matrix)
-            p = next(i for i, x in enumerate(data.alpha) if x)
-            scale = alpha_cleared[p]  # alpha_p = 1
-            assert scale and all(_in_ring(x, m) for x in alpha_cleared), (kind, matrix)
-            assert [to_scalar(x, 1, m) for x in alpha_cleared] == [
-                to_scalar(scale, 1, m) * a for a in data.alpha
-            ], (kind, matrix)
+            assert is_primitive_form(f_form, data.functional, m), (kind, matrix)
+            assert is_primitive_form(alpha_form, data.alpha, m), (kind, matrix)
             diff = matrix - Matrix.identity(matrix.rows)
             q = next(j for j, x in enumerate(data.functional) if x)
             moving = [i for i in range(diff.rows) if any(diff.row(i))]
@@ -367,8 +354,10 @@ def _workload_generators():
 def test_lazy_fields_match_the_oracle_on_workload_generators():
     """alpha, f and lambda, derived at their first read from recognition's
     integers, equal the scalar oracle's in value and in type, whichever field
-    is read first; equality, hash and repr follow."""
+    is read first, and so do reprs; recognizing an equal matrix gives an
+    equal certificate with an equal hash."""
     seen = Counter()
+    previous = None
     for index, (source, matrix) in enumerate(_workload_generators()):
         expected = _outcome(recognize_reflection_bareiss, matrix)
         assert _outcome(recognize_reflection, matrix) == expected, (source, matrix)
@@ -380,7 +369,11 @@ def test_lazy_fields_match_the_oracle_on_workload_generators():
             for name in order:
                 got, want = getattr(data, name), getattr(oracle, name)
                 assert got == want and repr(got) == repr(want), (source, name, matrix)
-            assert data == oracle and hash(data) == hash(oracle) and repr(data) == expected
+            assert repr(data) == expected
+        again = recognize_reflection(Matrix(matrix.rows, matrix.cols, list(matrix.entries)))
+        assert data == again and hash(data) == hash(again)
+        assert previous is None or (data == previous) is (matrix == previous.matrix)
+        previous = data
         seen[source] += 1
         if len(set(map(type, matrix.entries))) == 2:
             seen[f"{source}, mixed Fraction and QuadExt"] += 1
