@@ -9,7 +9,8 @@ in Z[sqrt(m)] (Z over Q), and rows are reduced by Bareiss elimination on
 Python ints.  An element a + b*sqrt(m) of Z[sqrt(m)] is an int over Q (m is
 None) and the pair (a, b) of ints over Q(sqrt(m)), except that zero is the
 int 0 in both: truthiness is then the zero test for scalars and cleared
-entries alike.  Every value handed back is a Fraction or a QuadExt.
+entries alike.  A scalar handed back is a Fraction or a QuadExt, and
+`null_vectors` leaves its null vectors in Z[sqrt(m)].
 
 This module is the one home of that format.  Elements enter by `clear`,
 `integer` and `lift`, are combined by `inner`, `times`, `difference`,
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalError
 from .scalars import QuadExt, Scalar, _quad, merge_tags
@@ -329,28 +330,32 @@ def row_space(rows: Sequence[Sequence], cols: int, m: int | None) -> list[list[S
 
 
 def null_space(rows: Sequence[Sequence], cols: int, m: int | None) -> list[list[Scalar]]:
-    """The canonical RREF basis of {x : M x = 0} for M with rows over Z[sqrt(m)].
-
-    One reduction, of M with its columns reversed.  With R that reduction,
-    each free column g gives the null vector with 1 at g and -R[r, g] / R[r,
-    p_r] at each pivot column p_r < g and 0 at the other free columns.
-    Reversed back, its leading entry is that 1, and it is zero at the leading
-    entry of every other such vector, so taken in decreasing g they are
-    already the canonical RREF basis.
-    """
-    reduced, pivots = _reversed_reduction(rows, cols, m)
-    pivot_set = set(pivots)
+    """The canonical RREF basis of {x : M x = 0} for M with rows over Z[sqrt(m)]."""
     basis = []
-    for g in reversed(range(cols)):
-        if g in pivot_set:
-            continue
+    for lead, entries in _null_walk(rows, cols, m)[2]:
         v: list[Scalar] = [_ZERO] * cols
-        v[cols - 1 - g] = _ONE
-        for row, p in zip(reduced, pivots):
-            if p > g:
-                break
-            if row[g]:
-                v[cols - 1 - p] = -quotient(row[g], row[p], m)
+        v[lead] = _ONE
+        for t, x, d in entries:
+            v[t] = -quotient(x, d, m)
+        basis.append(v)
+    return basis
+
+
+def null_vectors(rows: Sequence[Sequence], cols: int, m: int | None) -> list[list]:
+    """null_space's basis over Z[sqrt(m)]: each canonical vector times the
+    last pivot D of the reduction.  A pivot row of level l is the fully
+    reduced row times p_l / D, and R[r, p_r] = p_l, so -R[r, g] D / R[r,
+    p_r] is an entry of the fully reduced row, a minor of M: the division
+    is exact, and a remainder is an InternalError."""
+    _, scale, walk = _null_walk(rows, cols, m)
+    minus = difference(0, scale, m)
+    basis = []
+    for lead, entries in walk:
+        v: list = [0] * cols
+        v[lead] = scale
+        for t, x, d in entries:
+            v[t] = x
+            combine(v, minus, 0, v, d, range(t, t + 1), m)
         basis.append(v)
     return basis
 
@@ -358,25 +363,39 @@ def null_space(rows: Sequence[Sequence], cols: int, m: int | None) -> list[list[
 def first_null_support(rows: Sequence[Sequence], cols: int, m: int | None) -> tuple[int, list[int]]:
     """The rank of M, with rows over Z[sqrt(m)], and the support of the first
     vector of null_space's canonical basis (empty when M has full column
-    rank), read off the same reduction without dividing out any null vector:
-    the largest free column g and the pivot columns p_r < g with R[r, g] !=
-    0, reversed back."""
-    reduced, pivots = _reversed_reduction(rows, cols, m)
-    pivot_set = set(pivots)
-    g = next((g for g in reversed(range(cols)) if g not in pivot_set), None)
-    if g is None:
-        return len(pivots), []
-    support = [cols - 1 - g]
-    for row, p in zip(reduced, pivots):
-        if p > g:
-            break
-        if row[g]:
-            support.append(cols - 1 - p)
-    return len(pivots), sorted(support)
+    rank), read off the same walk without dividing out any null vector."""
+    rank, _, walk = _null_walk(rows, cols, m)
+    lead, entries = next(walk, (None, ()))
+    return rank, [] if lead is None else sorted([lead, *[t for t, _, _ in entries]])
 
 
-def _reversed_reduction(rows: Sequence[Sequence], cols: int, m: int | None) -> tuple[list, list]:
-    """gauss_jordan of M with its columns reversed: the reduced rows and their pivots."""
+def _null_walk(rows: Sequence[Sequence], cols: int, m: int | None) -> tuple[int, object, Iterator]:
+    """The rank of M, the last pivot D of its reduction (1 at rank 0) and a
+    lazy walk of the canonical basis of its null space.
+
+    One reduction, of M with its columns reversed.  With R that reduction,
+    each free column g gives the null vector with 1 at g and -R[r, g] / R[r,
+    p_r] at each pivot column p_r < g and 0 at the other free columns.
+    Reversed back, its leading entry is that 1, and it is zero at the leading
+    entry of every other such vector, so taken in decreasing g they are
+    already the canonical RREF basis.  The walk divides nothing: it yields
+    each as its leading column and the (column, R[r, g], R[r, p_r]) of its
+    other nonzero entries, reversed back."""
     reduced = [list(reversed(row)) for row in rows]
-    return reduced, gauss_jordan(reduced, cols, m)
+    pivots = gauss_jordan(reduced, cols, m)
 
+    def walk():
+        pivot_set = set(pivots)
+        for g in reversed(range(cols)):
+            if g in pivot_set:
+                continue
+            entries = []
+            for row, p in zip(reduced, pivots):
+                if p > g:
+                    break
+                if row[g]:
+                    entries.append((cols - 1 - p, row[g], row[p]))
+            yield cols - 1 - g, entries
+
+    scale = reduced[len(pivots) - 1][pivots[-1]] if pivots else integer(1, m)
+    return len(pivots), scale, walk()

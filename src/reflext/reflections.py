@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalError, NotDiagonalizable, NotRankOne, SingularMatrix
 from .fractionfree import (
@@ -32,10 +32,17 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+class Forms(NamedTuple):
+    """f^ and alpha^ over Z[sqrt(m)] (m None over Q): one reflection's, or stacked."""
+
+    m: int | None
+    f: Sequence
+    alpha: Sequence
+
+
 class ReflectionData:
     """The certificate of a reflection s = I + alpha f^T, which only
-    recognize_reflection builds: the matrix M, `forms` = (m, f^, alpha^)
-    and `shift` = (S, L).
+    recognize_reflection builds: the matrix M, `forms` and `shift` = (S, L).
 
     f^ and alpha^ are nonzero multiples of f and alpha over Z[sqrt(m)], in
     the entries of reflext.fractionfree (ints over Q, pairs over
@@ -48,7 +55,7 @@ class ReflectionData:
     hashing compare M alone; repr shows M, alpha, lambda and f.
     """
 
-    def __init__(self, matrix: Matrix, forms: tuple, shift: tuple):
+    def __init__(self, matrix: Matrix, forms: Forms, shift: tuple):
         self.matrix = matrix
         self.forms = forms
         self.shift = shift
@@ -75,7 +82,7 @@ class ReflectionData:
         """Column q of M - I scaled to alpha_p = 1: alpha^ over alpha^_p,
         each entry by fractionfree.quotient.  alpha_i is a QuadExt exactly
         when M_pq or M_iq is one, as D_iq / D_pq would be."""
-        m, _, form = self.forms
+        m, form = self.forms.m, self.forms.alpha
         p, q = self._pivot
         alpha = [quotient(x, form[p], m) for x in form]
         column = self.matrix.entries[q :: self.dim]
@@ -91,7 +98,7 @@ class ReflectionData:
         row = list(self.matrix.entries[p * n : (p + 1) * n])
         row[p] = row[p] - _ONE
         if type(row[q]) is QuadExt:
-            row = [_quad(x, _ZERO, self.forms[0]) if type(x) is Fraction else x for x in row]
+            row = [_quad(x, _ZERO, self.forms.m) if type(x) is Fraction else x for x in row]
         return tuple(row)
 
     @cached_property
@@ -99,7 +106,7 @@ class ReflectionData:
         """1 + S / L: a QuadExt exactly when some diagonal entry of M is one,
         as Matrix.trace() gives."""
         shift, den = self.shift
-        m = self.forms[0]
+        m = self.forms.m
         value = _ONE + to_scalar(shift, den, m)
         if m is None or QuadExt in set(map(type, self.matrix.entries[:: self.dim + 1])):
             return value
@@ -109,9 +116,8 @@ class ReflectionData:
     def _pivot(self) -> tuple[int, int]:
         """(p, q): the first moving row and the first nonzero column of row p
         of M - I, i.e. the leading coordinates of alpha^ and f^."""
-        _, f, alpha = self.forms
-        p = next(i for i, x in enumerate(alpha) if x)
-        q = next(j for j, x in enumerate(f) if x)
+        p = next(i for i, x in enumerate(self.forms.alpha) if x)
+        q = next(j for j, x in enumerate(self.forms.f) if x)
         return p, q
 
     @cached_property
@@ -173,7 +179,7 @@ def recognize_reflection(matrix: Matrix) -> ReflectionData:
     r_pq = cleared_f[next(j for j, x in enumerate(cleared_f) if x)]
     if inner(cleared_f, cleared_alpha, m) != times(r_pq, shift, m):  # nonzero, as both are
         raise InternalError("alpha is not an eigenvector for the reflection eigenvalue")
-    forms = (m, primitive(cleared_f, m), primitive(cleared_alpha, m))
+    forms = Forms(m, primitive(cleared_f, m), primitive(cleared_alpha, m))
     return ReflectionData(matrix, forms, (shift, common))
 
 

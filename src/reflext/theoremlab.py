@@ -21,7 +21,9 @@ No generic commutant or Hom system is solved on the theorem path:
 - Distinct degrees of equal dimension have different characters, since
   tr(wedge^d s) = C(n-1, d) + lambda C(n-1, d-1) for every generator s.
 
-All failures are structured report values carrying re-checkable witnesses.
+Each input's integer forms are stacked once.  A failed hypothesis is a
+report value with a re-checkable witness; a failed certificate step on an
+input meeting every hypothesis is an InternalError.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .fractionfree import (
     integer,
     lift,
     null_space,
+    null_vectors,
     pairing_pattern,
     row_space,
 )
@@ -62,7 +65,7 @@ from .graphs import (
     move_chain,
 )
 from .linalg import Subspace, Vector, _canonical_subspace
-from .reflections import ReflectionData, recognize_reflection
+from .reflections import Forms, ReflectionData, recognize_reflection
 from .repkit import Representation, SimplicityVerdict
 from .scalars import merge_tags
 
@@ -76,6 +79,7 @@ class HypothesisReport(NamedTuple):
     condition4_violations: tuple[tuple[int, int], ...]
     graph: Optional[Graph]
     remarks: tuple[str, ...] = ()
+    forms: Optional[Forms] = None  # stacked, for verify_theorem; no document reads it
 
     @property
     def condition1_ok(self) -> bool:
@@ -126,7 +130,7 @@ class DegreeReport(NamedTuple):
 
 
 class Conclusion(NamedTuple):
-    status: str  # TheoremVerified | HypothesisFailed | CertificationFailed
+    status: str  # TheoremVerified | HypothesisFailed
     reason: Optional[str] = None
     witness_subspace: Optional[Subspace] = None
     witness_pairs: tuple[tuple[int, int], ...] = ()
@@ -134,11 +138,11 @@ class Conclusion(NamedTuple):
 
 class TheoremReport(NamedTuple):
     hypothesis: HypothesisReport
+    conclusion: Conclusion
     claim3_subset: Optional[tuple[int, ...]] = None
     per_degree: tuple[DegreeReport, ...] = ()
     pairwise_hom: Optional[tuple[tuple[int, ...], ...]] = None
     dim_filter_ok: Optional[bool] = None
-    conclusion: Conclusion = Conclusion("CertificationFailed")
 
     @property
     def verified(self) -> bool:
@@ -171,8 +175,8 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
     k = len(rep.generators)
     # the Cartan matrix C_ij = f_i(alpha_j): its zero pattern and its rank,
     # from the integer forms recognition cleared
-    m, functionals, alphas = forms = _cleared_forms(refls)
-    support, cartan_rank = pairing_pattern(functionals, alphas, m)
+    forms = _stacked_forms(refls)
+    support, cartan_rank = pairing_pattern(forms.f, forms.alpha, forms.m)
     # moving[i]: the j != i with s_i moving alpha_j, increasing; the one
     # relation behind conditions 3 and 4, built once
     moving = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(support)]
@@ -207,13 +211,14 @@ def check_hypotheses(rep: Representation) -> HypothesisReport:
         condition4_violations=tuple(violations),
         graph=graph,
         remarks=tuple(remarks),
+        forms=forms,
     )
 
 
 def _is_involution(refl: ReflectionData) -> bool:
     """lambda = -1, i.e. S = -2L for lambda - 1 = S / L."""
     shift, den = refl.shift
-    return shift == integer(-2 * den, refl.forms[0])
+    return shift == integer(-2 * den, refl.forms.m)
 
 
 def _base_simplicity(
@@ -221,7 +226,7 @@ def _base_simplicity(
     moving: Sequence[Sequence[int]],
     moved: Sequence[Sequence[int]],
     cartan_rank: int,
-    forms: tuple,
+    forms: Forms,
 ) -> SimplicityVerdict:
     """Condition 3 decided exactly for reflections s_i = I + alpha_i f_i^T.
 
@@ -270,8 +275,7 @@ def _base_simplicity(
         and (moved is moving or len(breadth_first(moving, 0)) == k)
     ):
         return SimplicityVerdict("Simple", 1, method="reflection-criterion")
-    m, functionals, alphas = forms
-    common_kernel = null_space(functionals, n, m)
+    common_kernel = null_space(forms.f, n, forms.m)
     witness, method = common_kernel, "reflection-kernel"
     if not common_kernel:
         method = "reflection-span"
@@ -279,7 +283,7 @@ def _base_simplicity(
         for start in range(k):
             reached = frozenset(breadth_first(moved, start))
             if reached not in spans:
-                spans[reached] = row_space([alphas[i] for i in reached], n, m)
+                spans[reached] = row_space([forms.alpha[i] for i in reached], n, forms.m)
             if len(spans[reached]) < n:
                 witness = spans[reached]
                 break
@@ -296,7 +300,7 @@ def _base_simplicity(
     )
 
 
-def _is_invariant(space: Subspace, forms: tuple) -> bool:
+def _is_invariant(space: Subspace, forms: Forms) -> bool:
     """True iff every s_i = I + alpha_i f_i^T maps the subspace into itself.
 
     s_i(w) - w = f_i(w) alpha_i, so s_i W is in W iff f_i vanishes on a
@@ -304,13 +308,13 @@ def _is_invariant(space: Subspace, forms: tuple) -> bool:
     (m, f~, alpha~) and W's basis cleared over Z[sqrt(m)], as scaling a
     vector by a nonzero constant changes neither.
     """
-    m, functionals, alphas = forms
+    m = forms.m
     n = space.ambient_dim
     basis = [clear(w, m)[0] for w in space.basis_vectors()]
     return all(
         not any(inner(f, w, m) for w in basis)
         or echelon([*map(list, basis), list(a)], n, m, cleared=True)[0] == len(basis)
-        for f, a in zip(functionals, alphas)
+        for f, a in zip(forms.f, forms.alpha)
     )
 
 
@@ -319,7 +323,7 @@ def _commutant_dim(
     moved: Sequence[Sequence[int]],
     n: int,
     rank_f: int,
-    forms: tuple,
+    forms: Forms,
 ) -> int:
     """dim End(V) = dim Gamma + (n - rank A)(n - rank F), as in _base_simplicity.
 
@@ -330,22 +334,22 @@ def _commutant_dim(
     f_i) by a nonzero constant scales a_i (or y_i) inversely and leaves
     every sum_i a_i c_i alpha_i unchanged.
     """
-    m, functionals, alphas = forms
+    m = forms.m
     k = len(moving)
     undirected = [sorted({*moving[j], *moved[j]}) for j in range(k)]
     components: list[set[int]] = []
     for start in range(k):
         if not any(start in c for c in components):
             components.append(set(breadth_first(undirected, start)))
-    rank_a = echelon([list(a) for a in alphas], n, m, cleared=True)[0]
+    rank_a = echelon([list(a) for a in forms.alpha], n, m, cleared=True)[0]
     free = (n - rank_a) * (n - rank_f)
     if len(components) == 1:
         return 1 + free
     rows: list[list] = []
     if rank_f < n:
-        rows += _grouped_relations(alphas, components, m)
+        rows += _grouped_relations(forms.alpha, components, m)
     if rank_a < n:
-        rows += _grouped_relations(functionals, components, m)
+        rows += _grouped_relations(forms.f, components, m)
     return len(components) - echelon(rows, len(components), m, cleared=True)[0] + free
 
 
@@ -354,13 +358,11 @@ def _grouped_relations(
 ) -> list[list]:
     """sum_i r_i c_i v_i = 0 for each dependency r of vectors over
     Z[sqrt(m)], as rows over Z[sqrt(m)] in the one value of c per component.
-    The dependencies are the canonical basis of the null space of the
-    transposed stack, each cleared into Z[sqrt(m)], which scales its rows."""
-    relations = null_space(list(zip(*vectors)), len(vectors), m)
-    cleared = [clear(r, m)[0] for r in relations]
+    The dependencies are fractionfree.null_vectors of the transposed stack:
+    nonzero multiples of its canonical null basis, which scale the rows."""
     return [
         [inner([r[i] for i in c], [vectors[i][t] for i in c], m) for c in components]
-        for r in cleared
+        for r in null_vectors(list(zip(*vectors)), len(vectors), m)
         for t in range(len(vectors[0]))
     ]
 
@@ -387,7 +389,7 @@ def _basis_subset(cleared: Sequence[Sequence], m: int | None, graph: Graph) -> t
     scalar vectors' own, since each vector is a multiple of its alpha_i.
     """
     n = len(cleared[0])
-    rank, support = _first_dependency(cleared, m)
+    rank, support = first_null_support(list(zip(*cleared)), len(cleared), m)
     if rank != n:
         raise NotSpanning("reflection vectors do not span the space")
     if not is_connected(graph):
@@ -400,43 +402,26 @@ def _basis_subset(cleared: Sequence[Sequence], m: int | None, graph: Graph) -> t
     while support:
         drop = deletable_vertex(induced(graph, current), [current[pos] for pos in support])
         current.remove(drop)
-        _, support = _first_dependency([cleared[i - 1] for i in current], m)
+        stack = [cleared[i - 1] for i in current]
+        _, support = first_null_support(list(zip(*stack)), len(stack), m)
     return tuple(current)
 
 
-def _first_dependency(vectors: Sequence[Sequence], m: int | None) -> tuple[int, list[int]]:
-    """The rank of vectors over Z[sqrt(m)] and the support of the first
-    canonical dependency, from one reduction of the transposed stack."""
-    return first_null_support(list(zip(*vectors)), len(vectors), m)
-
-
-def _cleared_forms(refls: Sequence[ReflectionData]) -> tuple[int | None, list[list], list[list]]:
-    """The radicand m and the primitive forms f^_i and alpha^_i of the
-    reflections (ReflectionData.forms, which recognition computed: its
-    f~_i and alpha~_i, each divided by the gcd of its integer
-    components), over one Z[sqrt(m)]: a rational generator's ints are
-    lifted to pairs (x, 0) in a Q(sqrt(m)) representation.  Each form is a
-    nonzero multiple of its f_i or alpha_i, and primitive forms keep the
-    products of pairing_pattern and every later reduction short.  The rows
-    are fresh lists, so an elimination may reduce them in place."""
-    m = _radicand(refls)
-    return m, _lifted(refls, 1, m), _lifted(refls, 2, m)
-
-
-def _radicand(refls: Sequence[ReflectionData]) -> int | None:
-    """The one radicand of the reflections' cleared forms; FieldMismatch
-    names the first two that differ."""
+def _stacked_forms(refls: Sequence[ReflectionData]) -> Forms:
+    """The reflections' primitive forms f^_i and alpha^_i stacked over one
+    Z[sqrt(m)], a rational generator's ints lifted to pairs (x, 0) in a
+    Q(sqrt(m)) representation; two radicands raise FieldMismatch.  The stacks
+    are tuples, so an elimination, which reduces in place, takes copies."""
+    forms = [r.forms for r in refls]
     m = None
-    for r in refls:
-        if r.forms[0] != m:
-            m = merge_tags(m, r.forms[0])
-    return m
-
-
-def _lifted(refls: Sequence[ReflectionData], part: int, m: int | None) -> list[list]:
-    """Part 1 (f^) or 2 (alpha^) of each reflection's forms over
-    Z[sqrt(m)], as fresh lists."""
-    return [list(r.forms[part]) if r.forms[0] == m else lift(r.forms[part], m) for r in refls]
+    for x in forms:
+        if x.m != m:
+            m = merge_tags(m, x.m)
+    return Forms(
+        m,
+        tuple([x.f if x.m == m else tuple(lift(x.f, m)) for x in forms]),
+        tuple([x.alpha if x.m == m else tuple(lift(x.alpha, m)) for x in forms]),
+    )
 
 
 def _characters_separate(refls: Sequence[ReflectionData]) -> bool:
@@ -506,23 +491,26 @@ def _identity_pattern(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(a == b) for b in range(n + 1)) for a in range(n + 1))
 
 
-def _hypothesis_failure(hyp: HypothesisReport) -> TheoremReport:
+def _failed_hypothesis(hyp: HypothesisReport) -> Optional[Conclusion]:
+    """The conclusion for the first of conditions 1, 4 and 3 that fails, or None."""
     if not hyp.condition1_ok:
         indices = ", ".join(f"{i} ({why})" for i, why in hyp.condition1_failures)
-        return TheoremReport(
-            hypothesis=hyp,
-            conclusion=Conclusion("HypothesisFailed", f"condition1: generator(s) {indices}"),
-        )
+        return Conclusion("HypothesisFailed", f"condition1: generator(s) {indices}")
     if not hyp.condition4_holds:
-        return TheoremReport(
-            hypothesis=hyp,
-            conclusion=Conclusion(
-                "HypothesisFailed",
-                "condition4: asymmetric fixing of reflection vectors",
-                witness_pairs=hyp.condition4_violations,
-            ),
+        return Conclusion(
+            "HypothesisFailed",
+            "condition4: asymmetric fixing of reflection vectors",
+            witness_pairs=hyp.condition4_violations,
         )
-    raise InternalError("not a hypothesis failure")
+    if hyp.v_simple is None or hyp.graph is None or hyp.forms is None:
+        raise InternalError("hypotheses passed without a condition-3 verdict, a graph or forms")
+    if not hyp.v_simple.is_simple:
+        return Conclusion(
+            "HypothesisFailed",
+            "condition3: base representation is reducible",
+            witness_subspace=hyp.v_simple.witness,
+        )
+    return None
 
 
 def verify_theorem(
@@ -531,8 +519,11 @@ def verify_theorem(
     trace: bool = False,
     degrees: Sequence[int] | None = None,
 ) -> TheoremReport:
-    """Full pipeline; every failure mode is a structured conclusion, never an
+    """Full pipeline; a failed hypothesis is a structured conclusion, never an
     exception (malformed requests like out-of-range degrees still raise).
+    A certificate step that no input meeting every hypothesis can fail is an
+    InternalError guard: character separation needs only some lambda_i != 1,
+    and condition 1 refuses lambda_i = 1.
 
     Each exterior power is certified by the claim-5 lemma and non-isomorphy
     by comparing characters.  On a connected graph, the moves "swap i in I
@@ -560,31 +551,20 @@ def verify_theorem(
     independent alpha_I the intersection of these eigenspaces over I is
     alpha_I ^ wedge^(d-|I|) V, the line spanned by alpha_I when |I| = d.  So
     rank(alpha_S) = |S| makes every one of the C(|S|, d) d-subsets of S a
-    claim-4 line, in every degree at once; it is checked again here even
-    where rank C = n already implies it.
+    claim-4 line, in every degree at once; it is checked again here, on
+    the alpha^ that check_hypotheses stacked, even where rank C = n already
+    implies it.
     """
     n = rep.dim
     k = len(rep.generators)
     for d in degrees or ():
         _check_degree(n, d)
     hyp = check_hypotheses(rep)
-    if not hyp.condition4_holds:
-        return _hypothesis_failure(hyp)
-    if hyp.v_simple is None or hyp.graph is None:
-        raise InternalError("hypotheses passed without a condition-3 verdict or a graph")
-    if not hyp.v_simple.is_simple:
-        return TheoremReport(
-            hypothesis=hyp,
-            conclusion=Conclusion(
-                "HypothesisFailed",
-                "condition3: base representation is reducible",
-                witness_subspace=hyp.v_simple.witness,
-            ),
-        )
+    failed = _failed_hypothesis(hyp)
+    if failed is not None:
+        return TheoremReport(hypothesis=hyp, conclusion=failed)
 
-    refls = hyp.reflections
-    m = _radicand(refls)
-    alphas = _lifted(refls, 2, m)
+    m, alphas = hyp.forms.m, hyp.forms.alpha
     if k == n:
         subset = hyp.graph.vertices
         connected = is_connected(hyp.graph)
@@ -594,7 +574,7 @@ def verify_theorem(
         connected = is_connected(induced(hyp.graph, subset))
     if not connected:
         raise InternalError("basis subset of a simple base induces a disconnected graph")
-    if echelon(alphas, n, m, cleared=True)[0] != len(subset):
+    if echelon([list(a) for a in alphas], n, m, cleared=True)[0] != len(subset):
         raise InternalError("connected basis subset is not independent")
 
     per_degree = _degree_reports(
@@ -605,20 +585,13 @@ def verify_theorem(
             r._replace(claim5_trace=_claim5_trace(hyp.graph, subset, r.degree)) for r in per_degree
         )
 
-    dim_filter_ok = _characters_separate(refls)
-    hom_matrix = None
-    if dim_filter_ok:
-        hom_matrix = _identity_pattern(n)
-        conclusion = Conclusion("TheoremVerified")
-    else:
-        conclusion = Conclusion(
-            "CertificationFailed", "characters do not separate two degrees of equal dimension"
-        )
+    if not _characters_separate(hyp.reflections):
+        raise InternalError("characters do not separate two degrees of equal dimension")
     return TheoremReport(
         hypothesis=hyp,
+        conclusion=Conclusion("TheoremVerified"),
         claim3_subset=subset,
         per_degree=per_degree,
-        pairwise_hom=hom_matrix,
-        dim_filter_ok=dim_filter_ok,
-        conclusion=conclusion,
+        pairwise_hom=_identity_pattern(n),
+        dim_filter_ok=True,
     )

@@ -19,8 +19,9 @@ from types import SimpleNamespace
 import pytest
 
 import reflext
-from reflext import fractionfree, linalg, repkit
+from reflext import fractionfree, linalg, repkit, theoremlab
 from reflext.catalog import _cartan_rep, entry, list_entries
+from reflext.errors import InternalError
 from reflext.exterior import compound, wedge
 from reflext.linalg import Matrix, Subspace, kernel
 from reflext.reflections import is_reflection, recognize_reflection
@@ -28,8 +29,8 @@ from reflext.repkit import Representation, exterior_rep, hom_dim, is_invariant, 
 from reflext.scalars import QuadExt
 from reflext.theoremlab import (
     _characters_separate,
-    _cleared_forms,
     _is_invariant,
+    _stacked_forms,
     check_hypotheses,
     verify_theorem,
 )
@@ -124,6 +125,21 @@ def test_no_assert_statements_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         offenders += [
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
+        ]
+    assert offenders == []
+
+
+def test_forms_are_read_by_name():
+    # ReflectionData.forms and the stacked forms are Forms(m, f, alpha): an
+    # index like refl.forms[2] or forms[1] would pick f^ or alpha^ by position
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and "forms" in (getattr(node.value, "attr", None), getattr(node.value, "id", None))
         ]
     assert offenders == []
 
@@ -229,6 +245,14 @@ def test_closed_form_character_separation_matches_trace_oracle():
         assert characters_separate_oracle([*transvections, reflection], n) is True
 
 
+def test_characters_that_do_not_separate_are_an_internal_error(monkeypatch):
+    # condition 1 refuses lambda = 1, so every input that reaches the test
+    # passes it, and a failure is a broken certificate, not a conclusion
+    monkeypatch.setattr(theoremlab, "_characters_separate", lambda refls: False)
+    with pytest.raises(InternalError, match="characters do not separate"):
+        verify_theorem(entry("A3").representation)
+
+
 def test_invariance_on_the_forms_agrees_with_the_generator_check():
     # s_i W in W iff f_i vanishes on W or alpha_i lies in W: the witness
     # re-check on the forms against every generator matrix on every basis
@@ -246,7 +270,7 @@ def test_invariance_on_the_forms_agrees_with_the_generator_check():
         if not hyp.condition1_ok:
             continue
         n = rep.dim
-        forms = _cleared_forms(hyp.reflections)
+        forms = _stacked_forms(hyp.reflections)
         spaces = [Subspace.span([[Fraction(rng.randint(-3, 3)) for _ in range(n)]], n)]
         if not hyp.v_simple.is_simple:
             witness = hyp.v_simple.witness

@@ -17,11 +17,11 @@ import pytest
 
 from reflext import fractionfree
 from reflext.errors import FieldMismatch, InternalError, NotRankOne
-from reflext.fractionfree import clear, echelon, field_of, pairing_pattern
+from reflext.fractionfree import clear, echelon, field_of, pairing_pattern, to_scalar
 from reflext.linalg import Matrix, Subspace, dot, kernel, rank, row_rank, rref
 from reflext.reflections import reflection_from_parts, recognize_reflection
 from reflext.scalars import QuadExt, field_tag, inv
-from reflext.theoremlab import _cleared_forms
+from reflext.theoremlab import _stacked_forms
 
 from conftest import is_primitive_form, kernel_two_pass, rref_oracle
 
@@ -278,19 +278,21 @@ def test_stored_integer_forms_give_the_scalar_pattern_and_ranks(kind):
         ]
         refls = [_recognized(rng, n, m) for m in fields]
         for r in refls:
-            m, f_form, alpha_form = r.forms
+            m = r.forms.m
             assert m == r.matrix.field()
-            assert is_primitive_form(f_form, r.functional, m)
-            assert is_primitive_form(alpha_form, r.alpha, m)
-        m, functionals, alphas = _cleared_forms(refls)
-        lifted += m is not None and None in {r.forms[0] for r in refls}
-        support, cartan_rank = pairing_pattern(functionals, alphas, m)
+            assert is_primitive_form(r.forms.f, r.functional, m)
+            assert is_primitive_form(r.forms.alpha, r.alpha, m)
+        forms = _stacked_forms(refls)
+        m = forms.m
+        lifted += m is not None and None in {r.forms.m for r in refls}
+        support, cartan_rank = pairing_pattern(forms.f, forms.alpha, m)
         cartan = [[dot(r.functional, s.alpha) for s in refls] for r in refls]
         assert support == [[bool(x) for x in row] for row in cartan]
         assert cartan_rank == row_rank(cartan, k)
         subset = rng.sample(refls, rng.randint(1, k))
-        m_s, _, alphas_s = _cleared_forms(subset)
-        assert echelon(alphas_s, n, m_s, cleared=True)[0] == row_rank([r.alpha for r in subset], n)
+        forms_s = _stacked_forms(subset)
+        rank_s = echelon([list(a) for a in forms_s.alpha], n, forms_s.m, cleared=True)[0]
+        assert rank_s == row_rank([r.alpha for r in subset], n)
     assert kind != "Q-in-sqrt5" or lifted >= 100
 
 
@@ -301,7 +303,11 @@ def test_gauss_jordan_bases_match_the_scalar_oracles(m):
     # above and below a pivot at an older level, so their next update
     # divides by that level's pivot
     rng = random.Random(1701 if m is None else m + 1701)
-    deficient = zero = empty = plain = 0
+    deficient = zero = empty = plain = levels = 0
+    # reversed, [[2, 0, 1], [0, 3, 1]]: the first pivot row ends a level below the second
+    one, two, three = (1, 2, 3) if m is None else ((1, 0), (2, 1), (3, -1))
+    cleared = [[one, 0, two], [one, three, 0]]
+    assert _null_vectors_are_multiples(cleared, 3, m, fractionfree.null_space(cleared, 3, m))
     for trial in range(400):
         rows, cols = rng.randint(0, 6), rng.randint(0, 7)
         if trial % 8 == 7:
@@ -333,7 +339,8 @@ def test_gauss_jordan_bases_match_the_scalar_oracles(m):
         assert Subspace.span([matrix.row(r) for r in range(rows)], cols).basis == oracle_basis
         assert rref(matrix) == (reduced, rk)
         assert all(type(x) in (Fraction, QuadExt) for v in null_basis + row_basis for x in v)
-        assert cleared == before  # both read copies
+        levels += _null_vectors_are_multiples(cleared, cols, field, null_basis)
+        assert cleared == before  # every read above works on a copy
         pivots = fractionfree.gauss_jordan(cleared, cols, field)
         assert len(pivots) == len(row_basis) == cols - len(null_basis)
         rk = len(pivots)
@@ -341,6 +348,24 @@ def test_gauss_jordan_bases_match_the_scalar_oracles(m):
         zero += rows * cols > 0 and matrix.is_zero()
         empty += rows == 0 or cols == 0
     assert min(deficient, zero, empty, plain) >= 20, (deficient, zero, empty, plain)
+    assert levels >= 20, levels
+
+
+def _null_vectors_are_multiples(cleared, cols, m, null_basis):
+    """Each of null_vectors' vectors over Z[sqrt(m)] is a nonzero multiple of
+    null_space's canonical vector; the result says whether the pivot rows of
+    the reversed reduction end at different levels, i.e. hold different
+    pivots, so that the null vectors' divisions are by different pivots."""
+    vectors = fractionfree.null_vectors(cleared, cols, m)
+    assert len(vectors) == len(null_basis)
+    for v, canonical in zip(vectors, null_basis):
+        assert all(type(x) is (int if m is None or not x else tuple) for x in v)
+        lead = next(t for t, x in enumerate(canonical) if x)
+        c = to_scalar(v[lead], 1, m)
+        assert c and [to_scalar(x, 1, m) for x in v] == [c * y for y in canonical]
+    reduced = [list(reversed(row)) for row in cleared]
+    pivots = fractionfree.gauss_jordan(reduced, cols, m)
+    return len({reduced[r][p] for r, p in enumerate(pivots)}) > 1
 
 
 def _element(rng, m, bits=64, zero_share=0.2):

@@ -311,10 +311,10 @@ def test_recognition_matches_bareiss_oracle():
             seen[got.split(":")[0]] += 1  # lambda = 1 or lambda = 0
         else:
             data = recognize_reflection(matrix)
-            m, f_form, alpha_form = data.forms
+            m = data.forms.m
             assert m == matrix.field()
-            assert is_primitive_form(f_form, data.functional, m), (kind, matrix)
-            assert is_primitive_form(alpha_form, data.alpha, m), (kind, matrix)
+            assert is_primitive_form(data.forms.f, data.functional, m), (kind, matrix)
+            assert is_primitive_form(data.forms.alpha, data.alpha, m), (kind, matrix)
             diff = matrix - Matrix.identity(matrix.rows)
             q = next(j for j, x in enumerate(data.functional) if x)
             moving = [i for i in range(diff.rows) if any(diff.row(i))]

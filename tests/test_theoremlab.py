@@ -8,7 +8,7 @@ from reflext.catalog import entry, infinite_dihedral
 from reflext.errors import NotSpanning, ReflextError
 from reflext.graphs import Graph, induced, is_connected
 from reflext.linalg import Matrix, Subspace, rank
-from reflext.reflections import recognize_reflection
+from reflext.reflections import recognize_reflection, reflection_from_parts
 from reflext.repkit import Representation
 from reflext.scalars import QuadExt
 from reflext.theoremlab import check_hypotheses, connected_basis_subset, verify_theorem
@@ -70,24 +70,50 @@ def test_connected_basis_subset_independent_input():
     assert connected_basis_subset([r.alpha for r in refls], graph) == (1, 2)
 
 
+# (alphas, functionals) of k > n reflections on which the f_i pick another
+# basis subset than the alpha_i: on the first both subsets are bases for both,
+# on the second the f of the alpha subset are dependent, and so are the alpha
+# of the f subset
+F_PICKS_ANOTHER_SUBSET = [
+    (
+        [(1, 0, 0), (-1, 2, 2), (0, 1, 1), (0, 1, 0)],
+        [(1, 1, 1), (1, -1, -1), (-1, 0, 2), (2, 1, -1)],
+    ),
+    ([(-1, 0), (1, 2), (1, 2)], [(-1, 0), (1, 2), (1, 0)]),
+]
+
+
 def test_connected_basis_subset_redundant_generators():
-    rep = entry("A2-redundant").representation
-    hyp = check_hypotheses(rep)
-    alphas = [r.alpha for r in hyp.reflections if r is not None]
-    subset = connected_basis_subset(alphas, hyp.graph)
-    assert len(subset) == 2
-    # oracle: exhaustive over all 2-subsets; chosen one must be a basis with a
-    # connected induced subgraph
-    chosen = Matrix.from_rows([list(alphas[i - 1]) for i in subset])
-    assert rank(chosen) == 2
-    assert is_connected(induced(hyp.graph, subset))
-    valid = [
-        pair
-        for pair in itertools.combinations((1, 2, 3), 2)
-        if rank(Matrix.from_rows([list(alphas[i - 1]) for i in pair])) == 2
-        and is_connected(induced(hyp.graph, pair))
+    reps = [entry("A2-redundant").representation] + [
+        Representation([reflection_from_parts(a, f) for a, f in zip(alphas, functionals)])
+        for alphas, functionals in F_PICKS_ANOTHER_SUBSET
     ]
-    assert tuple(subset) in valid
+    for index, rep in enumerate(reps):
+        n, k = rep.dim, len(rep.generators)
+        hyp = check_hypotheses(rep)
+        alphas = [r.alpha for r in hyp.reflections if r is not None]
+        subset = connected_basis_subset(alphas, hyp.graph)
+        assert len(subset) == n
+        # oracle: exhaustive over all n-subsets; chosen one must be a basis with a
+        # connected induced subgraph
+        chosen = Matrix.from_rows([list(alphas[i - 1]) for i in subset])
+        assert rank(chosen) == n
+        assert is_connected(induced(hyp.graph, subset))
+        valid = [
+            part
+            for part in itertools.combinations(range(1, k + 1), n)
+            if rank(Matrix.from_rows([list(alphas[i - 1]) for i in part])) == n
+            and is_connected(induced(hyp.graph, part))
+        ]
+        assert tuple(subset) in valid
+        # verify_theorem picks the same subset off the alpha^ forms
+        assert verify_theorem(rep).claim3_subset == subset
+        if index:
+            # the f_i pick another one, and on the last input the f of this one are dependent
+            functionals = [r.functional for r in hyp.reflections]
+            assert connected_basis_subset(functionals, hyp.graph) != subset
+            f_rank = rank(Matrix.from_rows([list(functionals[i - 1]) for i in subset]))
+            assert (f_rank < n) == (index == len(reps) - 1)
 
 
 def test_connected_basis_subset_single_vector():
