@@ -7,7 +7,8 @@ the matrix of its d x d minors.
 
 from math import comb
 
-from reflext import Matrix, compound, wedge, eigen_split, recognize_reflection
+from reflext import Matrix, recognize_reflection
+from reflext.exterior import compound, eigen_split, wedge
 
 a = Matrix.from_rows([[1, 2, 0], [0, 1, 1], [1, 0, 1]])
 b = Matrix.from_rows([[2, 0, 1], [1, 1, 0], [0, 0, 1]])

@@ -6,22 +6,10 @@ one side, kernels of compound matrices on the other.
 
 from math import comb
 
-from reflext import (
-    Matrix,
-    compound,
-    det_twist,
-    dual_rep,
-    duality_intertwiner,
-    entry,
-    exterior_rep,
-    exterior_subspace,
-    hom_dim,
-    kernel,
-    minus_intersection,
-    recognize_reflection,
-    wedge,
-)
+from reflext import Matrix, entry, kernel, recognize_reflection
+from reflext.exterior import compound, exterior_subspace, minus_intersection, wedge
 from reflext.linalg import intersect_all
+from reflext.repkit import det_twist, dual_rep, duality_intertwiner, exterior_rep, hom_dim
 
 rep = entry("A3").representation
 refls = [recognize_reflection(g) for g in rep.generators]

@@ -5,6 +5,7 @@ simple and pairwise non-isomorphic."""
 from .scalars import QuadExt, Scalar, as_scalar, parse_scalar, render_scalar
 from .linalg import (
     Matrix,
+    Representation,
     Subspace,
     image,
     intersect,
@@ -14,27 +15,10 @@ from .linalg import (
     subspace_sum,
 )
 from .reflections import ReflectionData, fixes_vector, recognize_reflection
-from .exterior import (
-    EigenSplit,
-    compound,
-    eigen_split,
-    exterior_subspace,
-    minus_basis_from_any_extension,
-    minus_intersection,
-    wedge,
-)
 from .graphs import Graph, MoveStep, deletable_vertex, induced, is_connected, move_sequence
-from .repkit import (
-    Representation,
-    SimplicityVerdict,
-    det_twist,
-    dual_rep,
-    duality_intertwiner,
-    exterior_rep,
-    hom_dim,
-)
 from .theoremlab import (
     HypothesisReport,
+    SimplicityVerdict,
     TheoremReport,
     check_hypotheses,
     connected_basis_subset,
@@ -49,6 +33,7 @@ __all__ = [
     "parse_scalar",
     "render_scalar",
     "Matrix",
+    "Representation",
     "Subspace",
     "image",
     "intersect",
@@ -59,27 +44,14 @@ __all__ = [
     "ReflectionData",
     "fixes_vector",
     "recognize_reflection",
-    "EigenSplit",
-    "compound",
-    "eigen_split",
-    "exterior_subspace",
-    "minus_basis_from_any_extension",
-    "minus_intersection",
-    "wedge",
     "Graph",
     "MoveStep",
     "deletable_vertex",
     "induced",
     "is_connected",
     "move_sequence",
-    "Representation",
-    "SimplicityVerdict",
-    "det_twist",
-    "dual_rep",
-    "duality_intertwiner",
-    "exterior_rep",
-    "hom_dim",
     "HypothesisReport",
+    "SimplicityVerdict",
     "TheoremReport",
     "check_hypotheses",
     "connected_basis_subset",

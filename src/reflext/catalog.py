@@ -20,8 +20,7 @@ from functools import cache
 from typing import Callable, NamedTuple, Optional
 
 from .errors import UnknownEntry
-from .linalg import Matrix
-from .repkit import Representation
+from .linalg import Matrix, Representation
 from .scalars import QuadExt, as_scalar
 
 

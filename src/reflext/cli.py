@@ -15,8 +15,8 @@ from math import comb
 
 from . import catalog as catalog_mod
 from .errors import BadDegree, ParseError, ReflextError, UnknownEntry
+from .linalg import Representation
 from .repfile import load_repfile, matrix_doc, representation_to_document
-from .repkit import Representation, exterior_rep, hom_dim
 from .reports import (
     analyze_document,
     render_analyze_text,
@@ -110,6 +110,8 @@ def verify(target: str, as_json: bool, trace: bool, degrees: list[int]) -> int:
 
 def exterior(target: str, degree: int, as_json: bool) -> int:
     """Print the compound generator matrices of the d-th exterior power."""
+    from .repkit import exterior_rep
+
     try:
         rep, source = _load_target(target)
         _refuse_above(
@@ -137,6 +139,8 @@ def exterior(target: str, degree: int, as_json: bool) -> int:
 
 def _load_power(spec: str) -> tuple[Representation, str]:
     """TARGET or TARGET:d, the latter meaning the d-th exterior power."""
+    from .repkit import exterior_rep
+
     base, sep, suffix = spec.rpartition(":")
     digits = suffix.removeprefix("-")
     if sep and base and digits.isascii() and digits.isdigit():
@@ -157,6 +161,8 @@ def _load_power(spec: str) -> tuple[Representation, str]:
 
 def hom(left: str, right: str, as_json: bool) -> int:
     """Dimension of the space of intertwiners LEFT -> RIGHT (use NAME:d for exterior powers)."""
+    from .repkit import hom_dim
+
     try:
         lrep, lsource = _load_power(left)
         rrep, rsource = _load_power(right)

@@ -19,6 +19,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _check_degree,
     kernel,
     row_rank,
     vector,
@@ -26,11 +27,6 @@ from .linalg import (
 )
 from .reflections import ReflectionData
 from .scalars import Scalar
-
-
-def _check_degree(n: int, d: int) -> None:
-    if d < 0 or d > n:
-        raise BadDegree(f"degree {d} outside 0..{n}")
 
 
 def compound(matrix: Matrix, d: int) -> Matrix:

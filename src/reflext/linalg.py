@@ -2,7 +2,8 @@
 
 Matrices are immutable, stored row-major as tuples of exact scalars.  A
 Subspace is identified with its canonical reduced-row-echelon basis (zero rows
-dropped), so subspace equality is literal matrix equality.
+dropped), so subspace equality is literal matrix equality.  A Representation
+is a dimension plus labeled invertible generator matrices.
 
 Every canonical basis (rref, kernel, Subspace.span, the intertwiner
 solver) and every rank and determinant comes from the fraction-free kernel
@@ -16,7 +17,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import AmbientMismatch, EmptyGeneratorList, LengthMismatch, SingularMatrix
+from .errors import AmbientMismatch, BadDegree, EmptyGeneratorList, LengthMismatch, SingularMatrix
 from .fractionfree import (
     clear,
     difference,
@@ -239,6 +240,76 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
+class Representation:
+    """Dimension plus an ordered list of labeled invertible generator matrices.
+
+    Two representations are equal when their generators and labels are."""
+
+    __slots__ = ("dim", "generators", "labels")
+
+    def __init__(self, generators: Sequence[Matrix], labels: Sequence[str] | None = None):
+        gens = tuple(generators)
+        if not gens:
+            raise EmptyGeneratorList("a representation needs at least one generator")
+        n = gens[0].rows
+        for g in gens:
+            if g.rows != g.cols or g.rows != n:
+                raise LengthMismatch("generators must be square matrices of one size")
+            if rank(g) < n:
+                raise SingularMatrix("generators must be invertible")
+        if labels is None:
+            labels = tuple(f"s{i + 1}" for i in range(len(gens)))
+        else:
+            labels = tuple(labels)
+            if len(labels) != len(gens):
+                raise LengthMismatch("one label per generator")
+        self.dim: int = n
+        self.generators: tuple[Matrix, ...] = gens
+        self.labels: tuple[str, ...] = labels
+
+    def _key(self) -> tuple:
+        return (self.dim, self.generators, self.labels)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Representation(dim={!r}, generators={!r}, labels={!r})".format(*self._key())
+
+    def field(self) -> int | None:
+        return field_of(e for g in self.generators for e in g.entries)
+
+    def conjugate(self, p: Matrix) -> "Representation":
+        p_inv = p.inverse()
+        return _invertible_rep([p @ g @ p_inv for g in self.generators], self.labels)
+
+    def permute(self, order: Sequence[int]) -> "Representation":
+        if not order:
+            raise EmptyGeneratorList("a representation needs at least one generator")
+        return _invertible_rep(
+            [self.generators[i] for i in order], tuple(self.labels[i] for i in order)
+        )
+
+
+def _invertible_rep(generators: Sequence[Matrix], labels: tuple[str, ...]) -> Representation:
+    """A Representation of square generators of one size, known to be
+    invertible, with one label each: built without Representation's checks.
+
+    Every derived representation is built here: a conjugate, reordering,
+    inverse transpose, nonzero multiple or compound of an invertible matrix
+    is invertible, so its generators are not ranked again."""
+    rep = object.__new__(Representation)
+    rep.dim = generators[0].rows
+    rep.generators = tuple(generators)
+    rep.labels = labels
+    return rep
+
+
 def rref(matrix: Matrix) -> tuple[Matrix, int]:
     """Canonical reduced row echelon form and rank."""
     m = matrix.field()
@@ -424,6 +495,11 @@ def charpoly(matrix: Matrix) -> list[Scalar]:
         if k < n:
             mk = matrix @ (mk + Matrix.identity(n).scale(ck))
     return coeffs
+
+
+def _check_degree(n: int, d: int) -> None:
+    if d < 0 or d > n:
+        raise BadDegree(f"degree {d} outside 0..{n}")
 
 
 def wedge_index_sets(n: int, d: int) -> list[tuple[int, ...]]:

@@ -26,8 +26,7 @@ from .errors import (
     ParseError,
     SingularMatrix,
 )
-from .linalg import Matrix
-from .repkit import Representation
+from .linalg import Matrix, Representation
 from .scalars import parse_scalar_in, render_scalar, validate_radicand
 
 # dense worst case at the limit: 64 generators I + alpha f^T with entries of

@@ -1,5 +1,7 @@
-"""Representations given by generator matrices: exterior/dual/determinant-twist
-constructions, hom spaces, the wedge-pairing duality, and simplicity certification.
+"""The generic toolkit on representations given by generator matrices
+(`linalg.Representation`): exterior/dual/determinant-twist constructions, hom
+spaces, the wedge-pairing duality, and simplicity certification.  The
+certifier and `import reflext` do not load it.
 
 Groups are never enumerated; intertwining with the generators is equivalent to
 intertwining with every word, which keeps infinite groups (e.g. infinite
@@ -11,85 +13,26 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import (
-    EmptyGeneratorList,
-    InternalError,
-    LengthMismatch,
-    SingularMatrix,
-)
-from .exterior import _check_degree, compound
-from .fractionfree import field_of
+from .errors import InternalError, LengthMismatch
+from .exterior import compound
 from .linalg import (
     Matrix,
+    Representation,
     Subspace,
     Vector,
+    _check_degree,
+    _invertible_rep,
     charpoly,
     kernel,
-    rank,
     solve_intertwiner,
     subspace_sum,
     unvec,
     wedge_index_sets,
 )
 from .scalars import QuadExt, Scalar
-
-
-class Representation:
-    """Dimension plus an ordered list of labeled invertible generator matrices.
-
-    Two representations are equal when their generators and labels are."""
-
-    __slots__ = ("dim", "generators", "labels")
-
-    def __init__(self, generators: Sequence[Matrix], labels: Sequence[str] | None = None):
-        gens = tuple(generators)
-        if not gens:
-            raise EmptyGeneratorList("a representation needs at least one generator")
-        n = gens[0].rows
-        for g in gens:
-            if g.rows != g.cols or g.rows != n:
-                raise LengthMismatch("generators must be square matrices of one size")
-            if rank(g) < n:
-                raise SingularMatrix("generators must be invertible")
-        if labels is None:
-            labels = tuple(f"s{i + 1}" for i in range(len(gens)))
-        else:
-            labels = tuple(labels)
-            if len(labels) != len(gens):
-                raise LengthMismatch("one label per generator")
-        self.dim: int = n
-        self.generators: tuple[Matrix, ...] = gens
-        self.labels: tuple[str, ...] = labels
-
-    def _key(self) -> tuple:
-        return (self.dim, self.generators, self.labels)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "Representation(dim={!r}, generators={!r}, labels={!r})".format(*self._key())
-
-    def field(self) -> int | None:
-        return field_of(e for g in self.generators for e in g.entries)
-
-    def conjugate(self, p: Matrix) -> "Representation":
-        p_inv = p.inverse()
-        return _invertible_rep([p @ g @ p_inv for g in self.generators], self.labels)
-
-    def permute(self, order: Sequence[int]) -> "Representation":
-        if not order:
-            raise EmptyGeneratorList("a representation needs at least one generator")
-        return _invertible_rep(
-            [self.generators[i] for i in order], tuple(self.labels[i] for i in order)
-        )
+from .theoremlab import SimplicityVerdict
 
 
 def exterior_rep(rep: Representation, d: int) -> Representation:
@@ -100,20 +43,6 @@ def exterior_rep(rep: Representation, d: int) -> Representation:
     """
     _check_degree(rep.dim, d)
     return _invertible_rep([compound(g, d) for g in rep.generators], rep.labels)
-
-
-def _invertible_rep(generators: Sequence[Matrix], labels: tuple[str, ...]) -> Representation:
-    """A Representation of square generators of one size, known to be
-    invertible, with one label each: built without Representation's checks.
-
-    Every derived representation is built here: a conjugate, reordering,
-    inverse transpose, nonzero multiple or compound of an invertible matrix
-    is invertible, so its generators are not ranked again."""
-    rep = object.__new__(Representation)
-    rep.dim = generators[0].rows
-    rep.generators = tuple(generators)
-    rep.labels = labels
-    return rep
 
 
 def dual_rep(rep: Representation) -> Representation:
@@ -164,23 +93,6 @@ def duality_intertwiner(rep: Representation, d: int) -> Matrix:
             else:
                 entries.append(_complement_sign(k_set, j_set))
     return Matrix(comb(n, d), comb(n, n - d), entries)
-
-
-class SimplicityVerdict(NamedTuple):
-    """Outcome of simplicity certification.
-
-    status 'Simple' or 'Reducible' (with a generator-invariant witness) or
-    'Inconclusive' when the search space is exhausted without a certificate.
-    """
-
-    status: str  # Simple | Reducible | Inconclusive
-    commutant_dim: int
-    witness: Optional[Subspace] = None
-    method: str = ""
-
-    @property
-    def is_simple(self) -> bool:
-        return self.status == "Simple"
 
 
 def spin(rep: Representation, seeds: Sequence[Vector], transpose: bool = False) -> Subspace:

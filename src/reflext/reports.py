@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .linalg import Subspace
+from .linalg import Representation, Subspace
 from .reflections import ReflectionData
 from .repfile import field_doc, matrix_doc, vector_doc
-from .repkit import Representation, SimplicityVerdict
 from .scalars import render_scalar
-from .theoremlab import ClaimFiveTrace, HypothesisReport, TheoremReport
+from .theoremlab import ClaimFiveTrace, HypothesisReport, SimplicityVerdict, TheoremReport
 from .graphs import Graph
 
 SCALAR_PATTERN = r"^-?\d+(/\d+)?([+-]\d+(/\d+)?\*sqrt\(\d+\))?$"

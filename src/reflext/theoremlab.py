@@ -41,7 +41,6 @@ from .errors import (
     NotSpanning,
     SingularMatrix,
 )
-from .exterior import _check_degree
 from .fractionfree import (
     clear,
     echelon,
@@ -64,10 +63,26 @@ from .graphs import (
     is_connected,
     move_chain,
 )
-from .linalg import Subspace, Vector, _canonical_subspace
+from .linalg import Representation, Subspace, Vector, _canonical_subspace, _check_degree
 from .reflections import Forms, ReflectionData, recognize_reflection
-from .repkit import Representation, SimplicityVerdict
 from .scalars import merge_tags
+
+
+class SimplicityVerdict(NamedTuple):
+    """Outcome of simplicity certification.
+
+    status 'Simple' or 'Reducible' (with a generator-invariant witness) or
+    'Inconclusive' when the search space is exhausted without a certificate.
+    """
+
+    status: str  # Simple | Reducible | Inconclusive
+    commutant_dim: int
+    witness: Optional[Subspace] = None
+    method: str = ""
+
+    @property
+    def is_simple(self) -> bool:
+        return self.status == "Simple"
 
 
 class HypothesisReport(NamedTuple):

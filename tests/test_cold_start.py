@@ -1,4 +1,5 @@
-"""Cold start: sympy and jsonschema load only where they are used, and a
+"""Cold start: sympy and jsonschema load only where they are used, the
+generic toolkit (repkit, exterior) only for the commands that use it, and a
 catalog entry is built at its first lookup, one entry at a time.
 
 Each check runs in a fresh interpreter, so it sees exactly the modules that
@@ -19,6 +20,13 @@ from reflext.repfile import representation_to_document
 from reflext.reports import THEOREM_SCHEMA
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+TOOLKIT = ("reflext.repkit", "reflext.exterior")
+# the names the package leaves to reflext.repkit and reflext.exterior
+TOOLKIT_NAMES = (
+    "compound", "wedge", "eigen_split", "EigenSplit", "exterior_subspace",
+    "minus_basis_from_any_extension", "minus_intersection", "exterior_rep", "hom_dim",
+    "dual_rep", "det_twist", "duality_intertwiner",
+)
 
 
 def _run(args, code=None):
@@ -28,15 +36,26 @@ def _run(args, code=None):
     return subprocess.run(cmd, capture_output=True, text=True, timeout=120, env=env)
 
 
-def _loaded_after(statement):
+def _loaded_after(statement, modules=("sympy", "jsonschema")):
     code = (
         f"{statement}\n"
         "import sys, json\n"
-        "print(json.dumps([m in sys.modules for m in ('sympy', 'jsonschema')]))"
+        f"print(json.dumps([m in sys.modules for m in {modules!r}]))"
     )
     result = _run([], code)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def _command(args, code=0):
+    """A statement running the command line on args, which must exit with code."""
+    return (
+        "from reflext.cli import main\n"
+        "try:\n"
+        f"    main({args!r})\n"
+        "except SystemExit as exc:\n"
+        f"    assert exc.code == {code}, exc.code"
+    )
 
 
 def test_import_loads_neither_sympy_nor_jsonschema():
@@ -49,15 +68,52 @@ def test_no_runtime_dependency_and_simplicity_outside_the_namespace():
     project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == []
     assert any(d.startswith("sympy") for d in project["optional-dependencies"]["test"])
-    # the generic oracle stays in repkit; the type of HypothesisReport.v_simple is public
+    # the generic oracle and toolkit stay in their modules; the type of
+    # HypothesisReport.v_simple is public
     code = (
-        "import json, reflext, reflext.repkit\n"
+        "import json, reflext, reflext.repkit, reflext.exterior\n"
         "print(json.dumps(['simplicity' in reflext.__all__, hasattr(reflext, 'simplicity'),\n"
-        "    'SimplicityVerdict' in reflext.__all__, callable(reflext.repkit.simplicity)]))"
+        "    'SimplicityVerdict' in reflext.__all__, callable(reflext.repkit.simplicity)]))\n"
+        f"names = {TOOLKIT_NAMES!r}\n"
+        "print(json.dumps([[n in reflext.__all__, hasattr(reflext, n)] for n in names]))\n"
+        "homes = (reflext.repkit, reflext.exterior)\n"
+        "print(json.dumps([any(hasattr(home, n) for home in homes) for n in names]))"
     )
     result = _run([], code)
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [False, False, True, True]
+    first, toolkit, homes = result.stdout.splitlines()
+    assert json.loads(first) == [False, False, True, True]
+    assert json.loads(toolkit) == [[False, False]] * len(TOOLKIT_NAMES)
+    assert json.loads(homes) == [True] * len(TOOLKIT_NAMES)
+
+
+def test_import_verify_and_analyze_load_no_toolkit():
+    for statement in (
+        "import reflext",
+        "import reflext.cli",
+        _command(["verify", "A2", "--json"]),
+        _command(["analyze", "A3", "--json"]),
+    ):
+        assert _loaded_after(statement, TOOLKIT) == [False, False], statement
+
+
+def test_hom_and_exterior_load_the_toolkit_and_print_as_before():
+    exterior_a3_2 = [
+        "exterior power d=2 of A3 (dim 3)",
+        "  s1:", "    [ -1  0  0 ]", "    [ 0  -1  1 ]", "    [ 0  0  1 ]",
+        "  s2:", "    [ -1  1  0 ]", "    [ 0  1  0 ]", "    [ 0  1  -1 ]",
+        "  s3:", "    [ 1  0  0 ]", "    [ 1  -1  0 ]", "    [ 0  0  -1 ]",
+    ]
+    for args, expected in [
+        (["hom", "A3:1", "A3:2"], ["dim Hom(A3:1, A3:2) = 0"]),
+        (["exterior", "A3", "--d", "2"], exterior_a3_2),
+    ]:
+        code = _command(args) + f"\nimport sys\nprint([m in sys.modules for m in {TOOLKIT!r}])"
+        result = _run([], code)
+        assert result.returncode == 0, result.stderr
+        *printed, loaded = result.stdout.splitlines()
+        assert printed == expected, args
+        assert loaded == "[True, True]", args
 
 
 def test_import_builds_no_catalog_entry():
@@ -74,14 +130,7 @@ def test_import_builds_no_catalog_entry():
 
 
 def test_hom_command_does_not_load_sympy():
-    statement = (
-        "from reflext.cli import main\n"
-        "try:\n"
-        "    main(['hom', 'A3:1', 'A3:2', '--json'])\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code"
-    )
-    assert _loaded_after(statement)[0] is False
+    assert _loaded_after(_command(["hom", "A3:1", "A3:2", "--json"]))[0] is False
 
 
 def test_verify_under_optimize_emits_a_valid_document():
@@ -121,14 +170,7 @@ def test_commands_load_neither_sympy_nor_jsonschema():
         (["verify", "cond4-fail"], 3),
         (["analyze", "A3", "--json"], 0),
     ]:
-        statement = (
-            "from reflext.cli import main\n"
-            "try:\n"
-            f"    main({args!r})\n"
-            "except SystemExit as exc:\n"
-            f"    assert exc.code == {code}, exc.code"
-        )
-        assert _loaded_after(statement) == [False, False], args
+        assert _loaded_after(_command(args, code)) == [False, False], args
 
 
 def test_cli_loads_neither_click_nor_dataclasses():

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import jsonschema
 import pytest
 
-from reflext import cli, repfile, scalars
+from reflext import cli, repfile, repkit, scalars
 from reflext.catalog import _cartan_rep, entry
 from reflext.cli import main
 from reflext.errors import ParseError, SchemaViolation
@@ -437,7 +437,7 @@ def test_cli_exterior_dimension_limit(runner, tmp_path, monkeypatch):
     assert comb(9, 4) > cli.MAX_EXTERIOR_DIM >= comb(9, 1)
     path = _chain_file(tmp_path, 9)
     assert runner.invoke(main, ["exterior", path, "--d", "9"]).exit_code == 0
-    monkeypatch.setattr(cli, "exterior_rep", _refuse)
+    monkeypatch.setattr(repkit, "exterior_rep", _refuse)
     result = runner.invoke(main, ["exterior", path, "--d", "4"])
     assert result.exit_code == 2
     assert result.stderr.startswith("error:")
@@ -448,8 +448,8 @@ def test_cli_hom_dimension_limit(runner, tmp_path, monkeypatch, n, suffix):
     # C(7, 3) = 35 and a plain 21-dim target are both above the limit of 20
     assert min(comb(7, 3), 21) > cli.MAX_HOM_DIM
     target = _chain_file(tmp_path, n) + suffix
-    monkeypatch.setattr(cli, "exterior_rep", _refuse)
-    monkeypatch.setattr(cli, "hom_dim", _refuse)
+    monkeypatch.setattr(repkit, "exterior_rep", _refuse)
+    monkeypatch.setattr(repkit, "hom_dim", _refuse)
     for args in (["hom", target, "A2"], ["hom", "A2", target]):
         result = runner.invoke(main, args)
         assert result.exit_code == 2

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from reflext.catalog import entry, list_entries
-from reflext import repkit
+from reflext import linalg
 from reflext.errors import BadDegree, EmptyGeneratorList, LengthMismatch, SingularMatrix
 from reflext.exterior import compound, eigen_split, exterior_subspace
 from reflext.linalg import Matrix, intersect_all, kernel
@@ -70,7 +70,7 @@ def test_derived_representations_are_not_ranked_again(monkeypatch):
     def refuse(*args):
         raise AssertionError("rank called")
 
-    monkeypatch.setattr(repkit, "rank", refuse)
+    monkeypatch.setattr(linalg, "rank", refuse)
     derived = {
         "conjugate": A2.conjugate(Matrix.from_rows([[1, 1], [0, 1]])),
         "permute": A2.permute([1, 0]),
