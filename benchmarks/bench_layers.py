@@ -14,7 +14,9 @@ fraction-free kernel: rank of the H4 Cartan matrix and of a dense 16x16
 matrix over Q(sqrt(5)), and the determinant of a dense 32x32 integer matrix;
 of the null space of a rank-8 rational 20x40 matrix, the inverse of a dense
 rational 8x8 matrix and the Hom system of A6:3 with itself (400 unknowns,
-the MAX_HOM_DIM limit of `reflext hom`); of input construction:
+the MAX_HOM_DIM limit of `reflext hom`); of the generic simplicity oracle
+on the exterior squares of A4 and H4 and on a reducible 4x4 module; of
+input construction:
 building A60 (one rank per generator) and loading the dense dim-32
 representation file of benchmarks/dense_repfile.py; of the whole certifier,
 verify_theorem on the H3 conjugate and on F4, A16, A40 and A60, on the
@@ -60,7 +62,7 @@ from reflext.errors import NotRankOne
 from reflext.linalg import Matrix, dot, kernel, rank
 from reflext.reflections import recognize_reflection, reflection_from_parts
 from reflext.repfile import load_repfile, representation_from_document
-from reflext.repkit import Representation, exterior_rep, hom_dim
+from reflext.repkit import Representation, exterior_rep, hom_dim, simplicity
 from reflext.reports import (
     analyze_document,
     theorem_document,
@@ -261,6 +263,35 @@ def test_inverse(benchmark):
 @pytest.mark.parametrize("rep", [A6_WEDGE3], ids=["A6:3"])
 def test_hom_dim(benchmark, rep):
     assert benchmark(hom_dim, rep, rep) == 1
+
+
+# a reducible 4 x 4 module that no spin of a basis vector or of an
+# eigenvector of a short word reveals; its words span 12 dimensions
+REDUCIBLE_4X4 = Representation([
+    Matrix.from_rows([
+        [Fraction(17, 2), Fraction(-15, 4), Fraction(3, 4), Fraction(43, 4)],
+        [-1, 11, 4, Fraction(-44, 3)],
+        [Fraction(-35, 2), Fraction(-25, 4), Fraction(-31, 4), Fraction(-49, 12)],
+        [Fraction(-21, 2), Fraction(15, 4), Fraction(-3, 4), Fraction(-55, 4)],
+    ]),
+    Matrix.from_rows([
+        [Fraction(-33, 2), Fraction(-23, 4), Fraction(-25, 4), Fraction(-13, 4)],
+        [23, 12, 10, Fraction(4, 3)],
+        [Fraction(15, 2), Fraction(5, 4), Fraction(7, 4), Fraction(29, 12)],
+        [Fraction(33, 2), Fraction(33, 4), Fraction(27, 4), Fraction(3, 4)],
+    ]),
+])
+SIMPLICITY = {
+    "wedge2-A4": (exterior_rep(_cartan_rep(chain(4)), 2), True),
+    "wedge2-H4": (exterior_rep(H4, 2), True),
+    "reducible-4x4": (REDUCIBLE_4X4, False),
+}
+
+
+@pytest.mark.parametrize("name", list(SIMPLICITY))
+def test_simplicity(benchmark, name):
+    rep, simple = SIMPLICITY[name]
+    assert benchmark(simplicity, rep).is_simple is simple
 
 
 def test_build_a60(benchmark):

@@ -68,8 +68,8 @@ def _error(exc: Exception) -> int:
     return EXIT_PARSE
 
 
-def _emit(doc: dict, text: str, as_json: bool) -> None:
-    print(json.dumps(doc, indent=2) if as_json else text)
+def _emit(doc: dict, render, as_json: bool) -> None:
+    print(json.dumps(doc, indent=2) if as_json else render(doc))
 
 
 def _print_generators(generators: list[dict]) -> None:
@@ -87,7 +87,7 @@ def analyze(target: str, as_json: bool) -> int:
         return _error(exc)
     hyp = check_hypotheses(rep)
     doc = analyze_document(rep, hyp, source)
-    _emit(doc, render_analyze_text(doc), as_json)
+    _emit(doc, render_analyze_text, as_json)
     return EXIT_OK if doc["ok"] else EXIT_HYPOTHESIS
 
 
@@ -101,7 +101,7 @@ def verify(target: str, as_json: bool, trace: bool, degrees: list[int]) -> int:
     except (ParseError, BadDegree) as exc:
         return _error(exc)
     doc = theorem_document(report, rep, source)
-    _emit(doc, render_theorem_text(doc), as_json)
+    _emit(doc, render_theorem_text, as_json)
     status = report.conclusion.status
     if status == "TheoremVerified":
         return EXIT_OK

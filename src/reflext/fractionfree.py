@@ -273,6 +273,30 @@ def echelon(
     return lead, pivots[-1], sign, scale
 
 
+def extend_echelon(basis: list, row: list, m: int | None) -> bool:
+    """Append a row over Z[sqrt(m)], reduced in place, to an incremental
+    echelon basis when it is independent of the basis; True when appended.
+
+    `basis` holds (pivot column, row) pairs, each row zero left of its pivot
+    and at the earlier pivots, with an int pivot entry.  The row is reduced at
+    each pivot c in turn, row := b[c] row - row[c] b, which keeps it zero at
+    the earlier pivots.  A remainder joins times the conjugate of its pivot
+    entry and over the gcd of its integer components: with int pivots that
+    gcd keeps the entries small over Z[sqrt(m)] too.
+    """
+    for col, b in basis:
+        if row[col]:
+            combine(row, b[col], row[col], b, integer(1, m), range(len(row)), m)
+    lead = next((c for c, x in enumerate(row) if x), None)
+    if lead is None:
+        return False
+    if m is not None and row[lead][1]:
+        a, e = row[lead]
+        row = [times(x, (a, -e), m) for x in row]
+    basis.append((lead, list(primitive(tuple(row), m))))
+    return True
+
+
 def gauss_jordan(rows: list, cols: int, m: int | None) -> list[int]:
     """Fraction-free reduced row echelon form over Z[sqrt(m)]: the pivot columns.
 

@@ -1,7 +1,8 @@
 """The generic toolkit on representations given by generator matrices
 (`linalg.Representation`): exterior/dual/determinant-twist constructions, hom
-spaces, the wedge-pairing duality, and simplicity certification.  The
-certifier and `import reflext` do not load it.
+spaces, the wedge-pairing duality, and the generic simplicity decision from
+the algebra the generators span.  The certifier and `import reflext` do not
+load it.
 
 Groups are never enumerated; intertwining with the generators is equivalent to
 intertwining with every word, which keeps infinite groups (e.g. infinite
@@ -17,6 +18,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalError, LengthMismatch
 from .exterior import compound
+from .fractionfree import clear, extend_echelon, field_of
 from .linalg import (
     Matrix,
     Representation,
@@ -27,11 +29,10 @@ from .linalg import (
     charpoly,
     kernel,
     solve_intertwiner,
-    subspace_sum,
     unvec,
     wedge_index_sets,
 )
-from .scalars import QuadExt, Scalar
+from .scalars import QuadExt, Scalar, merge_tags
 from .theoremlab import SimplicityVerdict
 
 
@@ -95,24 +96,30 @@ def duality_intertwiner(rep: Representation, d: int) -> Matrix:
     return Matrix(comb(n, d), comb(n, n - d), entries)
 
 
-def spin(rep: Representation, seeds: Sequence[Vector], transpose: bool = False) -> Subspace:
-    """Smallest generator-invariant subspace containing the seeds.
+def _closure(seeds: Sequence[Matrix], maps: Sequence, m: int | None, cap: int) -> list[Matrix]:
+    """A basis of the smallest space containing the seeds and closed under
+    the linear maps, or its first `cap` elements.  Breadth-first, a seed or
+    an image of a kept element is kept only when its entries are independent
+    of the kept ones, by one incremental reduction (`extend_echelon`)."""
+    reduced: list = []
+    kept = [x for x in seeds if extend_echelon(reduced, clear(x.entries, m)[0], m)]
+    for x in kept:  # kept grows while it is walked
+        for f in maps:
+            if len(kept) >= cap:
+                return kept
+            y = f(x)
+            if extend_echelon(reduced, clear(y.entries, m)[0], m):
+                kept.append(y)
+    return kept
 
-    With transpose=True the generators act by their transposes (dual module up
-    to inverse, which spans the same invariant subspaces).
-    """
+
+def spin(rep: Representation, seeds: Sequence[Vector]) -> Subspace:
+    """Smallest generator-invariant subspace containing the seeds."""
     n = rep.dim
-    gens = [g.transpose() if transpose else g for g in rep.generators]
-    space = Subspace.span(seeds, n)
-    queue = list(space.basis_vectors())
-    while queue:
-        v = queue.pop()
-        for g in gens:
-            w = g.apply(v)
-            if not space.contains(w):
-                space = subspace_sum(space, Subspace.span([w], n))
-                queue.append(w)
-    return space
+    columns = [Matrix(n, 1, v) for v in seeds]
+    m = merge_tags(rep.field(), field_of(e for c in columns for e in c.entries))
+    kept = _closure(columns, [g.__matmul__ for g in rep.generators], m, n)
+    return Subspace.span([c.entries for c in kept], n)
 
 
 def is_invariant(rep: Representation, space: Subspace) -> bool:
@@ -130,10 +137,8 @@ def _witness_from_commutant(rep: Representation, commutant: Subspace) -> Optiona
     candidates = [unvec(v, n, n) for v in commutant.basis_vectors()]
     candidates += [a + b for a, b in itertools.combinations(candidates, 2)]
     for x in candidates:
-        # skip scalar multiples of the identity
-        diag = x[0, 0]
-        if x == Matrix.identity(n).scale(diag):
-            continue
+        if x == Matrix.identity(n).scale(x[0, 0]):
+            continue  # a scalar
         for mu in _roots_in_field(charpoly(x), field_m):
             ker = kernel(x - Matrix.identity(n).scale(mu))
             if 0 < ker.dim < n:
@@ -192,35 +197,24 @@ def _from_sympy(expr, m: int | None) -> Scalar | None:
     return None
 
 
-def _word_matrices(rep: Representation, max_length: int) -> list[Matrix]:
-    """Distinct matrices of generator words up to the given length, short words first."""
-    seen = {Matrix.identity(rep.dim)}
-    frontier = [Matrix.identity(rep.dim)]
-    out: list[Matrix] = []
-    for _ in range(max_length):
-        new_frontier = []
-        for w in frontier:
-            for g in rep.generators:
-                m = w @ g
-                if m not in seen:
-                    seen.add(m)
-                    new_frontier.append(m)
-                    out.append(m)
-        frontier = new_frontier
-    return out
+def _algebra_basis(rep: Representation) -> list[Matrix]:
+    """Words in the generators forming a basis of the algebra A they span,
+    the identity first and shorter words before longer ones; n^2 words when
+    A = End(F^n).  A word w is followed by the words w @ g."""
+    maps = [lambda w, g=g: w @ g for g in rep.generators]
+    return _closure([Matrix.identity(rep.dim)], maps, rep.field(), rep.dim**2)
 
 
 def simplicity(rep: Representation) -> SimplicityVerdict:
-    """Certify simplicity or produce a reducibility witness.
+    """Decide simplicity of W = F^n from the algebra A the generator words span.
 
-    Runs a spin-up search: kernels of non-scalar commutant elements, standard
-    basis seeds, kernels of (word - mu*I) for words up to length 4 with mu
-    extracted from the characteristic polynomial, and their transposed (dual)
-    counterparts.  A nullity-one kernel whose primal and dual spin-ups both
-    fill the space is a rigorous irreducibility certificate.  A search that
-    ends without a certificate or a witness is Inconclusive, whatever the
-    commutant dimension: commutant dimension 1 alone does not rule out a
-    submodule.
+    If A = End(W), W is absolutely simple (Burnside's theorem), and the n^2
+    words of `_algebra_basis` are the certificate.  Otherwise, in
+    characteristic 0, rad A is the radical of the trace form tr(xy) on A
+    (Dickson's criterion), and a nonzero r in it spins a nonzero column r e_j
+    into a submodule inside rad(A) W != W.  With rad A = 0, W is semisimple
+    and A != End(W), so End_A(W) != F: a field eigenvalue of a commutant
+    element gives a witness, and without one the verdict is Inconclusive.
     """
     n = rep.dim
     commutant = solve_intertwiner(list(rep.generators), list(rep.generators))
@@ -233,42 +227,22 @@ def simplicity(rep: Representation) -> SimplicityVerdict:
 
     if n == 1:
         return SimplicityVerdict("Simple", cdim, method="dimension-one")
-
-    # kernels of commutant elements are submodules
-    if cdim > 1:
-        witness = _witness_from_commutant(rep, commutant)
-        if witness is not None:
-            return reducible(witness, "commutant-kernel")
-
-    basis_seeds = [
-        tuple(Fraction(1) if i == j else Fraction(0) for i in range(n)) for j in range(n)
-    ]
-    for seed in basis_seeds:
-        grown = spin(rep, [seed])
-        if grown.dim < n:
-            return reducible(grown, "spin-basis")
-
-    field_m = rep.field()
-    for word in _word_matrices(rep, 4):
-        for mu in _roots_in_field(charpoly(word), field_m):
-            shifted = word - Matrix.identity(n).scale(mu)
-            ker = kernel(shifted)
-            if ker.dim == n:
-                continue  # word is scalar
-            for v in ker.basis_vectors():
-                grown = spin(rep, [v])
-                if grown.dim < n:
-                    return reducible(grown, "spin-eigen")
-            if ker.dim == 1:
-                dual_ker = kernel(shifted.transpose())
-                dual_grown = spin(rep, dual_ker.basis_vectors(), transpose=True)
-                if dual_grown.dim < n:
-                    return reducible(dual_grown.perp(), "dual-spin-eigen")
-                # nullity-one kernel, primal and dual spin both fill the space:
-                # no proper submodule can exist (Norton's criterion)
-                return SimplicityVerdict("Simple", cdim, method="norton")
-    for seed in basis_seeds:
-        dual_grown = spin(rep, [seed], transpose=True)
-        if dual_grown.dim < n:
-            return reducible(dual_grown.perp(), "dual-spin-basis")
-    return SimplicityVerdict("Inconclusive", cdim, method="search-exhausted")
+    words = _algebra_basis(rep)
+    if len(words) == n * n:
+        if cdim != 1:
+            raise InternalError("words span End(F^n) but the commutant is not the scalars")
+        return SimplicityVerdict("Simple", cdim, method="burnside")
+    # T_ij = tr(w_i w_j) = vec(w_i) . vec(w_j^T)
+    flat = Matrix._of(len(words), n * n, tuple([e for w in words for e in w.entries]))
+    columns = tuple([w[b, a] for a in range(n) for b in range(n) for w in words])
+    radical = kernel(flat @ Matrix._of(n * n, len(words), columns))
+    if radical.dim:
+        r = unvec((Matrix._of(1, len(words), radical.basis.row(0)) @ flat).entries, n, n)
+        seed = next(r.col(j) for j in range(n) if any(r.col(j)))
+        return reducible(spin(rep, [seed]), "trace-radical")
+    if cdim == 1:
+        raise InternalError("words short of End(F^n) with a zero radical, but scalar commutant")
+    witness = _witness_from_commutant(rep, commutant)
+    if witness is not None:
+        return reducible(witness, "commutant-kernel")
+    return SimplicityVerdict("Inconclusive", cdim, method="no-field-eigenvalue")

@@ -69,10 +69,10 @@ from .scalars import merge_tags
 
 
 class SimplicityVerdict(NamedTuple):
-    """Outcome of simplicity certification.
+    """Outcome of simplicity certification, with the `method` that decided it.
 
     status 'Simple' or 'Reducible' (with a generator-invariant witness) or
-    'Inconclusive' when the search space is exhausted without a certificate.
+    'Inconclusive' when no exact certificate or witness decides.
     """
 
     status: str  # Simple | Reducible | Inconclusive

@@ -173,7 +173,9 @@ def test_one_certification_entry_point_without_private_knobs():
 
 
 def test_search_exhausted_is_never_simple():
-    # reducible module on which the word and spin search finds no witness
+    # a reducible module that no spin of a basis vector or of an eigenvector
+    # of a word of length at most 4 reveals; the trace radical of its
+    # 12-dimensional algebra finds a witness
     g1 = Matrix.from_rows([
         [Fraction(17, 2), Fraction(-15, 4), Fraction(3, 4), Fraction(43, 4)],
         [-1, 11, 4, Fraction(-44, 3)],
@@ -191,14 +193,12 @@ def test_search_exhausted_is_never_simple():
     w = kernel(g1 @ g1 + g1.scale(2) - Matrix.identity(4).scale(9))
     assert w.dim == 2
     assert all(w.contains(g.apply(v)) for g in rep.generators for v in w.basis_vectors())
+    assert len(repkit._algebra_basis(rep)) == 12
     verdict = simplicity(rep)
-    assert verdict.status != "Simple"
-    if verdict.status == "Reducible":
-        ws = verdict.witness
-        assert 0 < ws.dim < 4
-        assert all(ws.contains(g.apply(v)) for g in rep.generators for v in ws.basis_vectors())
-    else:
-        assert verdict.status == "Inconclusive" and verdict.method == "search-exhausted"
+    assert (verdict.status, verdict.method) == ("Reducible", "trace-radical")
+    ws = verdict.witness
+    assert 0 < ws.dim < 4
+    assert all(ws.contains(g.apply(v)) for g in rep.generators for v in ws.basis_vectors())
 
 
 def test_trace_formula_matches_compound_on_catalog():
@@ -211,11 +211,16 @@ def test_trace_formula_matches_compound_on_catalog():
                 assert reflection_compound_trace(refl, d) == compound(g, d).trace(), (name, d)
 
 
-def _benchmark_inputs(seed):
-    """The seeded ladder, growth and sweep representations of perfbench."""
+def _perfbench_inputs():
+    """perfbench's input builders, imported from the repository root."""
     if str(ROOT) not in sys.path:
         sys.path.append(str(ROOT))
-    inputs = importlib.import_module("perfbench.inputs")
+    return importlib.import_module("perfbench.inputs")
+
+
+def _benchmark_inputs(seed):
+    """The seeded ladder, growth and sweep representations of perfbench."""
+    inputs = _perfbench_inputs()
     return [c.rep for build in (inputs.ladder, inputs.growth, inputs.sweep) for c in build(seed)]
 
 
@@ -322,6 +327,79 @@ def test_condition3_agrees_with_generic_simplicity():
                 w.contains(g.apply(v)) for g in rep.generators for v in w.basis_vectors()
             )
     assert statuses == {"Simple", "Reducible"}
+
+
+def test_every_exterior_power_is_simple_by_burnside():
+    # the paper's conclusion, against a decision procedure: every wedge^d V of a
+    # verified input is absolutely simple, and verify_theorem says Simple for d
+    inputs = _perfbench_inputs()
+    reps = [(name, entry(name).representation) for name in list_entries()]
+    reps = [(name, rep) for name, rep in reps if entry(name).expected.theorem_applies]
+    reps += [(kind + "4", inputs.cartan_rep(kind, 4)) for kind in "ABDF"]
+    reps += [("H3", inputs.h_rep(3)), ("H4", inputs.h_rep(4)), ("A5", inputs.cartan_rep("A", 5))]
+    for name, rep in reps:
+        report = verify_theorem(rep)
+        assert report.verified, name
+        verdicts = {dr.degree: dr.verdict for dr in report.per_degree}
+        for d in range(1, rep.dim):
+            verdict = simplicity(exterior_rep(rep, d))
+            assert (verdict.status, verdict.method) == ("Simple", "burnside"), (name, d)
+            assert verdict.commutant_dim == 1 and verdicts[d] == "Simple", (name, d)
+
+
+def test_burnside_certificate_rechecks_and_needs_every_word():
+    inputs = _perfbench_inputs()
+    for rep in (exterior_rep(inputs.cartan_rep("A", 4), 2), exterior_rep(inputs.h_rep(3), 1)):
+        n = rep.dim
+        words = repkit._algebra_basis(rep)
+        assert words[0] == Matrix.identity(n)
+        # each word is an earlier one times a generator: the words are group elements
+        for i, w in enumerate(words[1:], start=1):
+            assert any(v @ g == w for v in words[:i] for g in rep.generators), i
+        flat = [w.entries for w in words]
+        assert len(words) == n * n and linalg.row_rank(flat, n * n) == n * n
+        for i in range(len(flat)):
+            assert linalg.row_rank(flat[:i] + flat[i + 1 :], n * n) == n * n - 1, i
+
+
+# The exterior squares of the census below that a spin search (basis vectors,
+# eigenvectors of words of length at most 4, Norton's criterion) left undecided.
+SPIN_UNDECIDED = [
+    [[2, -3, -3, -3], [-1, 2, -1, -3], [-1, 0, 2, -3], [-2, -1, 0, 2]],
+    [[2, -1, -3, -2], [-3, 2, -3, -2], [-1, 0, 2, -1], [-1, -3, 0, 2]],
+    [[2, -3, -2, 0], [-2, 2, -2, -1], [-1, -1, 2, -2], [-3, -3, -1, 2]],
+    [[2, -1, -1, -2], [-2, 2, -1, -3], [-1, 0, 2, -3], [-3, -1, -3, 2]],
+    [[2, -2, -3, 0], [-1, 2, 0, -3], [0, -1, 2, -2], [-1, -3, -1, 2]],
+    [[2, -3, -3, 0], [-1, 2, -3, -2], [-1, -2, 2, -2], [-3, -1, -2, 2]],
+    [[2, -3, 0, -1], [0, 2, -3, -3], [-3, -2, 2, -1], [-3, -3, -1, 2]],
+]
+
+
+def _census(seed, count, n=4):
+    """Seeded n x n Cartan-type matrices C (diagonal 2, other entries in {0, -1,
+    -2, -3}) whose zero pattern is not symmetric, so condition 4 fails, and
+    whose V is simple, each with s_i = I + e_i f_i^T for f_i = -(row i of C)."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        c = [[2 if i == j else rng.choice((0, -1, -2, -3)) for j in range(n)] for i in range(n)]
+        if all((c[i][j] == 0) == (c[j][i] == 0) for i in range(n) for j in range(i)):
+            continue
+        rep = _reflection_rep([[-x for x in row] for row in c])
+        hyp = check_hypotheses(rep)
+        if hyp.v_simple.is_simple:
+            assert not hyp.condition4_holds
+            found.append((c, rep))
+    return found
+
+
+def test_census_exterior_squares_are_simple_by_burnside():
+    census = _census(11, 25)
+    cartans = [c for c, _ in census]
+    assert all(c in cartans for c in SPIN_UNDECIDED)
+    for c, rep in census:
+        verdict = simplicity(exterior_rep(rep, 2))
+        assert (verdict.status, verdict.method) == ("Simple", "burnside"), c
 
 
 def test_condition3_witnesses_of_catalog_failures():

@@ -142,25 +142,33 @@ def test_verify_under_optimize_emits_a_valid_document():
 
 
 def test_simplicity_loads_sympy_on_demand():
-    # the reducible module of tests/test_certificates.py::test_search_exhausted_is_never_simple
+    # Burnside (A2) and the trace radical (the reducible module of
+    # tests/test_certificates.py::test_search_exhausted_is_never_simple) need
+    # no root search; trivial + sign of Z/2 reaches the commutant-kernel step
     code = """
 import sys
 from fractions import Fraction as F
+from reflext.catalog import entry
 from reflext.linalg import Matrix
 from reflext.repkit import Representation, simplicity
-assert "sympy" not in sys.modules
 g1 = Matrix.from_rows([[F(17, 2), F(-15, 4), F(3, 4), F(43, 4)], [-1, 11, 4, F(-44, 3)],
                        [F(-35, 2), F(-25, 4), F(-31, 4), F(-49, 12)],
                        [F(-21, 2), F(15, 4), F(-3, 4), F(-55, 4)]])
 g2 = Matrix.from_rows([[F(-33, 2), F(-23, 4), F(-25, 4), F(-13, 4)], [23, 12, 10, F(4, 3)],
                        [F(15, 2), F(5, 4), F(7, 4), F(29, 12)],
                        [F(33, 2), F(33, 4), F(27, 4), F(3, 4)]])
-verdict = simplicity(Representation([g1, g2]))
-print(verdict.status, verdict.method, "sympy" in sys.modules)
+for rep in (entry("A2").representation, Representation([g1, g2]),
+            Representation([Matrix.from_rows([[1, 0], [0, -1]])])):
+    verdict = simplicity(rep)
+    print(verdict.status, verdict.method, "sympy" in sys.modules)
 """
     result = _run([], code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["Inconclusive", "search-exhausted", "True"]
+    assert result.stdout.splitlines() == [
+        "Simple burnside False",
+        "Reducible trace-radical False",
+        "Reducible commutant-kernel True",
+    ]
 
 
 def test_commands_load_neither_sympy_nor_jsonschema():

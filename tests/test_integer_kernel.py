@@ -96,6 +96,32 @@ def test_rank_equals_rref_rank(m):
 
 
 @pytest.mark.parametrize("m", FIELDS, ids=["Q", "sqrt5", "sqrt-10-digit-prime"])
+def test_extend_echelon_appends_exactly_when_the_rank_grows(m):
+    rng = random.Random(4040 if m is None else m + 4040)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        matrix = seeded_matrix(rng, m, rows, cols)
+        basis: list = []
+        for i in range(rows):
+            appended = fractionfree.extend_echelon(basis, clear(matrix.row(i), m)[0], m)
+            grown = row_rank([matrix.row(j) for j in range(i + 1)], cols)
+            assert appended is (grown > row_rank([matrix.row(j) for j in range(i)], cols))
+            assert len(basis) == grown, matrix
+        pivots = [c for c, _ in basis]
+        for k, (c, row) in enumerate(basis):
+            # zero left of its pivot and at the earlier pivots, an int pivot entry
+            assert not any(row[:c]) and not any(row[p] for p in pivots[:k])
+            pivot = to_scalar(row[c], 1, m)
+            if m is not None:
+                assert pivot.b == 0
+                pivot = pivot.a
+            assert pivot.denominator == 1
+        scalars = [[to_scalar(x, 1, m) for x in row] for _, row in basis]
+        spanned = [matrix.row(i) for i in range(rows)]
+        assert Subspace.span(scalars, cols) == Subspace.span(spanned, cols)
+
+
+@pytest.mark.parametrize("m", FIELDS, ids=["Q", "sqrt5", "sqrt-10-digit-prime"])
 def test_rank_with_200_bit_entries(m):
     rng = random.Random(77 if m is None else m + 77)
     for _ in range(25):

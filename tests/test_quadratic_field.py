@@ -112,9 +112,9 @@ def test_quadratic_generic_dihedral_verifies():
     assert [d.commutant_dim for d in report.per_degree] == [1, 1, 1]
 
 
-def test_simplicity_norton_certificate_over_quadratic():
+def test_simplicity_burnside_certificate_over_quadratic():
     verdict = simplicity(entry("H2-5").representation)
-    assert verdict.status == "Simple"
+    assert (verdict.status, verdict.method) == ("Simple", "burnside")
     assert verdict.commutant_dim == 1
 
 

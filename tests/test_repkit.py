@@ -5,10 +5,16 @@ from math import comb
 import pytest
 
 from reflext.catalog import entry, list_entries
-from reflext import linalg
-from reflext.errors import BadDegree, EmptyGeneratorList, LengthMismatch, SingularMatrix
+from reflext import linalg, repkit
+from reflext.errors import (
+    BadDegree,
+    EmptyGeneratorList,
+    InternalError,
+    LengthMismatch,
+    SingularMatrix,
+)
 from reflext.exterior import compound, eigen_split, exterior_subspace
-from reflext.linalg import Matrix, intersect_all, kernel
+from reflext.linalg import Matrix, Subspace, intersect_all, kernel
 from reflext.reflections import recognize_reflection
 from reflext.scalars import QuadExt
 from reflext.repkit import (
@@ -192,7 +198,20 @@ def test_simplicity_inconclusive_for_rational_rotation():
     rep = Representation([Matrix.from_rows([[0, -1], [1, 0]])])
     verdict = simplicity(rep)
     assert verdict.commutant_dim == 2
-    assert verdict.status == "Inconclusive"
+    assert (verdict.status, verdict.method) == ("Inconclusive", "no-field-eigenvalue")
+
+
+def test_impossible_commutants_raise_internal_error(monkeypatch):
+    # words spanning End(F^n) leave only scalars to commute with them, and a
+    # semisimple module whose words fall short of End(F^n) has a larger commutant
+    z2 = Representation([Matrix.from_rows([[1, 0], [0, -1]])])
+    scalars = Subspace.span([Matrix.identity(2).entries], 4)
+    monkeypatch.setattr(repkit, "solve_intertwiner", lambda *_: Subspace.full(4))
+    with pytest.raises(InternalError):
+        simplicity(A2)
+    monkeypatch.setattr(repkit, "solve_intertwiner", lambda *_: scalars)
+    with pytest.raises(InternalError):
+        simplicity(z2)
 
 
 def test_fixed_space_proposition_catalog():

@@ -24,7 +24,9 @@ def _targets():
 
 
 def test_traced_names_resolve_on_every_loaded_module():
-    importlib.import_module("reflext.cli")
+    # the command line leaves out the generic toolkit, which `reflext hom` loads
+    for name in ("reflext.cli", "reflext.repkit", "reflext.exterior"):
+        importlib.import_module(name)
     targets = _targets()
     assert targets
     for module_name, path in targets:
