@@ -2,7 +2,8 @@
 
 Subcommands: analyze, verify, exterior, hom, catalog list|show.
 Exit codes: 0 success / theorem verified, 2 parse or input error,
-3 hypothesis failure, 4 certification failure.
+3 hypothesis failure, 4 internal certification failure; `main` alone turns
+an error into its code.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from math import comb
 
 from . import catalog as catalog_mod
-from .errors import BadDegree, ParseError, ReflextError, UnknownEntry
+from .errors import InternalError, ParseError, ReflextError, UnknownEntry
 from .linalg import Representation
 from .repfile import load_repfile, matrix_doc, representation_to_document
 from .reports import (
@@ -63,28 +64,21 @@ def _refuse_above(size: int, limit: int, what: str) -> None:
         raise ParseError(f"{what} is {size}, above the limit {limit}")
 
 
-def _error(exc: Exception) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return EXIT_PARSE
-
-
 def _emit(doc: dict, render, as_json: bool) -> None:
     print(json.dumps(doc, indent=2) if as_json else render(doc))
 
 
-def _print_generators(generators: list[dict]) -> None:
+def _generator_lines(generators: list[dict]) -> list[str]:
+    lines = []
     for g in generators:
-        print(f"  {g['label']}:")
-        for row in g["matrix"]:
-            print("    [ " + "  ".join(row) + " ]")
+        lines.append(f"  {g['label']}:")
+        lines.extend("    [ " + "  ".join(row) + " ]" for row in g["matrix"])
+    return lines
 
 
 def analyze(target: str, as_json: bool) -> int:
     """Per-generator reflection data, the non-fixing graph, and condition-4 status."""
-    try:
-        rep, source = _load_target(target)
-    except ParseError as exc:
-        return _error(exc)
+    rep, source = _load_target(target)
     hyp = check_hypotheses(rep)
     doc = analyze_document(rep, hyp, source)
     _emit(doc, render_analyze_text, as_json)
@@ -93,33 +87,22 @@ def analyze(target: str, as_json: bool) -> int:
 
 def verify(target: str, as_json: bool, trace: bool, degrees: list[int]) -> int:
     """Run the full certification pipeline; exit 0 iff the theorem is verified."""
-    try:
-        rep, source = _load_target(target)
-        if trace:
-            _refuse_above(rep.dim, MAX_TRACE_DIM, "dimension for --trace")
-        report = verify_theorem(rep, trace=trace, degrees=degrees or None)
-    except (ParseError, BadDegree) as exc:
-        return _error(exc)
-    doc = theorem_document(report, rep, source)
-    _emit(doc, render_theorem_text, as_json)
-    status = report.conclusion.status
-    if status == "TheoremVerified":
-        return EXIT_OK
-    return EXIT_HYPOTHESIS if status == "HypothesisFailed" else EXIT_CERTIFICATION
+    rep, source = _load_target(target)
+    if trace:
+        _refuse_above(rep.dim, MAX_TRACE_DIM, "dimension for --trace")
+    report = verify_theorem(rep, trace=trace, degrees=degrees or None)
+    _emit(theorem_document(report, rep, source), render_theorem_text, as_json)
+    # verify_theorem raises InternalError rather than conclude CertificationFailed
+    return EXIT_OK if report.conclusion.status == "TheoremVerified" else EXIT_HYPOTHESIS
 
 
 def exterior(target: str, degree: int, as_json: bool) -> int:
     """Print the compound generator matrices of the d-th exterior power."""
     from .repkit import exterior_rep
 
-    try:
-        rep, source = _load_target(target)
-        _refuse_above(
-            _power_dim(rep.dim, degree), MAX_EXTERIOR_DIM, f"dimension of degree {degree}"
-        )
-        ext = exterior_rep(rep, degree)
-    except (ParseError, BadDegree) as exc:
-        return _error(exc)
+    rep, source = _load_target(target)
+    _refuse_above(_power_dim(rep.dim, degree), MAX_EXTERIOR_DIM, f"dimension of degree {degree}")
+    ext = exterior_rep(rep, degree)
     doc = {
         "source": source,
         "d": degree,
@@ -129,12 +112,13 @@ def exterior(target: str, degree: int, as_json: bool) -> int:
             for label, g in zip(ext.labels, ext.generators)
         ],
     }
-    if as_json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"exterior power d={degree} of {source} (dim {ext.dim})")
-        _print_generators(doc["generators"])
+    _emit(doc, _render_exterior, as_json)
     return EXIT_OK
+
+
+def _render_exterior(doc: dict) -> str:
+    heading = f"exterior power d={doc['d']} of {doc['source']} (dim {doc['dim']})"
+    return "\n".join([heading, *_generator_lines(doc["generators"])])
 
 
 def _load_power(spec: str) -> tuple[Representation, str]:
@@ -150,10 +134,7 @@ def _load_power(spec: str) -> tuple[Representation, str]:
         except ValueError:  # more digits than int() converts
             raise ParseError(f"degree of {base!r} has {len(suffix)} digits") from None
         _refuse_above(_power_dim(rep.dim, d), MAX_HOM_DIM, f"dimension of {spec}")
-        try:
-            return exterior_rep(rep, d), f"{source}:{suffix}"
-        except BadDegree as exc:
-            raise ParseError(str(exc)) from None
+        return exterior_rep(rep, d), f"{source}:{suffix}"
     rep, source = _load_target(spec)
     _refuse_above(rep.dim, MAX_HOM_DIM, f"dimension of {spec}")
     return rep, source
@@ -163,12 +144,9 @@ def hom(left: str, right: str, as_json: bool) -> int:
     """Dimension of the space of intertwiners LEFT -> RIGHT (use NAME:d for exterior powers)."""
     from .repkit import hom_dim
 
-    try:
-        lrep, lsource = _load_power(left)
-        rrep, rsource = _load_power(right)
-        dim = hom_dim(lrep, rrep)
-    except ReflextError as exc:
-        return _error(exc)
+    lrep, lsource = _load_power(left)
+    rrep, rsource = _load_power(right)
+    dim = hom_dim(lrep, rrep)
     if as_json:
         print(json.dumps({"left": lsource, "right": rsource, "hom_dim": dim}))
     else:
@@ -191,17 +169,13 @@ def catalog_list() -> int:
 
 def catalog_show(name: str, as_json: bool) -> int:
     """One entry as a representation file document."""
-    try:
-        entry = catalog_mod.entry(name)
-    except UnknownEntry as exc:
-        return _error(exc)
-    doc = representation_to_document(entry.representation)
-    if as_json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"{entry.name}: {entry.notes}")
-        print(f"  field {doc['field']}, dim {doc['dim']}")
-        _print_generators(doc["generators"])
+    entry = catalog_mod.entry(name)
+
+    def render(doc: dict) -> str:
+        heading = [f"{entry.name}: {entry.notes}", f"  field {doc['field']}, dim {doc['dim']}"]
+        return "\n".join(heading + _generator_lines(doc["generators"]))
+
+    _emit(representation_to_document(entry.representation), render, as_json)
     return EXIT_OK
 
 
@@ -260,11 +234,21 @@ def _parser(prog_name: str | None) -> argparse.ArgumentParser:
 
 
 def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
-    """Run one command; always ends in SystemExit with its exit code (2 for
-    an argument error)."""
+    """Run one command; always ends in SystemExit with its exit code.
+
+    This is the one place where an error becomes an exit code: a
+    ReflextError prints one `error:` line and exits 4 when it is an
+    InternalError (a failed consistency check or a SchemaViolation), 2
+    otherwise; an argument error exits 2 from argparse."""
     options = vars(_parser(prog_name).parse_args(args))
     del options["command"]
-    sys.exit(options.pop("run")(**options))
+    run = options.pop("run")
+    try:
+        code = run(**options)
+    except ReflextError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_CERTIFICATION if isinstance(exc, InternalError) else EXIT_PARSE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

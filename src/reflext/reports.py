@@ -305,16 +305,23 @@ def hypothesis_doc(h: HypothesisReport, labels) -> dict:
     }
 
 
+def _heading(schema: str, rep: Representation, source: str) -> dict:
+    """The keys both documents open with."""
+    return {
+        "schema": schema,
+        "source": source,
+        "field": field_doc(rep.field()),
+        "dim": rep.dim,
+        "generator_count": len(rep.generators),
+    }
+
+
 def theorem_document(report: TheoremReport, rep: Representation, source: str) -> dict:
     # the claims hold exactly when a connected basis subset was certified
     subset = report.claim3_subset
     certified = True if subset is not None else None
     doc = {
-        "schema": "reflext.theorem-report/1",
-        "source": source,
-        "field": field_doc(rep.field()),
-        "dim": rep.dim,
-        "generator_count": len(rep.generators),
+        **_heading("reflext.theorem-report/1", rep, source),
         "labels": list(rep.labels),
         "classical_mode": False,
         "hypothesis": hypothesis_doc(report.hypothesis, rep.labels),
@@ -356,32 +363,22 @@ def theorem_document(report: TheoremReport, rep: Representation, source: str) ->
 
 
 def analyze_document(rep: Representation, hyp: HypothesisReport, source: str) -> dict:
-    gens = []
-    failure_reasons = dict(hyp.condition1_failures)
-    for i, r in enumerate(hyp.reflections):
-        gens.append(
-            {
-                "label": rep.labels[i],
-                "reflection": reflection_doc(r, rep.labels[i]),
-                "error": failure_reasons.get(i + 1),
-            }
-        )
+    """The theorem document's hypothesis block, reshaped per generator."""
+    block = hypothesis_doc(hyp, rep.labels)
+    errors = {f["generator"]: f["reason"] for f in block["condition1"]["failures"]}
+    c4 = block["condition4"]
     doc = {
-        "schema": "reflext.analyze-report/1",
-        "source": source,
-        "field": field_doc(rep.field()),
-        "dim": rep.dim,
-        "generator_count": len(rep.generators),
-        "generators": gens,
-        "condition4": {
-            "holds": hyp.condition4_holds,
-            "violations": [list(p) for p in hyp.condition4_violations],
-        }
-        if hyp.condition1_ok
+        **_heading("reflext.analyze-report/1", rep, source),
+        "generators": [
+            {"label": label, "reflection": r, "error": errors.get(i)}
+            for i, (label, r) in enumerate(zip(rep.labels, block["reflections"]), start=1)
+        ],
+        "condition4": {"holds": c4["holds"], "violations": c4["violations"]}
+        if c4["evaluated"]
         else None,
-        "graph": graph_doc(hyp.graph),
-        "remarks": list(hyp.remarks),
-        "ok": hyp.condition1_ok and hyp.condition4_holds,
+        "graph": block["graph"],
+        "remarks": block["remarks"],
+        "ok": c4["evaluated"] and c4["holds"],
     }
     validate_analyze_document(doc)
     return doc

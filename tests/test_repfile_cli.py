@@ -11,7 +11,8 @@ import pytest
 from reflext import cli, repfile, repkit, scalars
 from reflext.catalog import _cartan_rep, entry
 from reflext.cli import main
-from reflext.errors import ParseError, SchemaViolation
+from reflext import reports
+from reflext.errors import InternalError, NotConnected, ParseError, SchemaViolation
 from reflext.graphs import induced
 from reflext.repfile import (
     load_repfile,
@@ -619,3 +620,38 @@ def test_cli_main_with_prog_name_exits_with_the_command_code(args, code):
         with pytest.raises(SystemExit) as exc:
             main(args=args, prog_name="reflext")
     assert exc.value.code == code
+
+
+@pytest.mark.parametrize("error, code", [(InternalError, 4), (NotConnected, 2)])
+@pytest.mark.parametrize(
+    "module, name, args",
+    [
+        (cli, "verify_theorem", ["verify", "A2", "--json"]),
+        (cli, "check_hypotheses", ["analyze", "A2"]),
+        (repkit, "exterior_rep", ["exterior", "A2", "--d", "1"]),
+        (repkit, "hom_dim", ["hom", "A2", "A2:1"]),
+    ],
+    ids=["verify", "analyze", "exterior", "hom"],
+)
+def test_cli_error_exit_codes(runner, monkeypatch, module, name, args, error, code):
+    # an internal fault exits 4 and any other package error 2, each as one
+    # error line on stderr, with no traceback and nothing on stdout
+    def fail(*args, **kwargs):
+        raise error("injected fault")
+
+    monkeypatch.setattr(module, name, fail)
+    result = runner.invoke(main, args)
+    assert result.exit_code == code
+    assert result.output == ""
+    assert result.stderr == "error: injected fault\n"
+
+
+@pytest.mark.parametrize("args", [["verify", "A2"], ["analyze", "A2", "--json"]])
+def test_cli_schema_violation_exits_four(runner, monkeypatch, args):
+    # a document that breaks its own schema is a certification fault
+    monkeypatch.setattr(reports, "field_doc", lambda m: "R")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 4
+    assert result.output == ""
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1 and "(at ['field'])" in result.stderr
