@@ -68,12 +68,13 @@ def _emit(doc: dict, render, as_json: bool) -> None:
     print(json.dumps(doc, indent=2) if as_json else render(doc))
 
 
-def _generator_lines(generators: list[dict]) -> list[str]:
-    lines = []
+def _listing(heading: list[str], generators: list[dict]) -> str:
+    """The heading lines, then each generator's label and matrix rows."""
+    lines = list(heading)
     for g in generators:
         lines.append(f"  {g['label']}:")
         lines.extend("    [ " + "  ".join(row) + " ]" for row in g["matrix"])
-    return lines
+    return "\n".join(lines)
 
 
 def analyze(target: str, as_json: bool) -> int:
@@ -112,13 +113,9 @@ def exterior(target: str, degree: int, as_json: bool) -> int:
             for label, g in zip(ext.labels, ext.generators)
         ],
     }
-    _emit(doc, _render_exterior, as_json)
+    heading = [f"exterior power d={degree} of {source} (dim {ext.dim})"]
+    _emit(doc, lambda d: _listing(heading, d["generators"]), as_json)
     return EXIT_OK
-
-
-def _render_exterior(doc: dict) -> str:
-    heading = f"exterior power d={doc['d']} of {doc['source']} (dim {doc['dim']})"
-    return "\n".join([heading, *_generator_lines(doc["generators"])])
 
 
 def _load_power(spec: str) -> tuple[Representation, str]:
@@ -170,12 +167,9 @@ def catalog_list() -> int:
 def catalog_show(name: str, as_json: bool) -> int:
     """One entry as a representation file document."""
     entry = catalog_mod.entry(name)
-
-    def render(doc: dict) -> str:
-        heading = [f"{entry.name}: {entry.notes}", f"  field {doc['field']}, dim {doc['dim']}"]
-        return "\n".join(heading + _generator_lines(doc["generators"]))
-
-    _emit(representation_to_document(entry.representation), render, as_json)
+    doc = representation_to_document(entry.representation)
+    heading = [f"{entry.name}: {entry.notes}", f"  field {doc['field']}, dim {doc['dim']}"]
+    _emit(doc, lambda d: _listing(heading, d["generators"]), as_json)
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import re
+from math import isqrt
 from typing import Any, Optional
 
 from .errors import (
@@ -26,6 +27,7 @@ from .errors import (
     ParseError,
     SingularMatrix,
 )
+from .fractionfree import clear
 from .linalg import Matrix, Representation
 from .scalars import parse_scalar_in, render_scalar, validate_radicand
 
@@ -44,6 +46,12 @@ MAX_GENERATORS = 64
 # --digits 100) the dense case takes 19-21 s at dim 64 and 1.3 s at dim 32
 # (same VM)
 MAX_ENTRY_DIGITS = 100
+# a rank multiplies each generator row by the lcm of its denominators, and
+# Bareiss elimination adds the lcm's D digits at each of about dim^3 steps,
+# a cost of about dim^5 D^2: D may have MAX_LCM_DIGITS digits at MAX_DIM and
+# keep dim^5 D^2 within that product below it.  At the limit, 64 reflections
+# with f_j = p_j/q (q of 8 digits, p_j of 99) take 33 s at dim 64 (same VM)
+MAX_LCM_DIGITS = 8
 _NUMBER = re.compile(r"(?<![\d(])\d+", re.ASCII)  # a numerator or denominator, not a radicand
 
 
@@ -114,7 +122,8 @@ def representation_from_document(doc: Any) -> Representation:
                     raise ParseError(
                         f"generator {idx}: entry {e!r} lives outside the declared field"
                     ) from None
-        matrices.append(Matrix(n, n, entries))
+        _refuse_large_denominators(idx, entries, n, m)
+        matrices.append(Matrix._of(n, n, tuple(entries)))
     try:
         return Representation(matrices, labels)
     except (SingularMatrix, LengthMismatch, EmptyGeneratorList, FieldMismatch) as exc:
@@ -133,6 +142,20 @@ def _refuse_long_numbers(idx: int, text: str) -> None:
             raise ParseError(
                 f"generator {idx}: entry has a {longest}-digit number, "
                 f"above the limit {MAX_ENTRY_DIGITS}"
+            )
+
+
+def _refuse_large_denominators(idx: int, entries: list, n: int, m: int | None) -> None:
+    """ParseError for a row of the n x n generator whose denominators have an
+    lcm above the digit limit at dim n (no row's lcm has more than n times
+    MAX_ENTRY_DIGITS digits)."""
+    limit = min(isqrt(MAX_LCM_DIGITS**2 * MAX_DIM**5 // n**5), n * MAX_ENTRY_DIGITS)
+    bound = 10**limit
+    for i in range(n):
+        if clear(entries[i * n : (i + 1) * n], m)[1] >= bound:
+            raise ParseError(
+                f"generator {idx}: row {i + 1} has denominators with an lcm above "
+                f"{limit} digits, the limit at dim {n}"
             )
 
 

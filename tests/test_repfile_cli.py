@@ -8,10 +8,9 @@ from types import SimpleNamespace
 import jsonschema
 import pytest
 
-from reflext import cli, repfile, repkit, scalars
+from reflext import cli, repfile, repkit, reports, scalars
 from reflext.catalog import _cartan_rep, entry
 from reflext.cli import main
-from reflext import reports
 from reflext.errors import InternalError, NotConnected, ParseError, SchemaViolation
 from reflext.graphs import induced
 from reflext.repfile import (
@@ -543,6 +542,80 @@ def test_repfile_entry_digit_limit_admits_the_limit():
     doc["generators"][0]["matrix"] = [[f"1+1*sqrt({'1' * (repfile.MAX_ENTRY_DIGITS + 1)})"]]
     with pytest.raises(ParseError, match="outside the declared field"):
         representation_from_document(doc)
+
+
+def _first_row_dense(n, first_row):
+    """An n x n generator: first_row on top of the identity's other rows."""
+    rows = [["1" if r == c else "0" for c in range(n)] for r in range(1, n)]
+    return {"field": "Q", "dim": n, "generators": [{"matrix": [first_row, *rows]}]}
+
+
+@pytest.mark.parametrize(
+    "n, admitted, refused, limit",
+    [
+        # a row's lcm may have 8 digits at dim 64 and 92 at dim 24; 10**8 - 1
+        # and 10**92 - 1 are prime to 7
+        (64, ["1/" + "9" * 8], ["1/" + "9" * 8, "1/7"], 8),
+        (24, ["1/" + "9" * 92], ["1/" + "9" * 92, "1/7"], 92),
+        # and 525 at dim 12: five 100-digit denominators, not six
+        (12, [f"1/{10**99 + k}" for k in (1, 2, 3, 5, 7)],
+         [f"1/{10**99 + k}" for k in (1, 2, 3, 5, 7, 11)], 525),
+    ],
+)
+def test_repfile_lcm_limit_by_dim(n, admitted, refused, limit):
+    # integer rows of MAX_ENTRY_DIGITS digits, as benchmarks/dense_repfile.py
+    # writes them, have lcm 1 at every dim
+    big = "9" * repfile.MAX_ENTRY_DIGITS
+    assert representation_from_document(_first_row_dense(n, [big] * n)).dim == n
+
+    def row(denominators):
+        return _first_row_dense(n, (denominators + ["0"] * n)[:n])
+
+    assert representation_from_document(row(admitted)).dim == n
+    with pytest.raises(ParseError, match=f"generator 1: row 1 has denominators with an lcm "
+                       f"above {limit} digits, the limit at dim {n}$"):
+        representation_from_document(row(refused))
+
+
+def test_repfile_lcm_limit_refuses_distinct_denominators(runner, tmp_path, monkeypatch):
+    # p/q with distinct 100-digit p and q at dim 24: the first row's lcm has
+    # about 2400 digits, refused before any rank
+    import random
+
+    rng = random.Random(24)
+    low, high = 10 ** (repfile.MAX_ENTRY_DIGITS - 1), 10**repfile.MAX_ENTRY_DIGITS
+    row = [f"{rng.randrange(low, high)}/{rng.randrange(low, high)}" for _ in range(24)]
+    doc = _first_row_dense(24, row)
+    monkeypatch.setattr(repfile, "Representation", _refuse)
+    with pytest.raises(ParseError, match="row 1 has denominators .* the limit at dim 24"):
+        representation_from_document(doc)
+    path = tmp_path / "rational.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "analyze"):
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: generator 1: row 1 has denominators")
+
+
+@pytest.mark.parametrize(
+    "field, row, admitted",
+    [
+        ("Q", ["1/9", "1/11"], True),  # lcm 99
+        ("Q", ["1/3", "1/100"], False),  # lcm 300
+        ({"quadratic": 5}, ["1/9+1/11*sqrt(5)", "0"], True),
+        ({"quadratic": 5}, ["1/3+1/100*sqrt(5)", "0"], False),
+    ],
+)
+def test_repfile_lcm_limit_is_on_digits(monkeypatch, field, row, admitted):
+    # 2 digits at MAX_DIM = 2: 99 passes, 100 does not
+    monkeypatch.setattr(repfile, "MAX_DIM", 2)
+    monkeypatch.setattr(repfile, "MAX_LCM_DIGITS", 2)
+    doc = {"field": field, "dim": 2, "generators": [{"matrix": [row, ["0", "1"]]}]}
+    if admitted:
+        assert representation_from_document(doc).dim == 2
+    else:
+        with pytest.raises(ParseError, match="above 2 digits, the limit at dim 2"):
+            representation_from_document(doc)
 
 
 def test_repfile_generator_limit(runner, tmp_path, monkeypatch):
