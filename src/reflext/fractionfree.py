@@ -1,8 +1,8 @@
 """Fraction-free elimination over Z[sqrt(m)]: the kernel behind linalg's
 rank, det, rref, kernel and Hom system, the rank-one test of a reflection,
 the Cartan-matrix checks and the canonical bases of a reducible base's
-witness and dependencies.  `gauss_jordan` is the package's one canonical
-RREF.
+witness and dependencies.  `echelon` and `gauss_jordan` are two views of
+one Bareiss loop, and `gauss_jordan` gives the package's one canonical RREF.
 
 A row of scalars is multiplied by the lcm of its denominators, which puts it
 in Z[sqrt(m)] (Z over Q), and rows are reduced by Bareiss elimination on
@@ -210,17 +210,10 @@ def echelon(
     """Fraction-free row echelon form over Z[sqrt(m)] (Bareiss 1968).
 
     `rows` holds rows of scalars, or with `cleared` rows over Z[sqrt(m)];
-    it is reduced in place.  Returns the rank, the last pivot, the sign of
-    the row permutation and the product of the row scales: for a square
-    matrix of full rank, sign * pivot / scale is its determinant.
-
-    After step k every row below the k pivot rows holds (k + 1)-minors of
-    the cleared rows, so dividing by the previous pivot is exact.  A row
-    whose entry in the pivot column is zero is left untouched.  Bareiss
-    would multiply it by p_k / p_(k-1); its level (the last step that
-    touched it) keeps that factor implicit, so its next update divides by
-    the pivot of its own level instead, and a pivot row catches up before it
-    is used.
+    it is reduced in place, by `_bareiss` with no row above a pivot touched.
+    Returns the rank, the last pivot, the sign of the row permutation and
+    the product of the row scales: for a square matrix of full rank, sign *
+    pivot / scale is its determinant.
 
     A row is cleared of denominators when a step first reads it, so a zero
     row costs only zero tests.  A pivot row that eliminates nothing is read
@@ -228,14 +221,52 @@ def echelon(
     depends on that row only through this entry, since the row is zero in
     the earlier pivot columns and every row below is zero in this one.
     """
+    pivots, last, sign, scale = _bareiss(rows, cols, m, cleared, False)
+    return len(pivots), last, sign, scale
+
+
+def gauss_jordan(rows: list, cols: int, m: int | None) -> list[int]:
+    """Fraction-free reduced row echelon form over Z[sqrt(m)]: the pivot columns.
+
+    `rows` holds rows over Z[sqrt(m)] and is reduced in place, by `_bareiss`
+    with the rows above each pivot eliminated as well (fraction-free
+    Gauss-Jordan).  Afterwards row r has its pivot in column pivots[r], is
+    zero left of it and in every other pivot column, and the rows below the
+    rank are zero, so row r divided by its own pivot is row r of the
+    canonical RREF.
+    """
+    return _bareiss(rows, cols, m, True, True)[0]
+
+
+def _bareiss(
+    rows: list, cols: int, m: int | None, cleared: bool, reduced: bool
+) -> tuple[list[int], object, int, int]:
+    """The one fraction-free elimination loop behind `echelon` and
+    `gauss_jordan`: the pivot columns, the last pivot (1 at rank 0), the
+    sign of the row permutation and the product of the row scales.
+
+    Without `cleared` a row of scalars is cleared when a step first reads
+    it, as `echelon` describes; with `reduced`, which takes cleared rows,
+    each step also eliminates the rows above its pivot.  Were every row
+    updated at every step, each would hold (k + 1)-minors of the cleared
+    rows after step k, so dividing by the previous pivot is exact.  A row
+    whose entry in the pivot column is zero, above the pivot or below it,
+    is left untouched.  Bareiss would multiply it by p_k / p_(k-1); its
+    level (the last step that touched it) keeps that factor implicit, so
+    its next update divides by the pivot of its own level instead, and a
+    pivot row catches up before it is used, on its pivot alone when nothing
+    reads the rest: in `echelon`, when no row below is nonzero in its
+    column.
+    """
     n_rows = len(rows)
     is_cleared = [cleared] * n_rows
     level = [0] * n_rows
-    pivots = [1 if m is None else (1, 0)]  # pivots[k] is the pivot of step k
+    steps = [1 if m is None else (1, 0)]  # steps[k] is the pivot of step k
+    pivots: list[int] = []
     sign = 1
     scale = 1
-    lead = 0
     for col in range(cols):
+        lead = len(pivots)
         if lead == n_rows:
             break
         pivot = next((r for r in range(lead, n_rows) if rows[r][col]), None)
@@ -246,31 +277,39 @@ def echelon(
             level[lead], level[pivot] = level[pivot], level[lead]
             is_cleared[lead], is_cleared[pivot] = is_cleared[pivot], is_cleared[lead]
             sign = -sign
-        targets = [r for r in range(lead + 1, n_rows) if rows[r][col]]
-        if not is_cleared[lead] and not targets:
-            (entry,), den = clear([rows[lead][col]], m)
-            rows[lead] = [0] * cols
-            rows[lead][col] = entry
-            scale *= den
-            is_cleared[lead] = True
-        for r in [lead, *targets]:
-            if not is_cleared[r]:
-                rows[r], den = clear(rows[r], m)
+        # with `reduced`, the rows above the pivot are targets as well; a
+        # loop, not a comprehension, since most calls reduce 2 or 3 rows
+        targets = []
+        for r in range(0 if reduced else lead + 1, n_rows):
+            if r != lead and rows[r][col]:
+                targets.append(r)
+        if not cleared:
+            if not is_cleared[lead] and not targets:
+                (entry,), den = clear([rows[lead][col]], m)
+                rows[lead] = [0] * cols
+                rows[lead][col] = entry
                 scale *= den
-                is_cleared[r] = True
+                is_cleared[lead] = True
+            for r in [lead, *targets]:
+                if not is_cleared[r]:
+                    rows[r], den = clear(rows[r], m)
+                    scale *= den
+                    is_cleared[r] = True
         pivot_row = rows[lead]
         if level[lead] != lead:
-            # catch up, on the pivot alone when no row below needs the rest
-            width = range(col, cols if targets else col + 1)
-            combine(pivot_row, pivots[lead], 0, pivot_row, pivots[level[lead]], width, m)
+            width = range(col, cols if targets or reduced else col + 1)
+            combine(pivot_row, steps[lead], 0, pivot_row, steps[level[lead]], width, m)
         p = pivot_row[col]
         for r in targets:
             row = rows[r]
-            combine(row, p, row[col], pivot_row, pivots[level[r]], range(col, cols), m)
+            # an earlier pivot row is nonzero from its own pivot on
+            start = pivots[r] if r < lead else col
+            combine(row, p, row[col], pivot_row, steps[level[r]], range(start, cols), m)
             level[r] = lead + 1
-        pivots.append(p)
-        lead += 1
-    return lead, pivots[-1], sign, scale
+        level[lead] = lead + 1
+        steps.append(p)
+        pivots.append(col)
+    return pivots, steps[-1], sign, scale
 
 
 def extend_echelon(basis: list, row: list, m: int | None) -> bool:
@@ -295,53 +334,6 @@ def extend_echelon(basis: list, row: list, m: int | None) -> bool:
         row = [times(x, (a, -e), m) for x in row]
     basis.append((lead, list(primitive(tuple(row), m))))
     return True
-
-
-def gauss_jordan(rows: list, cols: int, m: int | None) -> list[int]:
-    """Fraction-free reduced row echelon form over Z[sqrt(m)]: the pivot columns.
-
-    `rows` holds rows over Z[sqrt(m)] and is reduced in place.  Afterwards
-    row r has its pivot in column pivots[r], is zero left of it and in every
-    other pivot column, and the rows below the rank are zero, so row r
-    divided by its own pivot is row r of the canonical RREF.
-
-    Each step is echelon's, applied to the earlier pivot rows as well
-    (fraction-free Gauss-Jordan): were every row updated at every step, each
-    would hold (k + 1)-minors of the input after step k, so every division
-    is exact, and each pivot row the pivot of step k at its pivot.  As in
-    echelon, a row whose entry in the pivot column is zero, above the pivot
-    or below it, is left untouched; its level keeps the missing factor
-    implicit, its next update divides by the pivot of its own level, and so
-    its own pivot is that of its level.
-    """
-    n_rows = len(rows)
-    level = [0] * n_rows
-    steps = [1 if m is None else (1, 0)]  # steps[k] is the pivot of step k
-    pivots: list[int] = []
-    for col in range(cols):
-        lead = len(pivots)
-        if lead == n_rows:
-            break
-        pivot = next((r for r in range(lead, n_rows) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[lead], rows[pivot] = rows[pivot], rows[lead]
-        level[lead], level[pivot] = level[pivot], level[lead]
-        pivot_row = rows[lead]
-        if level[lead] != lead:
-            combine(pivot_row, steps[lead], 0, pivot_row, steps[level[lead]], range(col, cols), m)
-        p = pivot_row[col]
-        for r in range(n_rows):
-            row = rows[r]
-            if r != lead and row[col]:
-                # an earlier pivot row is nonzero from its own pivot on
-                start = pivots[r] if r < lead else col
-                combine(row, p, row[col], pivot_row, steps[level[r]], range(start, cols), m)
-                level[r] = lead + 1
-        level[lead] = lead + 1
-        steps.append(p)
-        pivots.append(col)
-    return pivots
 
 
 def row_space(rows: Sequence[Sequence], cols: int, m: int | None) -> list[list[Scalar]]:

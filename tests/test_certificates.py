@@ -144,6 +144,27 @@ def test_forms_are_read_by_name():
     assert offenders == []
 
 
+def test_one_bareiss_loop():
+    # every fraction-free step runs in one loop; only the incremental basis
+    # and the null vectors' exact divisions call combine besides it
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            name = getattr(top, "name", "<module>")
+            callers |= {
+                f"{path.name}:{name}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+                and "combine" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+            }
+    assert callers == {
+        "fractionfree.py:_bareiss",
+        "fractionfree.py:extend_echelon",
+        "fractionfree.py:null_vectors",
+    }
+
+
 def _public_functions(body, prefix=""):
     for node in body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
@@ -169,6 +190,7 @@ def test_one_certification_entry_point_without_private_knobs():
     assert list(inspect.signature(fractionfree.echelon).parameters) == [
         "rows", "cols", "m", "cleared"
     ]
+    assert list(inspect.signature(fractionfree.gauss_jordan).parameters) == ["rows", "cols", "m"]
     assert "semisimplicity_premise" not in repkit.SimplicityVerdict._fields
 
 

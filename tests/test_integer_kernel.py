@@ -23,7 +23,7 @@ from reflext.reflections import reflection_from_parts, recognize_reflection
 from reflext.scalars import QuadExt, field_tag, inv
 from reflext.theoremlab import _stacked_forms
 
-from conftest import is_primitive_form, kernel_two_pass, rref_oracle
+from conftest import gauss_jordan_oracle, is_primitive_form, kernel_two_pass, rref_oracle
 
 P10 = 1000000007
 FIELDS = [None, 5, P10]
@@ -375,6 +375,72 @@ def test_gauss_jordan_bases_match_the_scalar_oracles(m):
         empty += rows == 0 or cols == 0
     assert min(deficient, zero, empty, plain) >= 20, (deficient, zero, empty, plain)
     assert levels >= 20, levels
+
+
+# Hand-made inputs for the shared loop of echelon and gauss_jordan.  Row 2
+# of lagging-below is zero in column 0, so at step 1 it is a target at level
+# 0, divided by 1 and not by step 0's pivot 2, and row 1 catches up before
+# it is the pivot row; in gauss_jordan row 0 is then a target above the
+# pivot.  Row 0 of lagging-above is zero in column 1, above that step's
+# pivot, and a target at step 2, at level 1.  Each pivot row of
+# eliminates-nothing has only zeros below it, so on scalar input only its
+# pivot is cleared.
+KERNEL_CASES = {
+    "lagging-below": [[2, 1, 1], [0, 3, 1], [0, 1, 2]],
+    "lagging-above": [[3, 0, 1], [0, 2, 1], [1, 0, 5]],
+    "zero-rows": [[0, 0, 0], [1, 2, 3], [0, 0, 0], [2, 4, 7]],
+    "eliminates-nothing": [
+        [Fraction(1, 2), Fraction(1, 3), 1],
+        [0, Fraction(2, 3), Fraction(1, 5)],
+        [0, 0, Fraction(3, 7)],
+    ],
+    "wide-deficient": [[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 1, 0, 1, 0]],
+    "tall-deficient": [[1, 2, 0], [2, 4, 1], [3, 6, 0], [4, 8, 1], [5, 10, 0]],
+}
+
+
+@pytest.mark.parametrize("m", FIELDS, ids=["Q", "sqrt5", "sqrt-10-digit-prime"])
+def test_echelon_and_gauss_jordan_match_the_scalar_oracles(m):
+    # echelon's rank and sign * pivot / scale determinant, on scalar and on
+    # cleared rows, and gauss_jordan's pivots and its rows over their pivots
+    rng = random.Random(2718 if m is None else m + 2718)
+    unit = Fraction(1) if m is None else QuadExt(1, 1, m)
+    matrices = [
+        Matrix.from_rows([[unit * x for x in row] for row in rows])
+        for rows in KERNEL_CASES.values()
+    ]
+    for _ in range(300):
+        rows = rng.randint(0, 7)
+        cols = rows if rng.random() < 0.4 else rng.randint(0, 7)
+        matrices.append(seeded_matrix(rng, m, rows, cols))
+    wide = tall = square = 0
+    for matrix in matrices:
+        field = matrix.field()
+        n_rows, cols = matrix.rows, matrix.cols
+        canonical = matrix.row_list()
+        pivots = gauss_jordan_oracle(canonical, cols)
+        rk = len(pivots)
+        cleared = [clear(matrix.row(r), field) for r in range(n_rows)]
+        for is_cleared, rows, den in (
+            (False, matrix.row_list(), 1),
+            (True, [list(r) for r, _ in cleared], math.prod(d for _, d in cleared)),
+        ):
+            got, last, sign, scale = echelon(rows, cols, field, is_cleared)
+            assert got == rk, matrix
+            if n_rows == cols == rk:
+                assert sign * to_scalar(last, scale, field) == old_det(matrix) * den, matrix
+        rows = [list(r) for r, _ in cleared]
+        assert fractionfree.gauss_jordan(rows, cols, field) == pivots, matrix
+        over_pivots = [
+            [fractionfree.quotient(x, row[p], field) if x else 0 for x in row]
+            for row, p in zip(rows, pivots)
+        ]
+        assert over_pivots == canonical[:rk], matrix
+        assert not any(map(any, rows[rk:]))
+        wide += rk < n_rows < cols
+        tall += rk < cols < n_rows
+        square += n_rows == cols == rk > 0
+    assert min(wide, tall, square) >= 20, (wide, tall, square)
 
 
 def _null_vectors_are_multiples(cleared, cols, m, null_basis):
