@@ -17,7 +17,7 @@ rational 8x8 matrix and the Hom system of A6:3 with itself (400 unknowns,
 the MAX_HOM_DIM limit of `reflext hom`); of the generic simplicity oracle
 on the exterior squares of A4 and H4 and on a reducible 4x4 module; of
 input construction:
-building A60 (one rank per generator) and loading the dense dim-32
+building A60 (one diagonal entry read per generator) and loading the dense dim-32
 representation file of benchmarks/dense_repfile.py; of the whole certifier,
 verify_theorem on the H3 conjugate and on F4, A16, A40 and A60, on the
 small catalog shapes A2, cond4-fail and reducible-direct-sum, on A6 with

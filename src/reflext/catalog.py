@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, NamedTuple, Optional
 
-from .errors import UnknownEntry
-from .linalg import Matrix, Representation
+from .errors import EmptyGeneratorList, SingularMatrix, UnknownEntry
+from .linalg import Matrix, Representation, _invertible_rep
 from .scalars import QuadExt, as_scalar
 
 
@@ -47,15 +47,20 @@ def _cartan_rep(cartan: list[list]) -> Representation:
     s_i sends e_j to e_j - c[i][j] * e_i.
 
     Every generator shares the identity's rows, whose scalars are built
-    once; only its row i, 1 or 0 minus c[i][j], is new."""
+    once; only its row i, 1 or 0 minus c[i][j], is new.  s_i = I - e_i c_i^T
+    has determinant 1 - c[i][i], so that entry alone says whether s_i is
+    invertible, and no generator is ranked."""
+    if not cartan:
+        raise EmptyGeneratorList("a representation needs at least one generator")
     k = len(cartan)
-    identity = Matrix.identity(k)
+    identity = Matrix.identity(k).entries
     gens = []
     for i, c in enumerate(cartan):
-        rows = [identity.row(r) for r in range(k)]
-        rows[i] = [int(i == j) - as_scalar(c[j]) for j in range(k)]
-        gens.append(Matrix.from_rows(rows))
-    return Representation(gens)
+        row = tuple([int(i == j) - as_scalar(c[j]) for j in range(k)])
+        if not row[i]:
+            raise SingularMatrix("generators must be invertible")
+        gens.append(Matrix._of(k, k, identity[: i * k] + row + identity[(i + 1) * k :]))
+    return _invertible_rep(gens, tuple(f"s{i + 1}" for i in range(k)))
 
 
 _GOLDEN = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)  # (1 + sqrt(5)) / 2

@@ -55,7 +55,7 @@ def pairing_pattern(
             for l_vec in left
         ]
     pattern = [[bool(x) for x in row] for row in gram]
-    return pattern, echelon(gram, len(right), m, cleared=True)[0]
+    return pattern, echelon(gram, len(right), m)[0]
 
 
 def inner(left: Sequence, right: Sequence, m: int | None, support: Iterable[int] | None = None):
@@ -204,25 +204,16 @@ def combine(row: list, p, q, other: list, d, columns: range, m: int | None) -> N
         row[j] = (u, v) if u or v else 0
 
 
-def echelon(
-    rows: list, cols: int, m: int | None, cleared: bool = False
-) -> tuple[int, object, int, int]:
+def echelon(rows: list, cols: int, m: int | None) -> tuple[int, object, int]:
     """Fraction-free row echelon form over Z[sqrt(m)] (Bareiss 1968).
 
-    `rows` holds rows of scalars, or with `cleared` rows over Z[sqrt(m)];
-    it is reduced in place, by `_bareiss` with no row above a pivot touched.
-    Returns the rank, the last pivot, the sign of the row permutation and
-    the product of the row scales: for a square matrix of full rank, sign *
-    pivot / scale is its determinant.
-
-    A row is cleared of denominators when a step first reads it, so a zero
-    row costs only zero tests.  A pivot row that eliminates nothing is read
-    only at its pivot, which is all that is cleared of it: every later minor
-    depends on that row only through this entry, since the row is zero in
-    the earlier pivot columns and every row below is zero in this one.
+    `rows` holds rows over Z[sqrt(m)] and is reduced in place, by `_bareiss`
+    with no row above a pivot touched.  Returns the rank, the last pivot and
+    the sign of the row permutation: for a square matrix of full rank, sign
+    * pivot is its determinant.
     """
-    pivots, last, sign, scale = _bareiss(rows, cols, m, cleared, False)
-    return len(pivots), last, sign, scale
+    pivots, last, sign = _bareiss(rows, cols, m, False)
+    return len(pivots), last, sign
 
 
 def gauss_jordan(rows: list, cols: int, m: int | None) -> list[int]:
@@ -235,36 +226,31 @@ def gauss_jordan(rows: list, cols: int, m: int | None) -> list[int]:
     rank are zero, so row r divided by its own pivot is row r of the
     canonical RREF.
     """
-    return _bareiss(rows, cols, m, True, True)[0]
+    return _bareiss(rows, cols, m, True)[0]
 
 
 def _bareiss(
-    rows: list, cols: int, m: int | None, cleared: bool, reduced: bool
-) -> tuple[list[int], object, int, int]:
+    rows: list, cols: int, m: int | None, reduced: bool
+) -> tuple[list[int], object, int]:
     """The one fraction-free elimination loop behind `echelon` and
-    `gauss_jordan`: the pivot columns, the last pivot (1 at rank 0), the
-    sign of the row permutation and the product of the row scales.
+    `gauss_jordan`, on rows over Z[sqrt(m)]: the pivot columns, the last
+    pivot (1 at rank 0) and the sign of the row permutation.
 
-    Without `cleared` a row of scalars is cleared when a step first reads
-    it, as `echelon` describes; with `reduced`, which takes cleared rows,
-    each step also eliminates the rows above its pivot.  Were every row
-    updated at every step, each would hold (k + 1)-minors of the cleared
-    rows after step k, so dividing by the previous pivot is exact.  A row
-    whose entry in the pivot column is zero, above the pivot or below it,
-    is left untouched.  Bareiss would multiply it by p_k / p_(k-1); its
-    level (the last step that touched it) keeps that factor implicit, so
-    its next update divides by the pivot of its own level instead, and a
-    pivot row catches up before it is used, on its pivot alone when nothing
-    reads the rest: in `echelon`, when no row below is nonzero in its
-    column.
+    With `reduced`, each step also eliminates the rows above its pivot.
+    Were every row updated at every step, each would hold (k + 1)-minors of
+    the rows after step k, so dividing by the previous pivot is exact.  A
+    row whose entry in the pivot column is zero, above the pivot or below
+    it, is left untouched.  Bareiss would multiply it by p_k / p_(k-1); its
+    level (the last step that touched it) keeps that factor implicit, so its
+    next update divides by the pivot of its own level instead, and a pivot
+    row catches up before it is used, on its pivot alone when nothing reads
+    the rest: in `echelon`, when no row below is nonzero in its column.
     """
     n_rows = len(rows)
-    is_cleared = [cleared] * n_rows
     level = [0] * n_rows
     steps = [1 if m is None else (1, 0)]  # steps[k] is the pivot of step k
     pivots: list[int] = []
     sign = 1
-    scale = 1
     for col in range(cols):
         lead = len(pivots)
         if lead == n_rows:
@@ -275,7 +261,6 @@ def _bareiss(
         if pivot != lead:
             rows[lead], rows[pivot] = rows[pivot], rows[lead]
             level[lead], level[pivot] = level[pivot], level[lead]
-            is_cleared[lead], is_cleared[pivot] = is_cleared[pivot], is_cleared[lead]
             sign = -sign
         # with `reduced`, the rows above the pivot are targets as well; a
         # loop, not a comprehension, since most calls reduce 2 or 3 rows
@@ -283,18 +268,6 @@ def _bareiss(
         for r in range(0 if reduced else lead + 1, n_rows):
             if r != lead and rows[r][col]:
                 targets.append(r)
-        if not cleared:
-            if not is_cleared[lead] and not targets:
-                (entry,), den = clear([rows[lead][col]], m)
-                rows[lead] = [0] * cols
-                rows[lead][col] = entry
-                scale *= den
-                is_cleared[lead] = True
-            for r in [lead, *targets]:
-                if not is_cleared[r]:
-                    rows[r], den = clear(rows[r], m)
-                    scale *= den
-                    is_cleared[r] = True
         pivot_row = rows[lead]
         if level[lead] != lead:
             width = range(col, cols if targets or reduced else col + 1)
@@ -309,7 +282,7 @@ def _bareiss(
         level[lead] = lead + 1
         steps.append(p)
         pivots.append(col)
-    return pivots, steps[-1], sign, scale
+    return pivots, steps[-1], sign
 
 
 def extend_echelon(basis: list, row: list, m: int | None) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AmbientMismatch, BadDegree, EmptyGeneratorList, LengthMismatch, SingularMatrix
@@ -204,8 +205,9 @@ class Matrix:
             raise LengthMismatch("determinant of non-square matrix")
         n = self.rows
         m = field_of(self.entries)
-        rank, pivot, sign, scale = echelon([self.row(i) for i in range(n)], n, m)
-        return to_scalar(pivot if rank == n else 0, sign * scale, m)
+        cleared = [clear(self.row(i), m) for i in range(n)]
+        rank, pivot, sign = echelon([row for row, _ in cleared], n, m)
+        return to_scalar(pivot if rank == n else 0, sign * prod([d for _, d in cleared]), m)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -302,7 +304,9 @@ def _invertible_rep(generators: Sequence[Matrix], labels: tuple[str, ...]) -> Re
 
     Every derived representation is built here: a conjugate, reordering,
     inverse transpose, nonzero multiple or compound of an invertible matrix
-    is invertible, so its generators are not ranked again."""
+    is invertible, so its generators are not ranked again.  So is every
+    Cartan representation of the catalog, whose generators' determinants
+    `_cartan_rep` reads off their diagonals."""
     rep = object.__new__(Representation)
     rep.dim = generators[0].rows
     rep.generators = tuple(generators)
@@ -335,7 +339,7 @@ def row_rank(rows: Sequence[Sequence[Scalar]], cols: int) -> int:
     if any(len(row) != cols for row in rows):
         raise ValueError("ragged rows")
     m = field_of(itertools.chain.from_iterable(rows))
-    return echelon(list(rows), cols, m)[0]
+    return echelon(_cleared(rows, m), cols, m)[0]
 
 
 class Subspace(NamedTuple):

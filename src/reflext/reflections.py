@@ -167,7 +167,7 @@ def recognize_reflection(matrix: Matrix) -> ReflectionData:
     moving = [i for i, row in enumerate(rows) if row is not None]
     line = _moving_line(rows, moving, m) if moving else None
     if line is None:
-        rank = echelon([row for row, _ in filter(None, rows)], n, m, cleared=True)[0]
+        rank = echelon([row for row, _ in filter(None, rows)], n, m)[0]
         if rank == 1:
             raise InternalError("rank-one matrix failed the minor test")
         raise NotRankOne(f"rank(M - I) = {rank}, expected 1")

@@ -225,8 +225,6 @@ def simplicity(rep: Representation) -> SimplicityVerdict:
             raise InternalError(f"{method} produced no proper invariant subspace")
         return SimplicityVerdict("Reducible", cdim, witness=witness, method=method)
 
-    if n == 1:
-        return SimplicityVerdict("Simple", cdim, method="dimension-one")
     words = _algebra_basis(rep)
     if len(words) == n * n:
         if cdim != 1:

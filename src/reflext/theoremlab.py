@@ -328,7 +328,7 @@ def _is_invariant(space: Subspace, forms: Forms) -> bool:
     basis = [clear(w, m)[0] for w in space.basis_vectors()]
     return all(
         not any(inner(f, w, m) for w in basis)
-        or echelon([*map(list, basis), list(a)], n, m, cleared=True)[0] == len(basis)
+        or echelon([*map(list, basis), list(a)], n, m)[0] == len(basis)
         for f, a in zip(forms.f, forms.alpha)
     )
 
@@ -356,7 +356,7 @@ def _commutant_dim(
     for start in range(k):
         if not any(start in c for c in components):
             components.append(set(breadth_first(undirected, start)))
-    rank_a = echelon([list(a) for a in forms.alpha], n, m, cleared=True)[0]
+    rank_a = echelon([list(a) for a in forms.alpha], n, m)[0]
     free = (n - rank_a) * (n - rank_f)
     if len(components) == 1:
         return 1 + free
@@ -365,7 +365,7 @@ def _commutant_dim(
         rows += _grouped_relations(forms.alpha, components, m)
     if rank_a < n:
         rows += _grouped_relations(forms.f, components, m)
-    return len(components) - echelon(rows, len(components), m, cleared=True)[0] + free
+    return len(components) - echelon(rows, len(components), m)[0] + free
 
 
 def _grouped_relations(
@@ -589,7 +589,7 @@ def verify_theorem(
         connected = is_connected(induced(hyp.graph, subset))
     if not connected:
         raise InternalError("basis subset of a simple base induces a disconnected graph")
-    if echelon([list(a) for a in alphas], n, m, cleared=True)[0] != len(subset):
+    if echelon([list(a) for a in alphas], n, m)[0] != len(subset):
         raise InternalError("connected basis subset is not independent")
 
     per_degree = _degree_reports(

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
-from reflext.catalog import entry, infinite_dihedral, list_entries
-from reflext.errors import UnknownEntry
-from reflext.linalg import Matrix
+from reflext.catalog import _cartan_rep, entry, infinite_dihedral, list_entries
+from reflext.errors import EmptyGeneratorList, SingularMatrix, UnknownEntry
+from reflext.linalg import Matrix, Representation
 from reflext.reflections import fixes_vector, is_reflection, recognize_reflection
 from reflext.theoremlab import verify_theorem
 
@@ -38,6 +40,20 @@ def test_h2_5_entry_is_quadratic():
 def test_unknown_entry():
     with pytest.raises(UnknownEntry):
         entry("nope")
+
+
+def test_cartan_rep_reads_invertibility_off_the_diagonal():
+    # s_i = I - e_i c_i^T has determinant 1 - c_ii
+    cartan = [[2, -1, 0], [-3, 0, Fraction(1, 2)], [0, -1, 3]]
+    rep = _cartan_rep(cartan)
+    assert [g.det() for g in rep.generators] == [-1, 1, -2]
+    assert rep == Representation(rep.generators)
+    with pytest.raises(SingularMatrix, match="^generators must be invertible$"):
+        _cartan_rep([[1]])
+    with pytest.raises(SingularMatrix, match="^generators must be invertible$"):
+        _cartan_rep([[2, -1], [-1, 1]])
+    with pytest.raises(EmptyGeneratorList, match="^a representation needs at least one generator$"):
+        _cartan_rep([])
 
 
 def test_every_expected_verdict_matches_pipeline():

@@ -187,9 +187,7 @@ def test_one_certification_entry_point_without_private_knobs():
     # the generic oracle has no knobs: no premise, no word length
     assert list(inspect.signature(repkit.simplicity).parameters) == ["rep"]
     # a rank is a rank: the elimination has no early exit for determinants
-    assert list(inspect.signature(fractionfree.echelon).parameters) == [
-        "rows", "cols", "m", "cleared"
-    ]
+    assert list(inspect.signature(fractionfree.echelon).parameters) == ["rows", "cols", "m"]
     assert list(inspect.signature(fractionfree.gauss_jordan).parameters) == ["rows", "cols", "m"]
     assert "semisimplicity_premise" not in repkit.SimplicityVerdict._fields
 

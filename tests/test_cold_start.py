@@ -215,6 +215,11 @@ def test_lookup_builds_only_the_named_entry(tmp_path):
         "        built.append(1)\n"
         "        super().__init__(*args)\n"
         "catalog.Representation = Counted\n"
+        "invertible_rep = catalog._invertible_rep\n"
+        "def counted_rep(*args):\n"
+        "    built.append(1)\n"
+        "    return invertible_rep(*args)\n"
+        "catalog._invertible_rep = counted_rep\n"
         "catalog.entry('A3')\n"
         "catalog.entry('A3')\n"
         "print(len(built))\n"

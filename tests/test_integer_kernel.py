@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from reflext import fractionfree
+from reflext import fractionfree, linalg
 from reflext.errors import FieldMismatch, InternalError, NotRankOne
 from reflext.fractionfree import clear, echelon, field_of, pairing_pattern, to_scalar
 from reflext.linalg import Matrix, Subspace, dot, kernel, rank, row_rank, rref
@@ -190,30 +190,29 @@ def test_inexact_division_is_an_internal_error():
     assert row == [(1, 1)]
 
 
-def test_rows_with_a_zero_pivot_entry_are_not_cleared(monkeypatch):
+def test_row_rank_and_det_clear_each_row_once(monkeypatch):
     cleared = []
-    clear = fractionfree.clear
+    clear = linalg.clear
 
     def counting_clear(row, m):
         cleared.append(len(row))
         return clear(row, m)
 
-    monkeypatch.setattr(fractionfree, "clear", counting_clear)
+    monkeypatch.setattr(linalg, "clear", counting_clear)
     # M - I = alpha f^T in dimension 8 with alpha = (0, 1, 0, 2, 0, ...): the
-    # one step clears rows 1 and 3 and leaves the six zero rows alone
+    # zero rows are cleared as well, once each, before the one step
     n = 8
     f = [Fraction(c - 4, 3) for c in range(n)]
     diff = [[Fraction(0)] * n for _ in range(n)]
     diff[1], diff[3] = f, [2 * x for x in f]
     assert row_rank(diff, n) == 1
-    assert cleared == [n, n]
-    # a Cartan generator of A_8: a pivot row that eliminates nothing is read
-    # only at its pivot, so only rows 2 and 3 are cleared whole
+    assert cleared == [n] * n
+    # a Cartan generator of A_8, whose pivot rows eliminate nothing
     cleared.clear()
     generator = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
     generator[3][2:5] = [Fraction(1), Fraction(-1), Fraction(1)]
     assert Matrix.from_rows(generator).det() == -1
-    assert sorted(cleared) == [1] * (n - 2) + [n, n]
+    assert cleared == [n] * n
 
 
 @pytest.mark.parametrize("m", FIELDS, ids=["Q", "sqrt5", "sqrt-10-digit-prime"])
@@ -317,7 +316,7 @@ def test_stored_integer_forms_give_the_scalar_pattern_and_ranks(kind):
         assert cartan_rank == row_rank(cartan, k)
         subset = rng.sample(refls, rng.randint(1, k))
         forms_s = _stacked_forms(subset)
-        rank_s = echelon([list(a) for a in forms_s.alpha], n, forms_s.m, cleared=True)[0]
+        rank_s = echelon([list(a) for a in forms_s.alpha], n, forms_s.m)[0]
         assert rank_s == row_rank([r.alpha for r in subset], n)
     assert kind != "Q-in-sqrt5" or lifted >= 100
 
@@ -383,8 +382,8 @@ def test_gauss_jordan_bases_match_the_scalar_oracles(m):
 # it is the pivot row; in gauss_jordan row 0 is then a target above the
 # pivot.  Row 0 of lagging-above is zero in column 1, above that step's
 # pivot, and a target at step 2, at level 1.  Each pivot row of
-# eliminates-nothing has only zeros below it, so on scalar input only its
-# pivot is cleared.
+# eliminates-nothing has only zeros below it, so echelon catches it up on
+# its pivot alone.
 KERNEL_CASES = {
     "lagging-below": [[2, 1, 1], [0, 3, 1], [0, 1, 2]],
     "lagging-above": [[3, 0, 1], [0, 2, 1], [1, 0, 5]],
@@ -401,8 +400,9 @@ KERNEL_CASES = {
 
 @pytest.mark.parametrize("m", FIELDS, ids=["Q", "sqrt5", "sqrt-10-digit-prime"])
 def test_echelon_and_gauss_jordan_match_the_scalar_oracles(m):
-    # echelon's rank and sign * pivot / scale determinant, on scalar and on
-    # cleared rows, and gauss_jordan's pivots and its rows over their pivots
+    # echelon's rank and its determinant, sign * pivot over the product of
+    # the row lcms, on cleared rows; row_rank's rank and Matrix.det on the
+    # scalar rows; gauss_jordan's pivots and its rows over their pivots
     rng = random.Random(2718 if m is None else m + 2718)
     unit = Fraction(1) if m is None else QuadExt(1, 1, m)
     matrices = [
@@ -421,14 +421,14 @@ def test_echelon_and_gauss_jordan_match_the_scalar_oracles(m):
         pivots = gauss_jordan_oracle(canonical, cols)
         rk = len(pivots)
         cleared = [clear(matrix.row(r), field) for r in range(n_rows)]
-        for is_cleared, rows, den in (
-            (False, matrix.row_list(), 1),
-            (True, [list(r) for r, _ in cleared], math.prod(d for _, d in cleared)),
-        ):
-            got, last, sign, scale = echelon(rows, cols, field, is_cleared)
-            assert got == rk, matrix
-            if n_rows == cols == rk:
-                assert sign * to_scalar(last, scale, field) == old_det(matrix) * den, matrix
+        rows = [list(r) for r, _ in cleared]
+        got, last, sign = echelon(rows, cols, field)
+        assert got == rk == row_rank(canonical, cols), matrix
+        if n_rows == cols:
+            assert matrix.det() == old_det(matrix), matrix
+            if rk == n_rows:
+                den = math.prod(d for _, d in cleared)
+                assert sign * to_scalar(last, den, field) == old_det(matrix), matrix
         rows = [list(r) for r, _ in cleared]
         assert fractionfree.gauss_jordan(rows, cols, field) == pivots, matrix
         over_pivots = [

@@ -82,6 +82,7 @@ def test_repfile_rejects_bad_documents():
         {"field": "Q", "dim": 1, "generators": [{"matrix": [[1]]}]},  # non-string entry
         {"field": "Q", "dim": 1, "generators": [{"matrix": [["0"]]}]},  # singular
         {"field": "Q", "dim": 1, "generators": [{"matrix": [["1+1*sqrt(5)"]]}]},
+        {"field": "Q", "dim": 1, "generators": [{"label": "s1"}]},  # no matrix
     ]:
         with pytest.raises(ParseError):
             representation_from_document(bad)
@@ -164,6 +165,15 @@ def test_cli_verify_trace_replays(runner):
         assert current == set(seq["target"])
         covered.add(tuple(seq["target"]))
     assert covered == set(itertools.combinations(sorted(subset), 2))
+
+
+def test_cli_directory_target_exits_two(runner, tmp_path):
+    for command in ("verify", "analyze"):
+        result = runner.invoke(main, [command, str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.output == ""
+        assert result.stderr.startswith(f"error: cannot read {tmp_path}: [Errno 21] Is a directory")
+        assert result.stderr.count("\n") == 1
 
 
 def test_cli_verify_parse_error_exit_two(runner, tmp_path):

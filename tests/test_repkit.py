@@ -159,6 +159,19 @@ def test_simplicity_a2_no_premise():
     assert grown.dim == 2
 
 
+def test_one_dimensional_modules_are_simple_by_burnside():
+    # the one word I spans End(F^1)
+    cases = [
+        Representation([Matrix.from_rows([[2]]), Matrix.from_rows([[Fraction(-1, 3)]])]),
+        exterior_rep(entry("A3").representation, 3),
+        exterior_rep(entry("H2-5").representation, 0),
+    ]
+    for rep in cases:
+        assert rep.dim == 1
+        verdict = simplicity(rep)
+        assert (verdict.status, verdict.commutant_dim, verdict.method) == ("Simple", 1, "burnside")
+
+
 def test_simplicity_reducible_with_witness():
     rep = Representation(
         [Matrix.from_rows([[-1, 1], [0, 1]]), Matrix.from_rows([[1, 0], [0, -1]])]
