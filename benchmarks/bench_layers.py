@@ -19,7 +19,9 @@ on the exterior squares of A4 and H4 and on a reducible 4x4 module; of
 input construction:
 building A60 (one diagonal entry read per generator) and loading the dense dim-32
 representation file of benchmarks/dense_repfile.py; of the whole certifier,
-verify_theorem on the H3 conjugate and on F4, A16, A40 and A60, on the
+verify_theorem on the H3 conjugate and on F4, A16, A40 and A60, on 16
+reflections of Q(sqrt 5)^8 from benchmarks/dense_repfile.py --sqrt5 16
+--digits 100 (k > n with f_iq in Z[sqrt 5] of 98 digits), on the
 small catalog shapes A2, cond4-fail and reducible-direct-sum, on A6 with
 three conjugated extra reflections (k = 9 > n = 6, so the basis subset
 comes from the deletion lemma), on every reflection of F4, D6 and H4
@@ -56,7 +58,7 @@ from pathlib import Path
 
 import pytest
 
-from dense_repfile import dense_document
+from dense_repfile import dense_document, sqrt5_document
 from reflext.catalog import _cartan_rep, entry
 from reflext.errors import NotRankOne
 from reflext.linalg import Matrix, dot, kernel, rank
@@ -179,6 +181,7 @@ DENSE16_REFLECTION = reflection_from_parts(
 )
 
 DENSE32_DIGITS100 = representation_from_document(dense_document(32, 0, 100))
+SQRT5_DIM8_K16 = representation_from_document(sqrt5_document(8, 16, 0, 100))
 
 _inverse_rng = random.Random(19)  # its own stream, so the inputs above stay as they were
 DENSE8_Q = Matrix(
@@ -355,7 +358,9 @@ def test_check_hypotheses_reducible(benchmark, k):
 
 
 @pytest.mark.parametrize(
-    "rep", [H3_CONJUGATE, F4, A16, A40, A60], ids=["H3-conjugate", "F4", "A16", "A40", "A60"]
+    "rep",
+    [H3_CONJUGATE, F4, A16, A40, A60, SQRT5_DIM8_K16],
+    ids=["H3-conjugate", "F4", "A16", "A40", "A60", "sqrt5-dim8-k16"],
 )
 def test_verify_theorem(benchmark, rep):
     assert benchmark(verify_theorem, rep).verified

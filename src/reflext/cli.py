@@ -34,7 +34,7 @@ EXIT_CERTIFICATION = 4
 # Size limits, checked before any computation starts; a request above one is
 # an error with exit 2.  Times at the limit are whole in-process commands with
 # --json on a 2-vCPU Xeon VM, Python 3.11.7.
-MAX_TRACE_DIM = 12  # verify --trace emits 2**n - 1 move sequences: 4095 at A12, 5-8 s for 44 MB
+MAX_TRACE_DIM = 12  # verify --trace emits 2**n - 1 move sequences: 4095 at A12, 4-6 s for 44 MB
 MAX_EXTERIOR_DIM = 70  # exterior --d forms C(n, d)-square compounds: 0.6 s at A8, d = 4
 # hom solves (left dim)(right dim) unknowns, 400 at the limit, and no time
 # bound holds there on dense input: 0.25-0.45 s at A6:3 A6:3, but a cold

@@ -9,14 +9,17 @@ in Z[sqrt(m)] (Z over Q), and rows are reduced by Bareiss elimination on
 Python ints.  An element a + b*sqrt(m) of Z[sqrt(m)] is an int over Q (m is
 None) and the pair (a, b) of ints over Q(sqrt(m)), except that zero is the
 int 0 in both: truthiness is then the zero test for scalars and cleared
-entries alike.  A scalar handed back is a Fraction or a QuadExt, and
-`null_vectors` leaves its null vectors in Z[sqrt(m)].
+entries alike, and `null_vectors` leaves its null vectors in Z[sqrt(m)].
 
-This module is the one home of that format.  Elements enter by `clear`,
-`integer` and `lift`, are combined by `inner`, `times`, `difference`,
-`primitive` and the eliminations, and leave as scalars by `to_scalar` and
-`quotient`; other modules compare, test and pass them on, and never build,
-unpack or index a pair.
+This module is the one home of that format and of its two normal forms.
+Elements enter by `clear`, `integer` and `lift`, are combined by `inner`,
+`times`, `difference` and the eliminations, and leave as scalars by
+`to_scalar` and `quotient`; other modules compare, test and pass them on,
+and never build, unpack or index a pair.  A scalar handed back is a
+Fraction whenever its sqrt(m) part is zero and a QuadExt otherwise, so
+every scalar computed through this module is canonical.  A vector that is
+kept over Z[sqrt(m)] (a reflection's forms, an `extend_echelon` row) is
+kept as its `primitive` form, the one place a leading entry is made an int.
 """
 
 from __future__ import annotations
@@ -114,11 +117,12 @@ def clear(row: Sequence[Scalar], m: int | None) -> tuple[list, int]:
 
 
 def to_scalar(z, den: int, m: int | None) -> Scalar:
-    """The scalar z / den for z in Z[sqrt(m)] and a nonzero int den."""
-    if m is None:
+    """The scalar z / den for z in Z[sqrt(m)] and a nonzero int den: a
+    Fraction whenever its sqrt(m) part is zero, a QuadExt otherwise."""
+    if m is None or not z:
         return Fraction(z, den)
-    a, b = z or (0, 0)
-    return _quad(Fraction(a, den), Fraction(b, den), m)
+    a, b = z
+    return _quad(Fraction(a, den), Fraction(b, den), m) if b else Fraction(a, den)
 
 
 def integer(k: int, m: int | None):
@@ -142,13 +146,24 @@ def times(x, y, m: int | None):
     return a * c + m * b * e, a * e + b * c
 
 
-def primitive(v: tuple, m: int | None) -> tuple:
-    """A nonzero vector over Z[sqrt(m)] over the gcd of its integer components."""
+def primitive(v: Sequence, m: int | None) -> tuple:
+    """The primitive form of a nonzero vector over Z[sqrt(m)]: a nonzero
+    multiple with an int leading entry and no integer other than +-1
+    dividing every integer component.
+
+    Over Z[sqrt(m)] the vector is first multiplied by the conjugate of its
+    leading entry when that entry is not an int.  That makes the entry its
+    norm, and a common factor c in Z[sqrt(m)] of the components the int
+    norm of c, which the gcd of the integer components then divides out.
+    """
     if m is None:
         g = gcd(*v)
-        return tuple(x // g for x in v) if g != 1 else v
+        return tuple([x // g for x in v]) if g != 1 else tuple(v)
+    a, e = next(x for x in v if x)
+    if e:
+        v = [times(x, (a, -e), m) for x in v]
     g = gcd(*[gcd(*x) for x in v if x])
-    return tuple((x[0] // g, x[1] // g) if x else 0 for x in v) if g != 1 else v
+    return tuple([(x[0] // g, x[1] // g) if x else 0 for x in v]) if g != 1 else tuple(v)
 
 
 def quotient(z, d, m: int | None) -> Scalar:
@@ -292,9 +307,8 @@ def extend_echelon(basis: list, row: list, m: int | None) -> bool:
     `basis` holds (pivot column, row) pairs, each row zero left of its pivot
     and at the earlier pivots, with an int pivot entry.  The row is reduced at
     each pivot c in turn, row := b[c] row - row[c] b, which keeps it zero at
-    the earlier pivots.  A remainder joins times the conjugate of its pivot
-    entry and over the gcd of its integer components: with int pivots that
-    gcd keeps the entries small over Z[sqrt(m)] too.
+    the earlier pivots.  A remainder joins as its `primitive` form, whose
+    int pivot and content 1 keep the entries small over Z[sqrt(m)] too.
     """
     for col, b in basis:
         if row[col]:
@@ -302,10 +316,7 @@ def extend_echelon(basis: list, row: list, m: int | None) -> bool:
     lead = next((c for c, x in enumerate(row) if x), None)
     if lead is None:
         return False
-    if m is not None and row[lead][1]:
-        a, e = row[lead]
-        row = [times(x, (a, -e), m) for x in row]
-    basis.append((lead, list(primitive(tuple(row), m))))
+    basis.append((lead, primitive(row, m)))
     return True
 
 

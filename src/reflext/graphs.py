@@ -1,9 +1,9 @@
 """Finite simple graphs, connectivity, subset moves, and connectivity-preserving deletion.
 
 A move replaces a vertex r of a subset I by an outside neighbor t along the
-edge {r, t}; move_sequence constructs an explicit chain of moves carrying one
-subset to another inside a connected graph (move_chain without the checks),
-and deletable_vertex picks a vertex whose removal keeps the graph connected
+edge {r, t}; move_sequence constructs, and replays, an explicit chain of
+moves carrying one subset to another inside a connected graph, and
+deletable_vertex picks a vertex whose removal keeps the graph connected
 (eccentricity argument).
 """
 
@@ -151,61 +151,45 @@ def shortest_path(graph: Graph, source: int, target: int) -> list[int] | None:
     return path[::-1]
 
 
-def apply_move(current: set[int], step: MoveStep, graph: Graph) -> None:
-    """Make one move on `current` in place, validating it."""
-    if step.removed not in current:
-        raise ValueError(f"step removes {step.removed} which is not in the subset")
-    if step.added in current:
-        raise ValueError(f"step adds {step.added} which is already in the subset")
-    if not graph.has_edge(step.removed, step.added):
-        raise ValueError(f"step uses missing edge {step.edge}")
-    current.remove(step.removed)
-    current.add(step.added)
-
-
 def apply_moves(subset: Iterable[int], steps: Sequence[MoveStep], graph: Graph) -> set[int]:
     """Replay a move sequence, validating every step; returns the final subset."""
     current = set(subset)
     for step in steps:
-        apply_move(current, step, graph)
+        if step.removed not in current:
+            raise ValueError(f"step removes {step.removed} which is not in the subset")
+        if step.added in current:
+            raise ValueError(f"step adds {step.added} which is already in the subset")
+        if not graph.has_edge(step.removed, step.added):
+            raise ValueError(f"step uses missing edge {step.edge}")
+        current.remove(step.removed)
+        current.add(step.added)
     return current
 
 
 def move_sequence(graph: Graph, start: Iterable[int], goal: Iterable[int]) -> list[MoveStep]:
     """A chain of legal moves carrying `start` to `goal` in a connected graph.
 
-    Checks its input and the graph's connectivity, builds the chain by
-    move_chain and replays it, so a chain that misses the goal is an
-    InternalError.
+    Checks its input and the graph's connectivity, builds the chain and
+    replays it by apply_moves, so a chain that misses the goal is an
+    InternalError.  The chain is a constructive induction on the overlap:
+    pick r in start minus goal and t in goal minus start, walk a shortest
+    path from r to t shifting the start-vertices sitting on it one slot
+    toward t, then recurse.
     """
-    current = set(start)
+    origin = set(start)
     target = set(goal)
     vset = set(graph.vertices)
-    if not current <= vset or not target <= vset:
+    if not origin <= vset or not target <= vset:
         raise ValueError("subsets must consist of graph vertices")
-    if len(current) != len(target):
-        raise SizeMismatch(f"|I| = {len(current)} but |J| = {len(target)}")
+    if len(origin) != len(target):
+        raise SizeMismatch(f"|I| = {len(origin)} but |J| = {len(target)}")
     if not is_connected(graph):
         raise NotConnected("move sequences need a connected graph")
-    steps = move_chain(graph, current, target)
-    if apply_moves(current, steps, graph) != target:
-        raise InternalError("move sequence does not reach the goal subset")
-    return steps
-
-
-def move_chain(graph: Graph, start: set[int], goal: set[int]) -> list[MoveStep]:
-    """move_sequence's chain without its checks, for a connected graph and
-    equal-sized vertex subsets; replay it with apply_move to confirm it.
-
-    Constructive induction on the overlap: pick r in start minus goal and
-    t in goal minus start, walk a shortest path from r to t shifting the
-    start-vertices sitting on it one slot toward t, then recurse.
-    """
-    current = set(start)
+    current = set(origin)
     steps: list[MoveStep] = []
-    while current != goal:
-        r = min(current - goal)
-        t = min(goal - current)
+    while current != target:
+        r = min(current - target)
+        t = min(target - current)
         path = shortest_path(graph, r, t)
         if path is None:
             raise InternalError(f"no path from {r} to {t} in a connected graph")
@@ -220,6 +204,8 @@ def move_chain(graph: Graph, start: set[int], goal: set[int]) -> list[MoveStep]:
                 current.remove(walker)
                 current.add(path[j])
                 walker = path[j]
+    if apply_moves(origin, steps, graph) != target:
+        raise InternalError("move sequence does not reach the goal subset")
     return steps
 
 

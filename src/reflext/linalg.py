@@ -29,7 +29,7 @@ from .fractionfree import (
     row_space,
     to_scalar,
 )
-from .scalars import QuadExt, Scalar, as_scalar
+from .scalars import Scalar, as_scalar
 
 Vector = tuple[Scalar, ...]
 
@@ -43,11 +43,9 @@ def vector(entries: Iterable) -> Vector:
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     """u . v, by fractionfree: both vectors cleared into Z[sqrt(m)], their
-    inner product there, and one scalar over the product of the two lcms.
-
-    So the result is a QuadExt exactly when some entry is one, as a fold of
-    `+` and `*` would give, and entries from two quadratic fields raise
-    FieldMismatch.
+    inner product there, and one scalar over the product of the two lcms,
+    canonical as every scalar fractionfree hands back.  Entries from two
+    quadratic fields raise FieldMismatch.
     """
     if len(u) != len(v):
         raise LengthMismatch("dot product of vectors of different lengths")
@@ -146,22 +144,17 @@ class Matrix:
             raise LengthMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # dot with each row and column cleared once; over Q(sqrt(m)), a
-        # rational row times a rational column is a Fraction, as dot gives
+        # dot with each row and column cleared once
         m = field_of(self.entries + other.entries)
         columns = []
         for j in range(other.cols):
             c = other.entries[j :: other.cols]
-            rational = m is not None and QuadExt not in set(map(type, c))
-            columns.append((*clear(c, m), [t for t, x in enumerate(c) if x], rational))
+            columns.append((*clear(c, m), [t for t, x in enumerate(c) if x]))
         out = []
         for i in range(self.rows):
-            row = self.row(i)
-            r, d = clear(row, m)
-            rational_row = QuadExt not in set(map(type, row))
-            for c, e, support, rational_column in columns:
-                x = to_scalar(inner(r, c, m, support), d * e, m)
-                out.append(x.a if rational_row and rational_column else x)
+            r, d = clear(self.row(i), m)
+            for c, e, support in columns:
+                out.append(to_scalar(inner(r, c, m, support), d * e, m))
         return Matrix._of(self.rows, other.cols, tuple(out))
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
@@ -199,8 +192,8 @@ class Matrix:
         return Matrix._of(self.rows, self.cols + other.cols, tuple(out))
 
     def det(self) -> Scalar:
-        """Determinant after one fraction-free reduction, zero below full rank:
-        a QuadExt exactly when some entry is one, a Fraction otherwise."""
+        """Determinant after one fraction-free reduction, zero below full
+        rank, canonical as every scalar fractionfree hands back."""
         if self.rows != self.cols:
             raise LengthMismatch("determinant of non-square matrix")
         n = self.rows

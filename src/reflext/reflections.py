@@ -26,14 +26,14 @@ from .fractionfree import (
     to_scalar,
 )
 from .linalg import Matrix, Subspace, Vector, dot, kernel, vector
-from .scalars import QuadExt, Scalar, _quad
+from .scalars import Scalar
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 class Forms(NamedTuple):
-    """f^ and alpha^ over Z[sqrt(m)] (m None over Q): one reflection's, or stacked."""
+    """f^ and alpha^ over Z[sqrt(m)] (m None over Q), each vector in its
+    fractionfree.primitive form: one reflection's, or stacked."""
 
     m: int | None
     f: Sequence
@@ -46,13 +46,14 @@ class ReflectionData:
 
     f^ and alpha^ are nonzero multiples of f and alpha over Z[sqrt(m)], in
     the entries of reflext.fractionfree (ints over Q, pairs over
-    Q(sqrt(m)), the int 0 for zero), each primitive: no integer other than
-    +-1 divides every integer component.  S in Z[sqrt(m)] and the positive
-    int L give lambda - 1 = f(alpha) = S / L.  alpha, f and lambda are
-    derived from them at their first read, so a caller that reads only the
-    integers builds no scalar; the fixed hyperplane ker f is built at its
-    first read as well.  M determines everything else, so equality and
-    hashing compare M alone; repr shows M, alpha, lambda and f.
+    Q(sqrt(m)), the int 0 for zero), each in its fractionfree.primitive
+    form.  S in Z[sqrt(m)] and the positive int L give lambda - 1 = f(alpha)
+    = S / L.  alpha and lambda are derived from them, canonical as every
+    scalar fractionfree hands back, and f read off M, at their first read,
+    so a caller that reads only the integers builds no scalar; the fixed
+    hyperplane ker f is built at its first read as well.
+    M determines everything else, so equality and hashing compare M alone;
+    repr shows M, alpha, lambda and f.
     """
 
     def __init__(self, matrix: Matrix, forms: Forms, shift: tuple):
@@ -80,45 +81,30 @@ class ReflectionData:
     @cached_property
     def alpha(self) -> Vector:
         """Column q of M - I scaled to alpha_p = 1: alpha^ over alpha^_p,
-        each entry by fractionfree.quotient.  alpha_i is a QuadExt exactly
-        when M_pq or M_iq is one, as D_iq / D_pq would be."""
+        each entry by fractionfree.quotient."""
         m, form = self.forms.m, self.forms.alpha
-        p, q = self._pivot
-        alpha = [quotient(x, form[p], m) for x in form]
-        column = self.matrix.entries[q :: self.dim]
-        if m is None or type(column[p]) is QuadExt:
-            return tuple(alpha)
-        return tuple(x if type(entry) is QuadExt else x.a for x, entry in zip(alpha, column))
+        p = self._pivot_row
+        return tuple([quotient(x, form[p], m) for x in form])
 
     @cached_property
     def functional(self) -> Vector:
-        """Row p of M - I, lifted into Q(sqrt(m)) when alpha_p = 1 is a QuadExt."""
+        """Row p of M - I."""
         n = self.dim
-        p, q = self._pivot
+        p = self._pivot_row
         row = list(self.matrix.entries[p * n : (p + 1) * n])
         row[p] = row[p] - _ONE
-        if type(row[q]) is QuadExt:
-            row = [_quad(x, _ZERO, self.forms.m) if type(x) is Fraction else x for x in row]
         return tuple(row)
 
     @cached_property
     def eigenvalue(self) -> Scalar:
-        """1 + S / L: a QuadExt exactly when some diagonal entry of M is one,
-        as Matrix.trace() gives."""
+        """1 + S / L."""
         shift, den = self.shift
-        m = self.forms.m
-        value = _ONE + to_scalar(shift, den, m)
-        if m is None or QuadExt in set(map(type, self.matrix.entries[:: self.dim + 1])):
-            return value
-        return value.a
+        return _ONE + to_scalar(shift, den, self.forms.m)
 
     @property
-    def _pivot(self) -> tuple[int, int]:
-        """(p, q): the first moving row and the first nonzero column of row p
-        of M - I, i.e. the leading coordinates of alpha^ and f^."""
-        p = next(i for i, x in enumerate(self.forms.alpha) if x)
-        q = next(j for j, x in enumerate(self.forms.f) if x)
-        return p, q
+    def _pivot_row(self) -> int:
+        """p: the first moving row of M - I, the leading coordinate of alpha^."""
+        return next(i for i, x in enumerate(self.forms.alpha) if x)
 
     @cached_property
     def hyperplane(self) -> Subspace:

@@ -54,15 +54,7 @@ from .fractionfree import (
     pairing_pattern,
     row_space,
 )
-from .graphs import (
-    Graph,
-    apply_move,
-    breadth_first,
-    deletable_vertex,
-    induced,
-    is_connected,
-    move_chain,
-)
+from .graphs import Graph, breadth_first, deletable_vertex, induced, is_connected, move_sequence
 from .linalg import Representation, Subspace, Vector, _canonical_subspace, _check_degree
 from .reflections import Forms, ReflectionData, recognize_reflection
 from .scalars import merge_tags
@@ -457,26 +449,23 @@ def _characters_separate(refls: Sequence[ReflectionData]) -> bool:
 
 def _claim5_trace(graph: Graph, subset: Sequence[int], d: int) -> ClaimFiveTrace:
     """Cover every d-subset of the certified set by explicit move sequences
-    from a base.  verify_theorem has checked that the set induces a
-    connected graph, and each chain is replayed once, validating every move
-    and the goal while the before/after subsets are recorded."""
+    from a base.  Each chain comes from graphs.move_sequence, which checks,
+    builds and replays it; the before/after subsets are recorded along it."""
     members = sorted(subset)
     sub_graph = induced(graph, members)
     subsets = list(itertools.combinations(members, d))
     base = subsets[0]
     sequences: list[TraceSequence] = []
     for target in subsets[1:]:
-        goal = set(target)
         cur = set(base)
         before = base
         steps: list[TraceStep] = []
-        for st in move_chain(sub_graph, cur, goal):
-            apply_move(cur, st, sub_graph)
+        for st in move_sequence(sub_graph, base, target):
+            cur.remove(st.removed)
+            cur.add(st.added)
             after = tuple(sorted(cur))
             steps.append(TraceStep(st.removed, st.added, before, after))
             before = after
-        if cur != goal:
-            raise InternalError("move sequence does not reach the goal subset")
         sequences.append(TraceSequence(target=target, steps=tuple(steps)))
     return ClaimFiveTrace(degree=d, base=base, sequences=tuple(sequences))
 
@@ -543,7 +532,7 @@ def verify_theorem(
     Each exterior power is certified by the claim-5 lemma and non-isomorphy
     by comparing characters.  On a connected graph, the moves "swap i in I
     for a neighbour j not in I" connect all d-subsets, for every d (the
-    constructive proof is graphs.move_chain, replayed under trace=True).
+    constructive proof is graphs.move_sequence, under trace=True).
     An endomorphism of wedge^d V keeps every claim-4 line alpha_I and has
     equal coefficients on subsets one move apart, so one check that the
     basis subset S induces a connected graph makes End(wedge^d V) the

@@ -21,7 +21,7 @@ from reflext.fractionfree import to_scalar
 from reflext.graphs import deletable_vertex, induced, is_connected
 from reflext.linalg import Matrix, Subspace, intersect_all, kernel, rank, row_rank
 from reflext.repkit import duality_intertwiner
-from reflext.scalars import _quad, field_tag, inv
+from reflext.scalars import QuadExt, inv
 
 
 def random_matrix(rng, rows, cols, bound=4):
@@ -148,8 +148,20 @@ def duality_holds(rep, d):
     return True
 
 
+def canonical(x):
+    """The scalar x in the one form every computed scalar takes: a QuadExt
+    whose sqrt(m) part is zero as its Fraction, any other scalar as it is."""
+    return x.a if type(x) is QuadExt and not x.b else x
+
+
+def is_canonical(x):
+    """x is a Fraction exactly when its sqrt(m) part is zero."""
+    return type(x) is Fraction or type(x) is QuadExt and x.b != 0
+
+
 def naive_dot(u, v):
-    """Oracle for linalg.dot: the fold of `+` and `*` from Fraction(0)."""
+    """Oracle for linalg.dot, up to `canonical`: the fold of `+` and `*`
+    from Fraction(0)."""
     total = Fraction(0)
     for a, b in zip(u, v, strict=True):
         total = total + a * b
@@ -193,7 +205,8 @@ def is_primitive_form(form, vector, m):
 def recognize_reflection_bareiss(matrix):
     """Oracle for reflections.recognize_reflection: the rank of D = M - I
     from the fraction-free kernel, then alpha = column q of D times
-    1 / D_pq, f = row p of D, and the trace and f(alpha) by naive_dot."""
+    1 / D_pq, f = row p of D, and the trace and f(alpha) by naive_dot, with
+    alpha and lambda in `canonical` form."""
     if matrix.rows != matrix.cols:
         raise NotRankOne("reflection candidate must be square")
     n = matrix.rows
@@ -206,13 +219,9 @@ def recognize_reflection_bareiss(matrix):
     p = next(i for i in range(n) if any(diff[i]))
     q = next(j for j in range(n) if diff[p][j])
     scale = inv(diff[p][q])
-    alpha = tuple(scale * row[q] for row in diff)
-    m = field_tag(alpha[p])
-    functional = tuple(
-        _quad(x, Fraction(0), m) if m is not None and type(x) is Fraction else x
-        for x in diff[p]
-    )
-    eigenvalue = naive_dot([matrix[i, i] for i in range(n)], [1] * n) - (n - 1)
+    alpha = tuple(canonical(scale * row[q]) for row in diff)
+    functional = tuple(diff[p])
+    eigenvalue = canonical(naive_dot([matrix[i, i] for i in range(n)], [1] * n) - (n - 1))
     if eigenvalue == 1:
         raise NotDiagonalizable("unipotent transvection: eigenvalue 1 on the moving line")
     if eigenvalue == 0:

@@ -165,6 +165,22 @@ def test_one_bareiss_loop():
     }
 
 
+def test_only_fractionfree_knows_the_element_type():
+    # every computed scalar leaves fractionfree canonical, so linear algebra
+    # and recognition neither build nor test a QuadExt themselves
+    for module in ("linalg.py", "reflections.py"):
+        tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        named |= {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert not named & {"QuadExt", "_quad"}, module
+
+
 def _public_functions(body, prefix=""):
     for node in body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):

@@ -23,7 +23,13 @@ from reflext.reflections import reflection_from_parts, recognize_reflection
 from reflext.scalars import QuadExt, field_tag, inv
 from reflext.theoremlab import _stacked_forms
 
-from conftest import gauss_jordan_oracle, is_primitive_form, kernel_two_pass, rref_oracle
+from conftest import (
+    gauss_jordan_oracle,
+    is_canonical,
+    is_primitive_form,
+    kernel_two_pass,
+    rref_oracle,
+)
 
 P10 = 1000000007
 FIELDS = [None, 5, P10]
@@ -112,10 +118,7 @@ def test_extend_echelon_appends_exactly_when_the_rank_grows(m):
             # zero left of its pivot and at the earlier pivots, an int pivot entry
             assert not any(row[:c]) and not any(row[p] for p in pivots[:k])
             pivot = to_scalar(row[c], 1, m)
-            if m is not None:
-                assert pivot.b == 0
-                pivot = pivot.a
-            assert pivot.denominator == 1
+            assert type(pivot) is Fraction and pivot.denominator == 1
         scalars = [[to_scalar(x, 1, m) for x in row] for _, row in basis]
         spanned = [matrix.row(i) for i in range(rows)]
         assert Subspace.span(scalars, cols) == Subspace.span(spanned, cols)
@@ -147,8 +150,8 @@ def test_det_equals_fraction_elimination(m):
         matrix = seeded_matrix(rng, m, n, n, bits=200 if big else 4)
         det = matrix.det()
         assert det == old_det(matrix), matrix
-        # the field of the entries decides the type, whatever the value
-        assert field_tag(det) == matrix.field()
+        # the value decides the type, whatever the field of the entries
+        assert is_canonical(det)
     # singular by construction: a product through a middle of dimension k < n
     for trial in range(100):
         n = rng.randint(1, 7)
@@ -159,7 +162,7 @@ def test_det_equals_fraction_elimination(m):
         matrix = left @ right if k else Matrix.zero(n, n)
         det = matrix.det()
         assert det == 0 and old_det(matrix) == 0, matrix
-        assert field_tag(det) == matrix.field()
+        assert type(det) is Fraction
 
 
 def test_det_of_empty_matrix_is_one():
@@ -259,9 +262,11 @@ def test_reflection_data_and_rank_two_perturbations(m):
         expected = old_reflection_data(matrix)
         got = (data.alpha, data.functional, data.eigenvalue)
         assert got == expected
-        assert [list(map(field_tag, x)) for x in got[:2]] == [
-            list(map(field_tag, x)) for x in expected[:2]
-        ]
+        assert all(map(is_canonical, (*data.alpha, data.eigenvalue)))
+        # f is row p of M - I, entry for entry
+        p = next(i for i, x in enumerate(data.alpha) if x)
+        row = [x - (j == p) for j, x in enumerate(matrix.row(p))]
+        assert list(map(field_tag, data.functional)) == list(map(field_tag, row))
         # one more rank-one term along an independent direction: rank(M - I) = 2
         u = [scalar(rng, m, zero_share=0.4) for _ in range(n)]
         g = [scalar(rng, m, zero_share=0.4) for _ in range(n)]
@@ -361,9 +366,12 @@ def test_gauss_jordan_bases_match_the_scalar_oracles(m):
         reduced, rk = rref_oracle(matrix)
         oracle_basis = reduced.submatrix(range(rk), range(cols))
         assert Matrix(len(row_basis), cols, [x for v in row_basis for x in v]) == oracle_basis
-        assert Subspace.span([matrix.row(r) for r in range(rows)], cols).basis == oracle_basis
+        spanned = Subspace.span([matrix.row(r) for r in range(rows)], cols)
+        assert spanned.basis == oracle_basis
         assert rref(matrix) == (reduced, rk)
-        assert all(type(x) in (Fraction, QuadExt) for v in null_basis + row_basis for x in v)
+        # a Fraction exactly when the sqrt(m) part is zero, from every entry point
+        computed = [*null_basis, *row_basis, expected.basis.entries, spanned.basis.entries]
+        assert all(is_canonical(x) for v in computed + [rref(matrix)[0].entries] for x in v)
         levels += _null_vectors_are_multiples(cleared, cols, field, null_basis)
         assert cleared == before  # every read above works on a copy
         pivots = fractionfree.gauss_jordan(cleared, cols, field)
@@ -516,7 +524,7 @@ def test_element_helpers_match_scalar_arithmetic(m):
 
         if y:
             q = fractionfree.quotient(x, y, m)
-            assert type(q) is (Fraction if m is None else QuadExt)
+            assert is_canonical(q)
             assert q == _value(x, m) * inv(_value(y, m))
 
         # a nonzero vector times a common factor: primitive divides it back out
@@ -529,5 +537,12 @@ def test_element_helpers_match_scalar_arithmetic(m):
         assert math.gcd(*_components(reduced, m)) == 1
         common = math.gcd(*_components(scaled, m))
         assert common % factor == 0
-        assert [_value(z, m) * common for z in reduced] == [_value(z, m) for z in scaled]
+        lead = next(k for k, z in enumerate(scaled) if z)
+        if m is None or not scaled[lead][1]:
+            # an int leading entry already: only the integer content goes
+            assert [_value(z, m) * common for z in reduced] == [_value(z, m) for z in scaled]
+        # a nonzero multiple of the input, in Z[sqrt(m)], with an int leading entry
+        ratio = _value(reduced[lead], m) / _value(scaled[lead], m)
+        assert ratio and [_value(z, m) for z in reduced] == [ratio * _value(z, m) for z in scaled]
+        assert type(to_scalar(reduced[lead], 1, m)) is Fraction
     assert zero_products >= 100, zero_products

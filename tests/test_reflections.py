@@ -324,18 +324,37 @@ def test_recognition_matches_bareiss_oracle():
             )
             seen["mixed alpha types"] += len(set(map(type, data.alpha))) == 2
             seen["sparse, n > 5"] += kind == "sparse cartan" and matrix.rows > 5
-            seen["QuadExt lambda off the moving rows"] += type(data.eigenvalue) is QuadExt and all(
-                type(matrix[i, i]) is Fraction for i in moving
+            quadratic_diagonal = any(type(matrix[i, i]) is QuadExt for i in range(matrix.rows))
+            seen["rational lambda, quadratic diagonal"] += (
+                type(data.eigenvalue) is Fraction and quadratic_diagonal
             )
     cases = [
         "rank 0", "rank 2+", "NotDiagonalizable", "SingularMatrix", "zero row",
         "rational pivot column, quadratic matrix", "mixed alpha types", "sparse, n > 5",
-        "QuadExt lambda off the moving rows",
+        "rational lambda, quadratic diagonal",
     ]
     assert min(seen[case] for case in cases) >= 20, seen
 
 
-ROOT = Path(__file__).resolve().parent.parent
+def test_primitive_alpha_form_has_no_common_quadratic_factor():
+    """Column q of M - I is alpha times f_q.  With f_q in Z[sqrt 5] of 97-98
+    digits that factor is no integer, so the gcd of integer components
+    leaves it; the primitive form strips it, and alpha^ stays small."""
+    rng = random.Random(3405)
+
+    def part():
+        return rng.randint(10**96, 10**98 - 1)
+
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        alpha = [QuadExt(rng.randint(1, 3), rng.randint(1, 3), 5) for _ in range(n)]
+        f = [QuadExt(part(), part(), 5) for _ in range(n)]
+        data = recognize_reflection(reflection_from_parts(alpha, f))
+        assert is_primitive_form(data.forms.alpha, data.alpha, 5)
+        assert max(abs(c).bit_length() for z in data.forms.alpha for c in z) < 64
+
+
+ROOT =Path(__file__).resolve().parent.parent
 FIELD_ORDERS = list(itertools.permutations(("alpha", "functional", "eigenvalue")))
 
 
